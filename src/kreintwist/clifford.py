@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .linalg import (
     adjoint,
     anticommutator,
     as_cmat,
+    op_norms,
     residual_norm,
     sign_of_pair,
 )
@@ -57,6 +59,11 @@ __all__ = [
     "SIGMA3",
     "build_gammas",
     "represent",
+    "represent_stack",
+    "metric_pairing",
+    "metric_pairings",
+    "twist_parity_residuals",
+    "trace_metric_residuals",
     "gamma_product",
     "phase_normalize",
     "build_structural",
@@ -151,6 +158,13 @@ class CliffordRep:
     def n_gen(self) -> int:
         return 2 * self.m
 
+    @cached_property
+    def gamma_stack(self) -> np.ndarray:
+        """The gammas as one read-only (n_gen, dim, dim) array."""
+        stack = np.array(self.gammas, dtype=np.complex128)
+        stack.setflags(write=False)
+        return stack
+
 
 def build_gammas(sig: Signature) -> CliffordRep:
     """Construct 2m unitary gammas with {g_a, g_b} = 2 g_a delta_ab.
@@ -187,19 +201,49 @@ def _check_clifford_relations(rep: CliffordRep, tol: float = BUILD_TOL) -> None:
 def represent(rep: CliffordRep, v) -> np.ndarray:
     """c(v) = sum_a v^a gamma_a, linear in the coefficient vector."""
     v = np.asarray(v, dtype=np.complex128).ravel()
-    if v.shape[0] != rep.n_gen:
-        raise ShapeError(f"coefficient vector must have length {rep.n_gen}, got {v.shape[0]}")
-    out = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-    for coeff, g in zip(v, rep.gammas):
-        out += coeff * g
-    return out
+    return represent_stack(rep, v[None])[0]
+
+
+def represent_stack(rep: CliffordRep, vs) -> np.ndarray:
+    """c(v) for every row v of a (k, n_gen) coefficient stack, shape (k, dim, dim).
+
+    Every gamma is a monomial matrix with entries in {0, +-1, +-i}, so each
+    product v^a gamma_a is exact and each entry sums at most two nonzero
+    terms (the sigma1 and sigma2 slots share their support): the result is
+    independent of the summation order, bit for bit.
+    """
+    vs = np.asarray(vs, dtype=np.complex128)
+    if vs.ndim != 2 or vs.shape[1] != rep.n_gen:
+        raise ShapeError(f"coefficient vector must have length {rep.n_gen}, got shape {vs.shape[1:]}")
+    return np.einsum("ka,aij->kij", vs, rep.gamma_stack)
 
 
 def metric_pairing(rep: CliffordRep, u, v) -> complex:
     """g(u, v) = sum_a g_a u^a v^a (bilinear, orthonormal basis)."""
     u = np.asarray(u, dtype=np.complex128).ravel()
     v = np.asarray(v, dtype=np.complex128).ravel()
-    return complex(np.sum(rep.signs * u * v))
+    return complex(metric_pairings(rep, u, v))
+
+
+def metric_pairings(rep: CliffordRep, us, vs) -> np.ndarray:
+    """g(u, v) over the last axis, row by row for (k, n_gen) stacks."""
+    us = np.asarray(us, dtype=np.complex128)
+    vs = np.asarray(vs, dtype=np.complex128)
+    return np.sum(rep.signs * us * vs, axis=-1)
+
+
+def twist_parity_residuals(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
+    """|K c(v) K - c(rv)| for every row v of a coefficient stack."""
+    vs = np.asarray(vs)
+    lhs = ops.K @ represent_stack(rep, vs) @ ops.K
+    return op_norms(lhs - represent_stack(rep, rep.signs * vs))
+
+
+def trace_metric_residuals(rep: CliffordRep, us, vs) -> np.ndarray:
+    """|tr(c(u) c(v)) / dim - g(u, v)| for paired rows of coefficient stacks."""
+    prod = represent_stack(rep, us) @ represent_stack(rep, vs)
+    tr = np.trace(prod, axis1=-2, axis2=-1) / rep.dim
+    return np.abs(tr - metric_pairings(rep, us, vs))
 
 
 def reflect(rep: CliffordRep, v) -> np.ndarray:

@@ -21,6 +21,8 @@ from .linalg import (
     ShapeError,
     adjoint,
     as_cmat,
+    as_cstack,
+    op_norms,
     residual_norm,
 )
 
@@ -31,8 +33,10 @@ __all__ = [
     "TwistedTripleData",
     "SpinElement",
     "k_product",
+    "k_products",
     "k_adjoint",
     "is_k_unitary",
+    "k_unitarity_residuals",
     "sample_spin_plus",
     "twisted_commutator",
     "twisted_one_form",
@@ -72,15 +76,23 @@ def k_product(space: KreinSpace, psi, phi) -> complex:
     """<psi, phi>_K = <psi, K phi>, conjugate-linear in the first slot."""
     psi = np.asarray(psi, dtype=np.complex128).ravel()
     phi = np.asarray(phi, dtype=np.complex128).ravel()
-    if psi.shape[0] != space.dim or phi.shape[0] != space.dim:
+    return complex(k_products(space, psi[None], phi[None])[0])
+
+
+def k_products(space: KreinSpace, psis, phis) -> np.ndarray:
+    """<psi, phi>_K for paired rows of (k, dim) vector stacks."""
+    psis = np.asarray(psis, dtype=np.complex128)
+    phis = np.asarray(phis, dtype=np.complex128)
+    if psis.shape[-1] != space.dim or phis.shape[-1] != space.dim:
         raise ShapeError("vector length must equal the space dimension")
-    return complex(np.vdot(psi, space.K @ phi))
+    k_phis = (space.K @ phis[..., None])[..., 0]
+    return np.sum(np.conj(psis) * k_phis, axis=-1)
 
 
 def k_adjoint(space: KreinSpace, o) -> np.ndarray:
-    """Twisted adjoint O^+ = K O^dagger K."""
-    o = as_cmat(o)
-    if o.shape != (space.dim, space.dim):
+    """Twisted adjoint O^+ = K O^dagger K (of each matrix, for a stack)."""
+    o = as_cstack(o)
+    if o.shape[-2:] != (space.dim, space.dim):
         raise ShapeError("operator must be dim x dim")
     return space.K @ adjoint(o) @ space.K
 
@@ -88,10 +100,16 @@ def k_adjoint(space: KreinSpace, o) -> np.ndarray:
 def is_k_unitary(space: KreinSpace, u, tol: float = 1e-10) -> tuple[bool, Residual]:
     """Check U O^+ = O^+ U = 1 for O^+ the twisted adjoint."""
     u = as_cmat(u)
-    plus = k_adjoint(space, u)
-    eye = np.eye(space.dim)
-    r = max(residual_norm(u @ plus, eye), residual_norm(plus @ u, eye))
+    r = float(k_unitarity_residuals(space, u[None])[0])
     return r <= tol, Residual(r, tol)
+
+
+def k_unitarity_residuals(space: KreinSpace, us) -> np.ndarray:
+    """max(|U U^+ - 1|, |U^+ U - 1|) for every matrix of a stack."""
+    us = as_cstack(us)
+    plus = k_adjoint(space, us)
+    eye = np.eye(space.dim)
+    return np.maximum(op_norms(us @ plus - eye), op_norms(plus @ us - eye))
 
 
 @dataclass(frozen=True)
@@ -170,9 +188,9 @@ def sample_spin_plus(
 
 
 def twisted_commutator(d, a, K) -> np.ndarray:
-    """[D, a]_rho = D a - (K a K) D."""
+    """[D, a]_rho = D a - (K a K) D (for each a of a stack)."""
     d = as_cmat(d)
-    a = as_cmat(a)
+    a = as_cstack(a)
     K = as_cmat(K)
     return d @ a - K @ a @ K @ d
 
@@ -187,8 +205,8 @@ def twisted_one_form(pairs: Sequence[tuple], d, K) -> np.ndarray:
 
 
 def opposite_action(b, j: AntilinearOp) -> np.ndarray:
-    """b^o = J b^dagger J^-1."""
-    return j.sandwich(adjoint(as_cmat(b)))
+    """b^o = J b^dagger J^-1 (for each b of a stack)."""
+    return j.sandwich(adjoint(as_cstack(b)))
 
 
 def twisted_first_order_residual(

@@ -11,13 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordRep, StructuralOps, metric_pairing, reflect, represent
+from .clifford import (
+    CliffordRep,
+    StructuralOps,
+    metric_pairings,
+    represent_stack,
+    trace_metric_residuals,
+)
 from .krein import (
     KreinSpace,
     NotKUnitaryError,
     TwistedTripleData,
-    is_k_unitary,
     k_adjoint,
+    k_unitarity_residuals,
     opposite_action,
     twisted_commutator,
 )
@@ -26,8 +32,11 @@ from .linalg import (
     Residual,
     adjoint,
     as_cmat,
+    as_cstack,
     commutator,
-    op_norm,
+    gaussian_stacks,
+    max_residual,
+    op_norms,
     residual_norm,
 )
 
@@ -38,12 +47,17 @@ __all__ = [
     "invert_k_morphism",
     "selfadjoint_equivalence_check",
     "commutator_correspondence_check",
+    "commutator_correspondence_residuals",
     "first_order_correspondence_check",
+    "first_order_correspondence_residuals",
     "fluctuation_correspondence_check",
+    "fluctuation_correspondence_residuals",
     "twisted_clifford_check",
+    "twisted_clifford_residuals",
     "generalized_clifford_check",
     "trace_metric_morph_check",
     "symbol_norm_probe",
+    "symbol_norm_probes",
 ]
 
 
@@ -110,22 +124,34 @@ def selfadjoint_equivalence_check(pair: MorphismPair, tol: float = 1e-12) -> tup
 
 def commutator_correspondence_check(pair: MorphismPair, a, tol: float = 1e-12) -> Residual:
     """K [D, a]_rho = [D^K, a]."""
-    a = as_cmat(a)
+    return Residual(float(commutator_correspondence_residuals(pair, as_cmat(a)[None])[0]), tol)
+
+
+def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
+    """|K [D, a]_rho - [D^K, a]| for every a of a stack."""
+    a = as_cstack(a)
     lhs = pair.twisted.K @ twisted_commutator(pair.twisted.D, a, pair.twisted.K)
-    rhs = commutator(pair.pseudo.Dk, a)
-    return Residual(residual_norm(lhs, rhs), tol)
+    return op_norms(lhs - commutator(pair.pseudo.Dk, a))
 
 
 def first_order_correspondence_check(pair: MorphismPair, a, b, tol: float = 1e-12) -> Residual:
     """[[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for any a, b."""
+    r = first_order_correspondence_residuals(pair, as_cmat(a)[None], as_cmat(b)[None])
+    return Residual(float(r[0]), tol)
+
+
+def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray:
+    """Gap of the first-order correspondence for paired a, b of two stacks."""
     t = pair.twisted
     K = t.K
-    x = twisted_commutator(t.D, as_cmat(a), K)
+    a = as_cstack(a)
+    b = as_cstack(b)
+    x = twisted_commutator(t.D, a, K)
     b_op = opposite_action(b, t.J)
-    rho_b_op = t.J.sandwich(adjoint(K @ as_cmat(b) @ K))
+    rho_b_op = t.J.sandwich(adjoint(K @ b @ K))
     lhs = x @ b_op - rho_b_op @ x
-    rhs = K @ commutator(commutator(pair.pseudo.Dk, as_cmat(a)), b_op)
-    return Residual(residual_norm(lhs, rhs), tol)
+    rhs = K @ commutator(commutator(pair.pseudo.Dk, a), b_op)
+    return op_norms(lhs - rhs)
 
 
 def fluctuation_correspondence_check(pair: MorphismPair, u_k, tol: float = 1e-10) -> Residual:
@@ -134,21 +160,28 @@ def fluctuation_correspondence_check(pair: MorphismPair, u_k, tol: float = 1e-10
     Also folds in the identity rho(U_K) = rho(u_K) J rho(u_K) J^-1, so both
     constructions of the twisted-side conjugator are compared.
     """
+    return Residual(float(fluctuation_correspondence_residuals(pair, as_cmat(u_k)[None])[0]), tol)
+
+
+def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
+    """Fluctuation-correspondence gap for every u_K of a stack.
+
+    Raises NotKUnitaryError if any element of the stack is not K-unitary.
+    """
     t = pair.twisted
     K = t.K
     space = pair.pseudo.space
-    ok, res = is_k_unitary(space, u_k, 1e-9)
-    if not ok:
-        raise NotKUnitaryError(f"fluctuation element is not K-unitary ({res.value:.3e})")
-    u_k = as_cmat(u_k)
+    u_k = as_cstack(u_k)
+    unitarity = k_unitarity_residuals(space, u_k)
+    bad = ~(unitarity <= 1e-9)
+    if np.any(bad):
+        raise NotKUnitaryError(f"fluctuation element is not K-unitary ({unitarity[bad][0]:.3e})")
     big_u = u_k @ t.J.sandwich(u_k)
     v_k = K @ big_u @ K
     lhs = big_u @ pair.pseudo.Dk @ k_adjoint(space, big_u)
     rhs = K @ (v_k @ t.D @ adjoint(v_k))
-    r = residual_norm(lhs, rhs)
     rho_u = K @ u_k @ K
-    r = max(r, residual_norm(v_k, rho_u @ t.J.sandwich(rho_u)))
-    return Residual(r, tol)
+    return np.maximum(op_norms(lhs - rhs), op_norms(v_k - rho_u @ t.J.sandwich(rho_u)))
 
 
 def twisted_clifford_check(
@@ -158,11 +191,19 @@ def twisted_clifford_check(
 
     This is the twisted Clifford relation of the image representation.
     """
-    cu = ops.K @ represent(rep, u)
-    cv = ops.K @ represent(rep, v)
+    u = np.asarray(u, dtype=np.complex128).ravel()
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    return Residual(float(twisted_clifford_residuals(rep, ops, u[None], v[None])[0]), tol)
+
+
+def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:
+    """Twisted Clifford gap for paired rows of two coefficient stacks."""
+    vs = np.asarray(vs)
+    cu = ops.K @ represent_stack(rep, us)
+    cv = ops.K @ represent_stack(rep, vs)
     lhs = ops.K @ (cu @ cv) @ ops.K + cv @ cu
-    target = 2.0 * metric_pairing(rep, u, reflect(rep, v)) * np.eye(rep.dim)
-    return Residual(residual_norm(lhs, target), tol)
+    g = 2.0 * metric_pairings(rep, us, rep.signs * vs)
+    return op_norms(lhs - g[:, None, None] * np.eye(rep.dim))
 
 
 def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps, tol: float = 1e-11) -> Residual:
@@ -186,19 +227,17 @@ def trace_metric_morph_check(
     tol: float = 1e-11,
 ) -> Residual:
     """Normalized traces reproduce g on the plain side, g(r., .) on the twisted one."""
-    rng = np.random.default_rng(seed)
-    dim = rep.dim
-    worst = 0.0
-    for _ in range(pairs):
-        u = rng.normal(size=rep.n_gen)
-        v = rng.normal(size=rep.n_gen)
-        plain = np.trace(represent(rep, u) @ represent(rep, v)) / dim
-        worst = max(worst, abs(plain - metric_pairing(rep, u, v)))
-        cu = ops.K @ represent(rep, u)
-        cv = ops.K @ represent(rep, v)
-        twisted = np.trace(cu @ cv) / dim
-        worst = max(worst, abs(twisted - metric_pairing(rep, reflect(rep, u), v)))
-    return Residual(worst, tol)
+    n = rep.n_gen
+
+    def residuals(us, vs):
+        cu = ops.K @ represent_stack(rep, us)
+        cv = ops.K @ represent_stack(rep, vs)
+        twisted = np.trace(cu @ cv, axis1=-2, axis2=-1) / rep.dim
+        twisted_gap = np.abs(twisted - metric_pairings(rep, rep.signs * us, vs))
+        return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
+
+    stacks = gaussian_stacks(np.random.default_rng(seed), pairs, rep.dim, [(n,), (n,)])
+    return Residual(max_residual(stacks, residuals), tol)
 
 
 def symbol_norm_probe(rep: CliffordRep, ops: StructuralOps, k) -> dict:
@@ -210,15 +249,26 @@ def symbol_norm_probe(rep: CliffordRep, ops: StructuralOps, k) -> dict:
     the discrepancy instead of asserting.
     """
     k = np.asarray(k, dtype=float).ravel()
-    norm = op_norm(ops.K @ represent(rep, k))
-    g_r = float(np.real(metric_pairing(rep, k, reflect(rep, k))))
-    g_r_norm = float(np.sqrt(max(g_r, 0.0)))
-    plus_weight = float(np.sum(np.abs(k[rep.signs > 0]) ** 2))
-    minus_weight = float(np.sum(np.abs(k[rep.signs < 0]) ** 2))
-    pure_block = min(plus_weight, minus_weight) < 1e-14
+    probes = symbol_norm_probes(rep, ops, k[None])
+    return {
+        "norm": float(probes["norm"][0]),
+        "gR_norm": float(probes["gR_norm"][0]),
+        "match": bool(probes["match"][0]),
+        "pure_block": bool(probes["pure_block"][0]),
+    }
+
+
+def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
+    """``symbol_norm_probe`` for every row of a (k, n_gen) stack, as arrays."""
+    ks = np.asarray(ks, dtype=float)
+    norm = op_norms(ops.K @ represent_stack(rep, ks))
+    g_r = np.real(metric_pairings(rep, ks, rep.signs * ks))
+    g_r_norm = np.sqrt(np.maximum(g_r, 0.0))
+    plus_weight = np.sum(np.abs(ks[:, rep.signs > 0]) ** 2, axis=1)
+    minus_weight = np.sum(np.abs(ks[:, rep.signs < 0]) ** 2, axis=1)
     return {
         "norm": norm,
         "gR_norm": g_r_norm,
-        "match": abs(norm - g_r_norm) <= 1e-10,
-        "pure_block": pure_block,
+        "match": np.abs(norm - g_r_norm) <= 1e-10,
+        "pure_block": np.minimum(plus_weight, minus_weight) < 1e-14,
     }

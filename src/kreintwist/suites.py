@@ -9,6 +9,7 @@ residual values.  Check failures never raise; they become failed records
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -18,10 +19,10 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import adjoint, kron, residual_norm
+from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_residual, op_norms, residual_norm
 from .report import CheckRecord, ConfigError, Report, SuiteConfig
 
-__all__ = ["run", "SUITE_BUILDERS"]
+__all__ = ["run", "SUITE_BUILDERS", "SignatureContext"]
 
 
 class _Runner:
@@ -59,26 +60,237 @@ def _sig_tag(sig: cl.Signature) -> str:
     return f"p{sig.p}q{sig.q}"
 
 
-def _triple_pair(sig: cl.Signature):
-    rep = cl.build_gammas(sig)
-    ops = cl.build_structural(rep)
-    d, dk = cl.canonical_dirac_pair(rep)
-    t = kr.canonical_twisted_triple(rep, ops, d)
-    pair = mo.MorphismPair(t, mo.apply_k_morphism(t))
-    return rep, ops, d, dk, t, pair
+class SignatureContext:
+    """The operators of one signature, built once per run and shared by the
+    clifford, krein, morphism and product suites.
+
+    Gammas and structural operators are built on construction.  The Dirac
+    pair, triple, morphism pair and sign table are built on first use and
+    kept only once built: a suite that reads them outside its checks aborts
+    the run on a construction error, one that reads them inside a check
+    records a failed check, and the next reader tries again.
+    """
+
+    def __init__(self, sig: cl.Signature):
+        self.sig = sig
+        self.rep = cl.build_gammas(sig)
+        self.ops = cl.build_structural(self.rep)
+
+    @cached_property
+    def dirac(self) -> tuple[np.ndarray, np.ndarray]:
+        return cl.canonical_dirac_pair(self.rep)
+
+    @cached_property
+    def triple(self) -> kr.TwistedTripleData:
+        return kr.canonical_twisted_triple(self.rep, self.ops, self.dirac[0])
+
+    @cached_property
+    def pair(self) -> mo.MorphismPair:
+        return mo.MorphismPair(self.triple, mo.apply_k_morphism(self.triple))
+
+    @cached_property
+    def sign_table(self) -> cl.SignTable:
+        return cl.sign_table(self.rep, self.ops, self.dirac[0])
+
+
+class _Contexts(dict):
+    """Signature contexts of one run, keyed by (p, q) and built on demand."""
+
+    def __missing__(self, key: tuple) -> SignatureContext:
+        ctx = self[key] = SignatureContext(cl.Signature(*key))
+        return ctx
+
+
+# --------------------------------------------------------------------------
+# sampled checks
+#
+# Each draws all of its samples from ``rng`` in capped stacks
+# (``linalg.gaussian_stacks``) and evaluates one residual per sample with
+# stacked kernels; the check value is the largest residual.
+# --------------------------------------------------------------------------
+
+def _spin_stacks(spins, dim: int):
+    """Spin-element matrices as 1-tuples of stacks, chunked like ``gaussian_stacks``."""
+    start = 0
+    for k in chunk_sizes(len(spins), dim):
+        yield (np.array([s.matrix for s in spins[start : start + k]]),)
+        start += k
+
+
+def twist_parity(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """K c(v) K = c(rv) on Gaussian coefficient vectors v."""
+    stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(ctx.rep.n_gen,)])
+    return max_residual(stacks, lambda v: cl.twist_parity_residuals(ctx.rep, ctx.ops, v))
+
+
+def trace_metric(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """tr(c(u) c(v)) / dim = g(u, v) on Gaussian pairs."""
+    n = ctx.rep.n_gen
+    stacks = gaussian_stacks(rng, 50, ctx.rep.dim, [(n,), (n,)])
+    return max_residual(stacks, lambda u, v: cl.trace_metric_residuals(ctx.rep, u, v))
+
+
+def k_product_hermitian(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """<a, b>_K = conj(<b, a>_K) on complex Gaussian vectors."""
+    space = ctx.pair.pseudo.space
+    d = ctx.rep.dim
+
+    def residuals(a, b):
+        return np.abs(kr.k_products(space, a, b) - np.conj(kr.k_products(space, b, a)))
+
+    return max_residual(gaussian_stacks(rng, 50, d, [(d,), (d,)], complex_=True), residuals)
+
+
+def adjoint_pairing(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """<psi, O phi>_K = <O^+ psi, phi>_K on complex Gaussian psi, phi, O."""
+    space = ctx.pair.pseudo.space
+    d = ctx.rep.dim
+
+    def residuals(psi, phi, o):
+        lhs = kr.k_products(space, psi, (o @ phi[..., None])[..., 0])
+        plus_psi = (kr.k_adjoint(space, o) @ psi[..., None])[..., 0]
+        return np.abs(lhs - kr.k_products(space, plus_psi, phi))
+
+    stacks = gaussian_stacks(rng, 100, d, [(d,), (d,), (d, d)], complex_=True)
+    return max_residual(stacks, residuals)
+
+
+def spin_inverse_rule(ctx: SignatureContext, spins) -> float:
+    """x^-1 = K x^dagger K on spin elements."""
+    K = ctx.ops.K
+    return max_residual(
+        _spin_stacks(spins, ctx.rep.dim),
+        lambda s: op_norms(np.linalg.inv(s) - K @ adjoint(s) @ K),
+    )
+
+
+def spin_k_unitarity(ctx: SignatureContext, spins) -> float:
+    """Spin elements are K-unitary."""
+    space = ctx.pair.pseudo.space
+    return max_residual(
+        _spin_stacks(spins, ctx.rep.dim),
+        lambda s: kr.k_unitarity_residuals(space, s),
+    )
+
+
+def spin_product_invariance(ctx: SignatureContext, spins, rng: np.random.Generator) -> float:
+    """<x psi, x phi>_K = <psi, phi>_K, one Gaussian pair per spin element."""
+    space = ctx.pair.pseudo.space
+    d = ctx.rep.dim
+    draws = gaussian_stacks(rng, len(spins), d, [(d,), (d,)], complex_=True)
+
+    def residuals(s, psi, phi):
+        moved = kr.k_products(space, (s @ psi[..., None])[..., 0], (s @ phi[..., None])[..., 0])
+        return np.abs(moved - kr.k_products(space, psi, phi))
+
+    stacks = ((s, psi, phi) for (s,), (psi, phi) in zip(_spin_stacks(spins, d), draws))
+    return max_residual(stacks, residuals)
+
+
+def k_fixed_under_spin(ctx: SignatureContext, spins) -> float:
+    """x^dagger K x = K on spin elements."""
+    K = ctx.ops.K
+    return max_residual(
+        _spin_stacks(spins, ctx.rep.dim),
+        lambda s: op_norms(adjoint(s) @ K @ s - K),
+    )
+
+
+def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """[D, ab]_rho = [D, a]_rho b + rho(a) [D, b]_rho on complex Gaussian a, b."""
+    t = ctx.triple
+    d = ctx.rep.dim
+
+    def residuals(a, b):
+        lhs = kr.twisted_commutator(t.D, a @ b, t.K)
+        rhs = kr.twisted_commutator(t.D, a, t.K) @ b + t.K @ a @ t.K @ kr.twisted_commutator(t.D, b, t.K)
+        return op_norms(lhs - rhs)
+
+    return max_residual(gaussian_stacks(rng, 20, d, [(d, d), (d, d)], complex_=True), residuals)
+
+
+def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """a . delta(b) . c = rho(a)(delta(bc) - rho(b) delta(c)): the bimodule
+    action keeps one-forms inside the one-form space."""
+    t = ctx.triple
+    d = ctx.rep.dim
+
+    def rho(x):
+        return t.K @ x @ t.K
+
+    def residuals(a, b, c):
+        lhs = rho(a) @ kr.twisted_commutator(t.D, b, t.K) @ c
+        rhs = rho(a) @ (
+            kr.twisted_commutator(t.D, b @ c, t.K) - rho(b) @ kr.twisted_commutator(t.D, c, t.K)
+        )
+        return op_norms(lhs - rhs)
+
+    stacks = gaussian_stacks(rng, 10, d, [(d, d)] * 3, complex_=True)
+    return max_residual(stacks, residuals)
+
+
+def commutator_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """K [D, a]_rho = [D^K, a] on complex Gaussian a."""
+    d = ctx.rep.dim
+    stacks = gaussian_stacks(rng, 20, d, [(d, d)], complex_=True)
+    return max_residual(stacks, lambda a: mo.commutator_correspondence_residuals(ctx.pair, a))
+
+
+def first_order_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """The first-order condition corresponds across D -> KD on complex Gaussian a, b."""
+    d = ctx.rep.dim
+    stacks = gaussian_stacks(rng, 10, d, [(d, d), (d, d)], complex_=True)
+    return max_residual(stacks, lambda a, b: mo.first_order_correspondence_residuals(ctx.pair, a, b))
+
+
+def fluctuation_correspondence(ctx: SignatureContext, spins) -> float:
+    """Fluctuations by spin elements correspond across D -> KD."""
+    return max_residual(
+        _spin_stacks(spins, ctx.rep.dim),
+        lambda s: mo.fluctuation_correspondence_residuals(ctx.pair, s),
+    )
+
+
+def twisted_clifford(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """The twisted Clifford relation on Gaussian coefficient pairs."""
+    n = ctx.rep.n_gen
+    stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(n,), (n,)])
+    return max_residual(stacks, lambda u, v: mo.twisted_clifford_residuals(ctx.rep, ctx.ops, u, v))
+
+
+def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> float:
+    """|K c(k)| = |k|_{g_r} on basis vectors and on random single-block k."""
+    rep = ctx.rep
+    p, q = rep.sig.p, rep.sig.q
+    ks = [np.eye(rep.n_gen)]
+    # the block choice and the block draw interleave uniform and normal
+    # draws of data-dependent size, so these samples are drawn one by one
+    for _ in range(10):
+        k = np.zeros(rep.n_gen)
+        if rng.uniform() < 0.5 and p > 0:
+            k[:p] = rng.normal(size=p)
+        elif q > 0:
+            k[p:] = rng.normal(size=q)
+        else:
+            k[:p] = rng.normal(size=p)
+        ks.append(k[None])
+    probes = mo.symbol_norm_probes(rep, ctx.ops, np.concatenate(ks))
+    counted = probes["pure_block"]
+    counted[: rep.n_gen] = True  # basis vectors count whatever their block
+    gaps = np.abs(probes["norm"] - probes["gR_norm"])[counted]
+    return max(0.0, float(np.max(gaps)))
 
 
 # --------------------------------------------------------------------------
 # clifford
 # --------------------------------------------------------------------------
 
-def run_clifford(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_clifford(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "clifford")
     for si, (p, q) in enumerate(cfg.signatures):
-        sig = cl.Signature(p, q)
-        tag = _sig_tag(sig)
-        rep = cl.build_gammas(sig)
-        ops = cl.build_structural(rep)
+        ctx = contexts[(p, q)]
+        tag = _sig_tag(ctx.sig)
+        rep, ops = ctx.rep, ctx.ops
         eye = np.eye(rep.dim)
 
         def anticomm_table() -> float:
@@ -111,17 +323,12 @@ def run_clifford(cfg: SuiteConfig) -> list[CheckRecord]:
                 for a, g in enumerate(rep.gammas)
             ),
         )
-
-        def twist_parity(rep=rep, ops=ops, si=si) -> float:
-            rng = _rng(cfg, 0, si, 1)
-            worst = 0.0
-            for _ in range(100):
-                v = rng.normal(size=rep.n_gen)
-                lhs = ops.K @ cl.represent(rep, v) @ ops.K
-                worst = max(worst, residual_norm(lhs, cl.represent(rep, cl.reflect(rep, v))))
-            return worst
-
-        r.add(f"{tag}.twist_parity", "Sec3:rho(c(v))=c(rv)", "build", twist_parity)
+        r.add(
+            f"{tag}.twist_parity",
+            "Sec3:rho(c(v))=c(rv)",
+            "build",
+            lambda ctx=ctx, si=si: twist_parity(ctx, _rng(cfg, 0, si, 1)),
+        )
         r.add(
             f"{tag}.k_hermitian_involution",
             "Sec1:K=exp(i.theta).K-dagger",
@@ -167,22 +374,15 @@ def run_clifford(cfg: SuiteConfig) -> list[CheckRecord]:
                 residual_norm(ops.K @ (ops.K @ g @ ops.K) @ ops.K, g) for g in rep.gammas
             ),
         )
+        r.add(
+            f"{tag}.trace_metric",
+            "EqMetTrace",
+            "build",
+            lambda ctx=ctx, si=si: trace_metric(ctx, _rng(cfg, 0, si, 2)),
+        )
 
-        def trace_metric(rep=rep, si=si) -> float:
-            rng = _rng(cfg, 0, si, 2)
-            worst = 0.0
-            for _ in range(50):
-                u = rng.normal(size=rep.n_gen)
-                v = rng.normal(size=rep.n_gen)
-                tr = np.trace(cl.represent(rep, u) @ cl.represent(rep, v)) / rep.dim
-                worst = max(worst, abs(tr - cl.metric_pairing(rep, u, v)))
-            return worst
-
-        r.add(f"{tag}.trace_metric", "EqMetTrace", "build", trace_metric)
-
-        def cross_relations(rep=rep, ops=ops) -> float:
-            d, _ = cl.canonical_dirac_pair(rep)
-            tab = cl.sign_table(rep, ops, d)
+        def cross_relations(ctx=ctx) -> float:
+            tab = ctx.sign_table
             bad = 0.0
             bad += abs(tab.eps0 - tab.eps0K)
             bad += abs(tab.eps2 - tab.eps2K)
@@ -193,12 +393,12 @@ def run_clifford(cfg: SuiteConfig) -> list[CheckRecord]:
         r.add(f"{tag}.sign_cross_relations", "Sec3:eps-relations", "build", cross_relations)
 
         if (p, q) == (1, 3):
-            def ko6_row(rep=rep, ops=ops) -> float:
-                d, _ = cl.canonical_dirac_pair(rep)
-                tab = cl.sign_table(rep, ops, d)
-                return 0.0 if tab.pseudo_row() == (1, 1, -1, -1) else 1.0
-
-            r.add(f"{tag}.ko6_pseudo_row", "Sec4:KO6-signs", "build", ko6_row)
+            r.add(
+                f"{tag}.ko6_pseudo_row",
+                "Sec4:KO6-signs",
+                "build",
+                lambda ctx=ctx: 0.0 if ctx.sign_table.pseudo_row() == (1, 1, -1, -1) else 1.0,
+            )
     return r.records
 
 
@@ -206,27 +406,21 @@ def run_clifford(cfg: SuiteConfig) -> list[CheckRecord]:
 # krein
 # --------------------------------------------------------------------------
 
-def run_krein(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_krein(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "krein")
     for si, (p, q) in enumerate(cfg.signatures):
-        sig = cl.Signature(p, q)
+        ctx = contexts[(p, q)]
+        sig, rep, ops = ctx.sig, ctx.rep, ctx.ops
         tag = _sig_tag(sig)
-        rep, ops, d, dk, t, pair = _triple_pair(sig)
-        space = pair.pseudo.space
+        t = ctx.triple
+        space = ctx.pair.pseudo.space
 
-        def kprod_hermitian(rep=rep, space=space, si=si) -> float:
-            rng = _rng(cfg, 1, si, 1)
-            worst = 0.0
-            for _ in range(50):
-                a = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                b = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                worst = max(
-                    worst,
-                    abs(kr.k_product(space, a, b) - np.conj(kr.k_product(space, b, a))),
-                )
-            return worst
-
-        r.add(f"{tag}.k_product_hermitian", "Sec1:K-product", "build", kprod_hermitian)
+        r.add(
+            f"{tag}.k_product_hermitian",
+            "Sec1:K-product",
+            "build",
+            lambda ctx=ctx, si=si: k_product_hermitian(ctx, _rng(cfg, 1, si, 1)),
+        )
 
         def krein_signs(ops=ops, sig=sig) -> float:
             ev = np.linalg.eigvalsh(ops.K)
@@ -238,20 +432,12 @@ def run_krein(cfg: SuiteConfig) -> list[CheckRecord]:
             return worst
 
         r.add(f"{tag}.krein_sign_spectrum", "Sec2:Krein-space", "build", krein_signs)
-
-        def adjoint_pairing(rep=rep, space=space, si=si) -> float:
-            rng = _rng(cfg, 1, si, 2)
-            worst = 0.0
-            for _ in range(100):
-                psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                phi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                o = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                lhs = kr.k_product(space, psi, o @ phi)
-                rhs = kr.k_product(space, kr.k_adjoint(space, o) @ psi, phi)
-                worst = max(worst, abs(lhs - rhs))
-            return worst
-
-        r.add(f"{tag}.adjoint_pairing", "Sec1:plus-adjoint", "chain", adjoint_pairing)
+        r.add(
+            f"{tag}.adjoint_pairing",
+            "Sec1:plus-adjoint",
+            "chain",
+            lambda ctx=ctx, si=si: adjoint_pairing(ctx, _rng(cfg, 1, si, 2)),
+        )
 
         def kadj_involution(rep=rep, space=space, si=si) -> float:
             rng = _rng(cfg, 1, si, 3)
@@ -266,79 +452,38 @@ def run_krein(cfg: SuiteConfig) -> list[CheckRecord]:
             f"{tag}.spin_inverse_rule",
             "Sec2:x-inv=rho(x-dagger)",
             "sampled",
-            lambda spins=spins, ops=ops: max(
-                residual_norm(np.linalg.inv(s.matrix), ops.K @ adjoint(s.matrix) @ ops.K)
-                for s in spins
-            ),
+            lambda ctx=ctx, spins=spins: spin_inverse_rule(ctx, spins),
         )
         r.add(
             f"{tag}.spin_k_unitarity",
             "Sec1:K-unitarity",
             "sampled",
-            lambda spins=spins, space=space: max(
-                kr.is_k_unitary(space, s.matrix)[1].value for s in spins
-            ),
+            lambda ctx=ctx, spins=spins: spin_k_unitarity(ctx, spins),
         )
-
-        def spin_invariance(spins=spins, space=space, rep=rep, si=si) -> float:
-            rng = _rng(cfg, 1, si, 4)
-            worst = 0.0
-            for s in spins:
-                psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                phi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-                worst = max(
-                    worst,
-                    abs(
-                        kr.k_product(space, s.matrix @ psi, s.matrix @ phi)
-                        - kr.k_product(space, psi, phi)
-                    ),
-                )
-            return worst
-
-        r.add(f"{tag}.spin_product_invariance", "Sec2:Spin+-invariant-product", "sampled", spin_invariance)
+        r.add(
+            f"{tag}.spin_product_invariance",
+            "Sec2:Spin+-invariant-product",
+            "sampled",
+            lambda ctx=ctx, spins=spins, si=si: spin_product_invariance(ctx, spins, _rng(cfg, 1, si, 4)),
+        )
         r.add(
             f"{tag}.k_fixed_under_spin",
             "Sec2:K-fixed-under-Spin+",
             "sampled",
-            lambda spins=spins, ops=ops: max(
-                residual_norm(adjoint(s.matrix) @ ops.K @ s.matrix, ops.K) for s in spins
-            ),
+            lambda ctx=ctx, spins=spins: k_fixed_under_spin(ctx, spins),
         )
-
-        def twisted_leibniz(rep=rep, t=t, si=si) -> float:
-            rng = _rng(cfg, 1, si, 5)
-            worst = 0.0
-            for _ in range(20):
-                a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                b = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                lhs = kr.twisted_commutator(t.D, a @ b, t.K)
-                rho_a = t.K @ a @ t.K
-                rhs = kr.twisted_commutator(t.D, a, t.K) @ b + rho_a @ kr.twisted_commutator(t.D, b, t.K)
-                worst = max(worst, residual_norm(lhs, rhs))
-            return worst
-
-        r.add(f"{tag}.twisted_leibniz", "Sec1:twisted-Leibniz", "chain", twisted_leibniz)
-
-        def bimodule_law(rep=rep, t=t, si=si) -> float:
-            # a . delta(b) . c = rho(a)(delta(bc) - rho(b) delta(c)): the
-            # bimodule action keeps one-forms inside the one-form space.
-            rng = _rng(cfg, 1, si, 6)
-            worst = 0.0
-            for _ in range(10):
-                a, b, c = (
-                    rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                    for _ in range(3)
-                )
-                rho = lambda x: t.K @ x @ t.K
-                lhs = rho(a) @ kr.twisted_commutator(t.D, b, t.K) @ c
-                rhs = rho(a) @ (
-                    kr.twisted_commutator(t.D, b @ c, t.K)
-                    - rho(b) @ kr.twisted_commutator(t.D, c, t.K)
-                )
-                worst = max(worst, residual_norm(lhs, rhs))
-            return worst
-
-        r.add(f"{tag}.bimodule_action", "EqLR", "chain", bimodule_law)
+        r.add(
+            f"{tag}.twisted_leibniz",
+            "Sec1:twisted-Leibniz",
+            "chain",
+            lambda ctx=ctx, si=si: twisted_leibniz(ctx, _rng(cfg, 1, si, 5)),
+        )
+        r.add(
+            f"{tag}.bimodule_action",
+            "EqLR",
+            "chain",
+            lambda ctx=ctx, si=si: bimodule_action(ctx, _rng(cfg, 1, si, 6)),
+        )
 
         def first_order_scalars(t=t) -> float:
             worst = 0.0
@@ -397,12 +542,13 @@ def run_krein(cfg: SuiteConfig) -> list[CheckRecord]:
 # morphism
 # --------------------------------------------------------------------------
 
-def run_morphism(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_morphism(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "morphism")
     for si, (p, q) in enumerate(cfg.signatures):
-        sig = cl.Signature(p, q)
-        tag = _sig_tag(sig)
-        rep, ops, d, dk, t, pair = _triple_pair(sig)
+        ctx = contexts[(p, q)]
+        rep, ops = ctx.rep, ctx.ops
+        tag = _sig_tag(ctx.sig)
+        t, pair = ctx.triple, ctx.pair
 
         def involution(t=t, pair=pair) -> float:
             back = mo.invert_k_morphism(pair.pseudo)
@@ -413,57 +559,43 @@ def run_morphism(cfg: SuiteConfig) -> list[CheckRecord]:
             )
 
         r.add(f"{tag}.involution", "Sec3:D->KD", "involution", involution)
+
+        def selfadjoint_equivalence(pair=pair) -> float:
+            res, gap = mo.selfadjoint_equivalence_check(pair)
+            return max(res.value, gap)
+
         r.add(
             f"{tag}.selfadjoint_equivalence",
             "Sec3:selfadjoint-equivalence",
             "build",
-            lambda pair=pair: max(
-                mo.selfadjoint_equivalence_check(pair)[0].value,
-                mo.selfadjoint_equivalence_check(pair)[1],
-            ),
+            selfadjoint_equivalence,
         )
-
-        def comm_corr(pair=pair, rep=rep, si=si) -> float:
-            rng = _rng(cfg, 2, si, 1)
-            worst = 0.0
-            for _ in range(20):
-                a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                worst = max(worst, mo.commutator_correspondence_check(pair, a).value)
-            return worst
-
-        r.add(f"{tag}.commutator_correspondence", "Sec3:[DK,a]=K[D,a]_rho", "build", comm_corr)
-
-        def fo_corr(pair=pair, rep=rep, si=si) -> float:
-            rng = _rng(cfg, 2, si, 2)
-            worst = 0.0
-            for _ in range(10):
-                a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                b = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-                worst = max(worst, mo.first_order_correspondence_check(pair, a, b).value)
-            return worst
-
-        r.add(f"{tag}.first_order_correspondence", "Sec3:first-order-correspondence", "build", fo_corr)
+        r.add(
+            f"{tag}.commutator_correspondence",
+            "Sec3:[DK,a]=K[D,a]_rho",
+            "build",
+            lambda ctx=ctx, si=si: commutator_correspondence(ctx, _rng(cfg, 2, si, 1)),
+        )
+        r.add(
+            f"{tag}.first_order_correspondence",
+            "Sec3:first-order-correspondence",
+            "build",
+            lambda ctx=ctx, si=si: first_order_correspondence(ctx, _rng(cfg, 2, si, 2)),
+        )
 
         spins = kr.sample_spin_plus(rep, 20, seed=cfg.seed + 53 * si + 9)
         r.add(
             f"{tag}.fluctuation_correspondence",
             "Sec3:DK_AK=K.D_Arho",
             "sampled",
-            lambda pair=pair, spins=spins: max(
-                mo.fluctuation_correspondence_check(pair, s.matrix).value for s in spins
-            ),
+            lambda ctx=ctx, spins=spins: fluctuation_correspondence(ctx, spins),
         )
-
-        def tw_cliff(rep=rep, ops=ops, si=si) -> float:
-            rng = _rng(cfg, 2, si, 3)
-            worst = 0.0
-            for _ in range(100):
-                u = rng.normal(size=rep.n_gen)
-                v = rng.normal(size=rep.n_gen)
-                worst = max(worst, mo.twisted_clifford_check(rep, ops, u, v).value)
-            return worst
-
-        r.add(f"{tag}.twisted_clifford", "EqDefCliffTw", "chain", tw_cliff)
+        r.add(
+            f"{tag}.twisted_clifford",
+            "EqDefCliffTw",
+            "chain",
+            lambda ctx=ctx, si=si: twisted_clifford(ctx, _rng(cfg, 2, si, 3)),
+        )
         r.add(
             f"{tag}.generalized_clifford",
             "EqCliffGeneralise",
@@ -490,9 +622,8 @@ def run_morphism(cfg: SuiteConfig) -> list[CheckRecord]:
             ).value,
         )
 
-        def twisted_grading(t=t, ops=ops, rep=rep) -> float:
-            d_, dk_ = cl.canonical_dirac_pair(rep)
-            tab = cl.sign_table(rep, ops, d_)
+        def twisted_grading(ctx=ctx, t=t) -> float:
+            tab = ctx.sign_table
             # when the Krein side anticommutes, the twisted side obeys
             # D Gamma + eps' Gamma D = 0
             if tab.eps3K != -1:
@@ -502,29 +633,12 @@ def run_morphism(cfg: SuiteConfig) -> list[CheckRecord]:
             )
 
         r.add(f"{tag}.twisted_grading", "Sec3:twisted-grading", "build", twisted_grading)
-
-        def symbol_norm(rep=rep, ops=ops, si=si) -> float:
-            rng = _rng(cfg, 2, si, 4)
-            worst = 0.0
-            for a in range(rep.n_gen):
-                e = np.zeros(rep.n_gen)
-                e[a] = 1.0
-                probe = mo.symbol_norm_probe(rep, ops, e)
-                worst = max(worst, abs(probe["norm"] - probe["gR_norm"]))
-            for _ in range(10):
-                k = np.zeros(rep.n_gen)
-                if rng.uniform() < 0.5 and rep.sig.p > 0:
-                    k[: rep.sig.p] = rng.normal(size=rep.sig.p)
-                elif rep.sig.q > 0:
-                    k[rep.sig.p :] = rng.normal(size=rep.sig.q)
-                else:
-                    k[: rep.sig.p] = rng.normal(size=rep.sig.p)
-                probe = mo.symbol_norm_probe(rep, ops, k)
-                if probe["pure_block"]:
-                    worst = max(worst, abs(probe["norm"] - probe["gR_norm"]))
-            return worst
-
-        r.add(f"{tag}.symbol_norm_pure_block", "Sec3:Prop4-distance", "sampled", symbol_norm)
+        r.add(
+            f"{tag}.symbol_norm_pure_block",
+            "Sec3:Prop4-distance",
+            "sampled",
+            lambda ctx=ctx, si=si: symbol_norm_pure_block(ctx, _rng(cfg, 2, si, 4)),
+        )
     return r.records
 
 
@@ -538,7 +652,7 @@ def _family_points(metric: geo.MetricField, count: int, rng: np.random.Generator
     return [lo + (hi - lo) * rng.uniform(size=metric.dim) for _ in range(count)]
 
 
-def run_geometry(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "geometry")
     h = cfg.fd_step
     curved = ["exp2d", "conformal2d", "lorentz2d", "lorentz4d"]
@@ -740,13 +854,13 @@ def run_geometry(cfg: SuiteConfig) -> list[CheckRecord]:
 # product
 # --------------------------------------------------------------------------
 
-def run_product(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_product(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "product")
-    sig = cl.Signature(1, 3)
-    rep, ops, d, dk, t, pair = _triple_pair(sig)
+    ctx = contexts[(1, 3)]
+    rep, ops, t = ctx.rep, ctx.ops, ctx.triple
     ft = pr.build_finite_triple_ko6(1.0 + 2.0j)
     pt = pr.assemble_product(t, ft)
-    tab = cl.sign_table(rep, ops, d)
+    tab = ctx.sign_table
     eye_m = np.eye(rep.dim)
     eye_f = np.eye(ft.dimF)
 
@@ -900,7 +1014,7 @@ def _candidate_label(row: pr.EmergenceRow) -> str:
     return f"candidate.g{row.grade}_{body}.eps_{eps}.sig_{sig}"
 
 
-def run_emergence(cfg: SuiteConfig) -> list[CheckRecord]:
+def run_emergence(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "emergence")
     rep4 = cl.build_gammas(cl.Signature(4, 0))
     rows = pr.signature_emergence(rep4)
@@ -987,9 +1101,10 @@ def run(cfg: SuiteConfig) -> Report:
     """Execute the configured suites in declared order and build the report."""
     cfg.validate()
     records: list[CheckRecord] = []
+    contexts = _Contexts()
     for suite in cfg.resolved_suites():
         builder = SUITE_BUILDERS.get(suite)
         if builder is None:
             raise ConfigError(f"unknown suite '{suite}'")
-        records.extend(builder(cfg))
+        records.extend(builder(cfg, contexts))
     return Report.from_records(cfg, records)

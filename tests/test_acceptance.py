@@ -4,8 +4,10 @@ Every tolerance is pinned here; the suites must meet them at the default
 seed and step without any calibration hooks.
 """
 
+import os
 import re
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -405,31 +407,43 @@ def test_criterion_8_signature_emergence():
     )
 
 
+# the CLI runs as ``python -m kreintwist`` (the ``verify`` script needs an install)
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_VERIFY = [sys.executable, "-m", "kreintwist"]
+_VERIFY_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join([_SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])),
+)
+
+
 def test_criterion_9_cli():
     t0 = time.perf_counter()
     proc = subprocess.run(
-        ["verify", "--suite", "all", "--format", "json"],
+        [*_VERIFY, "--suite", "all", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=_VERIFY_ENV,
     )
     elapsed = time.perf_counter() - t0
     ok_run = proc.returncode == 0 and elapsed < 60.0
 
     strip = lambda s: re.sub(r'"runtime_ms": [0-9.]+', '"runtime_ms": 0', s)
     proc2 = subprocess.run(
-        ["verify", "--suite", "all", "--format", "json"],
+        [*_VERIFY, "--suite", "all", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=_VERIFY_ENV,
     )
     deterministic = strip(proc.stdout) == strip(proc2.stdout)
 
     forced = subprocess.run(
-        ["verify", "--suite", "geometry", "--tol", "fd=0"],
+        [*_VERIFY, "--suite", "geometry", "--tol", "fd=0"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=_VERIFY_ENV,
     )
     ok = ok_run and deterministic and forced.returncode == 1
     _report(
