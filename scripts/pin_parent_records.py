@@ -1,12 +1,16 @@
-"""Pin the clifford/krein/morphism records of the current tree as a fixture.
+"""Pin the records of all six suites of the current tree as a fixture.
 
-Writes ``tests/data/parent_records.json``: for each pinned seed, either the
-exception type that aborted the run or every record's check id, anchor,
+Writes ``tests/data/parent_records_all.json``: for each pinned seed, either
+the exception type that aborted the run or every record's check id, anchor,
 tolerance, pass flag and residual (non-finite residuals as strings).  The
-batched-engine tests compare the current code against this file.  The
-committed fixture was written by the per-sample version of the checks,
-before they were batched; rewrite it only with a change that is meant to
-alter the records.
+suite-table tests require the current code to reproduce it exactly.  The
+committed fixture was written by the hand-written suites, before they
+became tables; rewrite it only with a change that is meant to alter the
+records.
+
+``tests/data/parent_records.json`` (clifford, krein and morphism, compared
+by the batched-engine tests) was written the same way by the per-sample
+checks, before they were batched, and is kept as written.
 
 Run from the repository root:
 
@@ -21,9 +25,9 @@ import os
 
 from kreintwist import SuiteConfig, run
 
-SUITES = ("clifford", "krein", "morphism")
+SUITES = ("clifford", "krein", "morphism", "geometry", "product", "emergence")
 SEEDS = (0, 1, 4, 1234)
-OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "parent_records.json")
+OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "parent_records_all.json")
 
 
 def pin_seed(seed: int) -> dict:

@@ -66,6 +66,8 @@ __all__ = [
     "trace_metric_residuals",
     "gamma_product",
     "phase_normalize",
+    "twist_operator",
+    "involution_residuals",
     "build_structural",
     "verify_structural",
     "measure_sign",
@@ -159,6 +161,18 @@ class CliffordRep:
         return 2 * self.m
 
     @cached_property
+    def relation_residuals(self) -> tuple[float, float]:
+        """(max |{g_a, g_b} - 2 g_a delta_ab 1|, max |g_a g_a^dagger - 1|)."""
+        eye = np.eye(self.dim)
+        gam = self.gammas
+        anticomm = 0.0
+        for a, b in itertools.product(range(self.n_gen), repeat=2):
+            target = 2.0 * self.signs[a] * eye if a == b else np.zeros_like(eye)
+            anticomm = max(anticomm, residual_norm(anticommutator(gam[a], gam[b]), target))
+        unitarity = max(residual_norm(g @ adjoint(g), eye) for g in gam)
+        return anticomm, unitarity
+
+    @cached_property
     def gamma_stack(self) -> np.ndarray:
         """The gammas as one read-only (n_gen, dim, dim) array."""
         stack = np.array(self.gammas, dtype=np.complex128)
@@ -182,20 +196,10 @@ def build_gammas(sig: Signature) -> CliffordRep:
         signs=signs,
         hat_gammas=tuple(hats),
     )
-    _check_clifford_relations(rep)
-    return rep
-
-
-def _check_clifford_relations(rep: CliffordRep, tol: float = BUILD_TOL) -> None:
-    eye = np.eye(rep.dim)
-    worst = 0.0
-    for a, b in itertools.product(range(rep.n_gen), repeat=2):
-        target = 2.0 * rep.signs[a] * eye if a == b else np.zeros_like(eye)
-        worst = max(worst, residual_norm(anticommutator(rep.gammas[a], rep.gammas[b]), target))
-    for g in rep.gammas:
-        worst = max(worst, residual_norm(g @ adjoint(g), eye))
-    if worst > tol:
+    worst = max(rep.relation_residuals)
+    if worst > BUILD_TOL:
         raise ConstructionError(f"Clifford relations violated, residual {worst:.3e}")
+    return rep
 
 
 def represent(rep: CliffordRep, v) -> np.ndarray:
@@ -320,16 +324,25 @@ def _euclidean_charge_conjugation(rep: CliffordRep) -> np.ndarray:
     return chat
 
 
-def build_structural(rep: CliffordRep) -> StructuralOps:
-    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat."""
+def twist_operator(rep: CliffordRep) -> np.ndarray:
+    """K: the phase-normalized product of the plus gammas when p is odd, of
+    the minus gammas otherwise."""
     plus = [a for a in range(rep.n_gen) if rep.signs[a] > 0]
     minus = [a for a in range(rep.n_gen) if rep.signs[a] < 0]
-    k_indices = plus if len(plus) % 2 == 1 else minus
-    K = phase_normalize(gamma_product(rep, k_indices))
+    return phase_normalize(gamma_product(rep, plus if len(plus) % 2 == 1 else minus))
+
+
+def involution_residuals(op: np.ndarray) -> tuple[float, float]:
+    """(|op - op^dagger|, |op op - 1|): zero for a Hermitian involution."""
+    return residual_norm(op, adjoint(op)), residual_norm(op @ op, np.eye(len(op)))
+
+
+def build_structural(rep: CliffordRep) -> StructuralOps:
+    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat."""
+    K = twist_operator(rep)
     Gamma = phase_normalize(gamma_product(rep, range(rep.n_gen)))
-    eye = np.eye(rep.dim)
     for name, op in (("K", K), ("Gamma", Gamma)):
-        if residual_norm(op @ op, eye) > BUILD_TOL or residual_norm(op, adjoint(op)) > BUILD_TOL:
+        if max(involution_residuals(op)) > BUILD_TOL:
             raise ConstructionError(f"{name} is not a Hermitian involution")
     Chat = _euclidean_charge_conjugation(rep)
     C = K @ Chat
@@ -511,11 +524,7 @@ def canonical_dirac_pair(
         dk = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
         for w, (a, b, c) in zip(weights, triples):
             dk += 1j * w * (rep.gammas[a] @ rep.gammas[b] @ rep.gammas[c])
-    plus = [a for a in range(n) if rep.signs[a] > 0]
-    minus = [a for a in range(n) if rep.signs[a] < 0]
-    k_indices = plus if len(plus) % 2 == 1 else minus
-    K = phase_normalize(gamma_product(rep, k_indices))
-    d = K @ dk
+    d = twist_operator(rep) @ dk
     if residual_norm(d, adjoint(d)) > 1e-11:
         raise ConstructionError("canonical Dirac matrix failed to be Hermitian")
     return d, dk

@@ -270,12 +270,11 @@ def reflection_isometry_residual(metric: MetricField, x) -> float:
     )
 
 
-def vielbein(metric: MetricField, use_gR: bool, x) -> tuple[np.ndarray, np.ndarray]:
+def vielbein(metric: MetricField, x) -> tuple[np.ndarray, np.ndarray]:
     """(E, Einv) with E[a, mu] = e_a^mu = delta / sqrt|g_mumu|, Einv[a, mu] = e^a_mu.
 
     The same frame makes g orthonormal with flat signs and g_R orthonormal
-    with the Kronecker delta, hence `use_gR` does not change the output;
-    the flag is kept so call sites document which metric they frame.
+    with the Kronecker delta.
     """
     g = metric.g_at(x)
     off = g - np.diag(np.diag(g))
@@ -297,8 +296,8 @@ def _vielbein_derivatives(metric: MetricField, x, h: float) -> tuple[np.ndarray,
     for mu in range(dim):
         step = np.zeros(dim)
         step[mu] = h
-        ep, eip = vielbein(metric, False, x + step)
-        em, eim = vielbein(metric, False, x - step)
+        ep, eip = vielbein(metric, x + step)
+        em, eim = vielbein(metric, x - step)
         de[mu] = (ep - em) / (2.0 * h)
         dei[mu] = (eip - eim) / (2.0 * h)
     return de, dei
@@ -321,7 +320,7 @@ def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     """
     x = metric.check_point(x, h)
     dim = metric.dim
-    e, einv = vielbein(metric, False, x)
+    e, einv = vielbein(metric, x)
     de, dei = _vielbein_derivatives(metric, x, h)
     gam = christoffel(metric, False, x, h).values
     gam_r = christoffel(metric, True, x, h).values
@@ -454,7 +453,7 @@ def dirac_apply_pseudo(
         raise ValueError("representation dimension does not match the chart")
     coeffs = coeffs or spin_connection_coeffs(metric, x, h)
     gamma_frame = coeffs["Gamma_b_mu_a"]
-    e, _ = vielbein(metric, False, x)
+    e, _ = vielbein(metric, x)
     signs = metric.r_signs
     dim = metric.dim
     psix = psi(x)
@@ -492,7 +491,7 @@ def dirac_decomposition_check(
     lhs = ops.K @ dirac_apply_pseudo(metric, rep, psi, x, h, coeffs)
 
     gt = [ops.K @ g for g in rep.gammas]
-    e, _ = vielbein(metric, False, x)
+    e, _ = vielbein(metric, x)
     conn = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
     dim = metric.dim
     psix = psi(x)

@@ -211,9 +211,6 @@ class AntilinearOp:
         """Linear matrix of J o J, i.e. mat @ conj(mat)."""
         return self.compose(self)
 
-    def inverse(self) -> "AntilinearOp":
-        return AntilinearOp(np.conj(np.linalg.inv(self.mat)))
-
     @cached_property
     def _mat_inv(self) -> np.ndarray:
         if abs(np.linalg.det(self.mat)) < 1e-14:

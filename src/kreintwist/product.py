@@ -48,6 +48,7 @@ __all__ = [
     "EmergenceRow",
     "build_finite_triple_ko6",
     "finite_first_order_residual",
+    "finite_ko6_residuals",
     "constraint_check_O",
     "assemble_product",
     "derivation_split_check",
@@ -111,9 +112,10 @@ def build_finite_triple_ko6(mass: complex) -> FiniteTriple:
     return triple
 
 
-def _validate_finite_ko6(t: FiniteTriple, tol: float = BUILD_TOL) -> None:
+def finite_ko6_residuals(t: FiniteTriple) -> dict:
+    """Residual of every KO-6 invariant of a finite triple, by name."""
     eye = np.eye(t.dimF)
-    checks = {
+    return {
         "DF self-adjoint": residual_norm(t.DF, adjoint(t.DF)),
         "GammaF involution": max(
             residual_norm(t.GammaF @ t.GammaF, eye),
@@ -132,7 +134,10 @@ def _validate_finite_ko6(t: FiniteTriple, tol: float = BUILD_TOL) -> None:
             for b in t.algebra_gens
         ),
     }
-    bad = {k: v for k, v in checks.items() if v > tol}
+
+
+def _validate_finite_ko6(t: FiniteTriple, tol: float = BUILD_TOL) -> None:
+    bad = {k: v for k, v in finite_ko6_residuals(t).items() if v > tol}
     if bad:
         raise ConstraintViolationError(f"finite triple invariants failed: {bad}")
 
@@ -341,7 +346,6 @@ class EmergenceRow:
     grade: int
     eps: int
     eps_prime: int
-    conj_signs: tuple      # K hat_g K = tau_a hat_g
     signature: tuple       # diagonal of the induced metric, entries +-1
     plus_count: int
     eps0_emergent: int     # (K Jhat)^2
@@ -394,7 +398,6 @@ def signature_emergence(rep4: CliffordRep) -> list[EmergenceRow]:
                     grade=r,
                     eps=eps,
                     eps_prime=eps_prime,
-                    conj_signs=tuple(taus),
                     signature=tuple(taus),
                     plus_count=plus,
                     eps0_emergent=eps0_em,

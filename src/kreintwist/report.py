@@ -8,6 +8,8 @@ import sys
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
+from .clifford import all_signatures
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -38,9 +40,7 @@ DEFAULT_TOLERANCES = {
     "ratio": 0.5,
 }
 
-DEFAULT_SIGNATURES = tuple(
-    (p, n - p) for n in (2, 4, 6) for p in range(n, -1, -1)
-)
+DEFAULT_SIGNATURES = tuple((s.p, s.q) for s in all_signatures())
 
 
 class ConfigError(ValueError):
@@ -83,9 +83,13 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite '{s}'")
         if not self.signatures:
             raise ConfigError("at least one signature is required")
+        seen = set()
         for p, q in self.signatures:
             if p < 0 or q < 0 or (p + q) % 2 != 0 or (p + q) < 2:
                 raise ConfigError(f"signature ({p},{q}) is not even-dimensional")
+            if (p, q) in seen:
+                raise ConfigError(f"signature ({p},{q}) is listed more than once")
+            seen.add((p, q))
         if not (1e-6 < self.fd_step < 1e-1):
             raise ConfigError("fd_step must lie in (1e-6, 1e-1)")
         from .geometry import METRIC_FAMILY_NAMES

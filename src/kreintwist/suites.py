@@ -1,5 +1,11 @@
 """Check suites: every verified identity becomes one deterministic record.
 
+A suite is a table of ``Check`` rows (check id, anchor, tolerance class,
+residual function) over a shared context: one signature's operators
+(``SignatureContext``, shared by all suites of a run), a curved metric
+family, the geometry oracles or the emergence table.  One runner walks the
+configured signatures for the clifford, krein and morphism tables.
+
 Each check is a residual computation executed under a seed derived from the
 run configuration, so re-running with the same config reproduces bit-equal
 residual values.  Check failures never raise; they become failed records
@@ -9,8 +15,8 @@ residual values.  Check failures never raise; they become failed records
 from __future__ import annotations
 
 import time
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial, reduce
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,29 +58,67 @@ class _Runner:
         )
 
 
+class Check(NamedTuple):
+    """A suite-table row: the residual is ``fn(ctx)``, or ``fn(ctx, rng)`` on
+    random stream ``stream``; with ``when``, only on contexts it accepts."""
+
+    id: str
+    anchor: str
+    tol_class: str
+    fn: Callable[..., float]
+    stream: Optional[int] = None
+    when: Optional[Callable[[Any], bool]] = None
+
+
+def _add_rows(r: _Runner, table, ctx, prefix: str = "", streams=None) -> None:
+    """One record per row that applies to ``ctx``; ``streams(k)`` is stream k."""
+    for row in table:
+        if row.when is None or row.when(ctx):
+            args = (ctx,) if row.stream is None else (ctx, streams(row.stream))
+            r.add(prefix + row.id, row.anchor, row.tol_class, partial(row.fn, *args))
+
+
 def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, *key])
 
 
-def _sig_tag(sig: cl.Signature) -> str:
-    return f"p{sig.p}q{sig.q}"
+def _worst(values, start: float = 0.0) -> float:
+    """Running maximum of ``values`` from ``start``."""
+    return reduce(max, values, start)
+
+
+def _flag(ok) -> float:
+    """Residual of a yes/no check: 0 when it holds, 1 otherwise."""
+    return 0.0 if ok else 1.0
 
 
 class SignatureContext:
-    """The operators of one signature, built once per run and shared by the
-    clifford, krein, morphism and product suites.
+    """The operators of one signature, built once per run and shared by every
+    suite that reads the signature.
 
-    Gammas and structural operators are built on construction.  The Dirac
-    pair, triple, morphism pair and sign table are built on first use and
-    kept only once built: a suite that reads them outside its checks aborts
-    the run on a construction error, one that reads them inside a check
-    records a failed check, and the next reader tries again.
+    Gammas and structural operators are built on construction, the rest on
+    first use and kept once built.  A construction error in a read outside
+    the checks (a suite's set-up) aborts the run; in a read inside a check
+    it becomes that check's failed record, and the next reader tries again.
+    ``seed`` and ``index`` (the position in the configured signatures) key
+    the random streams and spin samples; a signature read only by the
+    geometry, product or emergence suite may have no index.
     """
 
-    def __init__(self, sig: cl.Signature):
+    def __init__(self, sig: cl.Signature, seed: int = 0, index: Optional[int] = None):
         self.sig = sig
+        self.seed = seed
+        self.index = index
         self.rep = cl.build_gammas(sig)
         self.ops = cl.build_structural(self.rep)
+
+    def rng(self, suite: int, stream: int) -> np.random.Generator:
+        """Random stream ``stream`` of suite number ``suite`` on this signature."""
+        return np.random.default_rng([self.seed, suite, self.index, stream])
+
+    @cached_property
+    def structural(self) -> dict:
+        return cl.verify_structural(self.rep, self.ops)
 
     @cached_property
     def dirac(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,22 +136,42 @@ class SignatureContext:
     def sign_table(self) -> cl.SignTable:
         return cl.sign_table(self.rep, self.ops, self.dirac[0])
 
+    @cached_property
+    def finite(self) -> pr.FiniteTriple:
+        return pr.build_finite_triple_ko6(1.0 + 2.0j)
+
+    @cached_property
+    def product(self) -> pr.ProductTripleData:
+        """The triple times the finite KO-6 triple."""
+        return pr.assemble_product(self.triple, self.finite)
+
+    @cached_property
+    def krein_spins(self) -> list:
+        return kr.sample_spin_plus(self.rep, 20, seed=self.seed + 37 * self.index + 5)
+
+    @cached_property
+    def morphism_spins(self) -> list:
+        return kr.sample_spin_plus(self.rep, 20, seed=self.seed + 53 * self.index + 9)
+
 
 class _Contexts(dict):
     """Signature contexts of one run, keyed by (p, q) and built on demand."""
 
+    def __init__(self, cfg: SuiteConfig):
+        super().__init__()
+        self.seed = cfg.seed
+        self.index = {(p, q): i for i, (p, q) in enumerate(cfg.signatures)}
+
     def __missing__(self, key: tuple) -> SignatureContext:
-        ctx = self[key] = SignatureContext(cl.Signature(*key))
+        ctx = self[key] = SignatureContext(cl.Signature(*key), self.seed, self.index.get(key))
         return ctx
 
 
-# --------------------------------------------------------------------------
-# sampled checks
+# ---- sampled checks
 #
 # Each draws all of its samples from ``rng`` in capped stacks
 # (``linalg.gaussian_stacks``) and evaluates one residual per sample with
 # stacked kernels; the check value is the largest residual.
-# --------------------------------------------------------------------------
 
 def _spin_stacks(spins, dim: int):
     """Spin-element matrices as 1-tuples of stacks, chunked like ``gaussian_stacks``."""
@@ -281,370 +345,193 @@ def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> f
     return max(0.0, float(np.max(gaps)))
 
 
-# --------------------------------------------------------------------------
-# clifford
-# --------------------------------------------------------------------------
+# ---- clifford, krein, morphism: one table each over the signature contexts
 
-def run_clifford(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
-    r = _Runner(cfg, "clifford")
-    for si, (p, q) in enumerate(cfg.signatures):
+def _sign_cross_relations(c: SignatureContext) -> float:
+    tab = c.sign_table
+    return (abs(tab.eps0 - tab.eps0K) + abs(tab.eps2 - tab.eps2K)
+            + abs(tab.eps1K - tab.eps * tab.eps1) + abs(tab.eps3 - tab.eps_prime * tab.eps3K))
+
+
+CLIFFORD = (
+    Check("anticommutator_table", "Sec2:CliffordRelation", "build",
+          lambda c: c.rep.relation_residuals[0]),
+    Check("gamma_unitarity", "Sec2:CliffordRelation", "build",
+          lambda c: c.rep.relation_residuals[1]),
+    Check("gamma_dagger_sign", "Sec2:rho(e_a)=g_a.e_a", "build",
+          lambda c: max(residual_norm(adjoint(g), c.rep.signs[a] * g)
+                        for a, g in enumerate(c.rep.gammas))),
+    Check("twist_parity", "Sec3:rho(c(v))=c(rv)", "build", twist_parity, stream=1),
+    Check("k_hermitian_involution", "Sec1:K=exp(i.theta).K-dagger", "build",
+          lambda c: max(*cl.involution_residuals(c.ops.K), *cl.involution_residuals(c.ops.Gamma))),
+    Check("charge_conjugation", "Sec2:kappa(v)=-conj(v)", "build",
+          lambda c: c.structural["charge_conjugation"].value),
+    Check("c_equals_k_chat", "Sec2:C=K.Chat", "build",
+          lambda c: c.structural["c_equals_k_chat"].value),
+    Check("kappa_factorization", "Sec2:kappa=kappahat.rho", "build",
+          lambda c: c.structural["kappa_factorization"].value),
+    Check("automorphism_commutation", "Sec2:rho-chi-kappa-commute", "build",
+          lambda c: c.structural["automorphism_commutation"].value),
+    Check("rho_involution", "Sec2:rho-involution", "build",
+          lambda c: max(residual_norm(c.ops.K @ (c.ops.K @ g @ c.ops.K) @ c.ops.K, g)
+                        for g in c.rep.gammas)),
+    Check("trace_metric", "EqMetTrace", "build", trace_metric, stream=2),
+    Check("sign_cross_relations", "Sec3:eps-relations", "build", _sign_cross_relations),
+    Check("ko6_pseudo_row", "Sec4:KO6-signs", "build",
+          lambda c: _flag(c.sign_table.pseudo_row() == (1, 1, -1, -1)),
+          when=lambda c: (c.sig.p, c.sig.q) == (1, 3)),
+)
+
+
+def _krein_sign_spectrum(c: SignatureContext) -> float:
+    ev = np.linalg.eigvalsh(c.ops.K)
+    worst = float(np.max(np.abs(np.abs(ev) - 1.0)))
+    # indefiniteness witness: both K-eigenvalue signs occur
+    if c.sig.p > 0 and c.sig.q > 0 and not (np.any(ev > 0) and np.any(ev < 0)):
+        worst = max(worst, 1.0)
+    return worst
+
+
+def _k_adjoint_involution(c: SignatureContext, rng: np.random.Generator) -> float:
+    space = c.pair.pseudo.space
+    o = rng.normal(size=(c.rep.dim, c.rep.dim)) + 1j * rng.normal(size=(c.rep.dim, c.rep.dim))
+    return residual_norm(kr.k_adjoint(space, kr.k_adjoint(space, o)), o)
+
+
+def _first_order_scalars(c: SignatureContext) -> float:
+    t = c.triple
+    return _worst(
+        kr.twisted_first_order_residual(t.D, a, b, t.J, t.K).value
+        for a in t.algebra_gens
+        for b in t.algebra_gens
+    )
+
+
+def _gauge_selfadjointness(c: SignatureContext) -> float:
+    t = c.triple
+    outs = (kr.gauge_transform(t.D, s.matrix, t.J, t.K) for s in c.krein_spins[:5])
+    return _worst(residual_norm(out, adjoint(out)) for out in outs)
+
+
+def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
+    """Gauge orbits against the one-form formula on the product triple."""
+    pt, eye_m = c.product, np.eye(c.rep.dim)
+    worst = 0.0
+    for _ in range(5):
+        th1, th2, lam = rng.uniform(0, 2 * np.pi, size=3)
+        u_f = pr.finite_algebra_unitary(pt.finite, th1, th2)
+        worst = max(worst, pr.gauge_vs_form_residual(pt, np.exp(1j * lam) * eye_m, u_f))
+    return worst
+
+
+def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
+    # gauge orbits match the one-form formula where the order-zero and first-order
+    # axioms hold: algebra unitaries of a product with the finite model (dim >= 4
+    # manifold sides), or the finite triple alone (trivial twist) in dimension 2.
+    if c.sig.dim >= 4:
+        return _gauge_vs_form(c, rng)
+    ft = c.finite
+    eye_f = np.eye(ft.dimF)
+    worst = 0.0
+    for _ in range(5):
+        th1, th2 = rng.uniform(0, 2 * np.pi, size=2)
+        u = pr.finite_algebra_unitary(ft, th1, th2)
+        gauge = kr.gauge_transform(ft.DF, u, ft.JF, eye_f)
+        a_form = u @ kr.twisted_commutator(ft.DF, adjoint(u), eye_f)
+        worst = max(worst, residual_norm(gauge, kr.fluctuate(ft.DF, a_form, ft.JF, +1)))
+    return worst
+
+
+KREIN = (
+    Check("k_product_hermitian", "Sec1:K-product", "build", k_product_hermitian, stream=1),
+    Check("krein_sign_spectrum", "Sec2:Krein-space", "build", _krein_sign_spectrum),
+    Check("adjoint_pairing", "Sec1:plus-adjoint", "chain", adjoint_pairing, stream=2),
+    Check("k_adjoint_involution", "Sec1:plus-adjoint", "build", _k_adjoint_involution, stream=3),
+    Check("spin_inverse_rule", "Sec2:x-inv=rho(x-dagger)", "sampled",
+          lambda c: spin_inverse_rule(c, c.krein_spins)),
+    Check("spin_k_unitarity", "Sec1:K-unitarity", "sampled",
+          lambda c: spin_k_unitarity(c, c.krein_spins)),
+    Check("spin_product_invariance", "Sec2:Spin+-invariant-product", "sampled",
+          lambda c, rng: spin_product_invariance(c, c.krein_spins, rng), stream=4),
+    Check("k_fixed_under_spin", "Sec2:K-fixed-under-Spin+", "sampled",
+          lambda c: k_fixed_under_spin(c, c.krein_spins)),
+    Check("twisted_leibniz", "Sec1:twisted-Leibniz", "chain", twisted_leibniz, stream=5),
+    Check("bimodule_action", "EqLR", "chain", bimodule_action, stream=6),
+    Check("first_order_scalars", "Sec1:twisted-first-order", "build", _first_order_scalars),
+    Check("gauge_selfadjointness", "Sec1:Ad(u_K)", "chain", _gauge_selfadjointness),
+    Check("gauge_equals_form", "Sec1:twisted-fluctuation", "sampled", _gauge_equals_form, stream=7),
+)
+
+
+def _involution(c: SignatureContext) -> float:
+    back = mo.invert_k_morphism(c.pair.pseudo)
+    again = mo.apply_k_morphism(back)
+    return max(residual_norm(back.D, c.triple.D), residual_norm(again.Dk, c.pair.pseudo.Dk))
+
+
+def _selfadjoint_equivalence(c: SignatureContext) -> float:
+    res, gap = mo.selfadjoint_equivalence_check(c.pair)
+    return max(res.value, gap)
+
+
+def _euclidean_collapse(c: SignatureContext) -> float:
+    s = c.rep.signs
+    k_is_one = residual_norm(c.ops.K, np.eye(c.rep.dim))
+    return _worst((abs(a * b - 1.0) for a in s for b in s), k_is_one)
+
+
+def _twisted_grading(c: SignatureContext) -> float:
+    tab = c.sign_table
+    # when the Krein side anticommutes, the twisted side obeys D Gamma + eps' Gamma D = 0
+    if tab.eps3K != -1:
+        return 0.0
+    t = c.triple
+    return residual_norm(t.D @ t.Gamma + tab.eps_prime * (t.Gamma @ t.D), np.zeros_like(t.D))
+
+
+MORPHISM = (
+    Check("involution", "Sec3:D->KD", "involution", _involution),
+    Check("selfadjoint_equivalence", "Sec3:selfadjoint-equivalence", "build",
+          _selfadjoint_equivalence),
+    Check("commutator_correspondence", "Sec3:[DK,a]=K[D,a]_rho", "build",
+          commutator_correspondence, stream=1),
+    Check("first_order_correspondence", "Sec3:first-order-correspondence", "build",
+          first_order_correspondence, stream=2),
+    Check("fluctuation_correspondence", "Sec3:DK_AK=K.D_Arho", "sampled",
+          lambda c: fluctuation_correspondence(c, c.morphism_spins)),
+    Check("twisted_clifford", "EqDefCliffTw", "chain", twisted_clifford, stream=3),
+    Check("generalized_clifford", "EqCliffGeneralise", "chain",
+          lambda c: mo.generalized_clifford_check(c.rep, c.ops).value),
+    Check("euclidean_collapse", "Sec3:s_ab=1-collapse", "build", _euclidean_collapse,
+          when=lambda c: c.sig.q == 0),
+    Check("trace_metric_morph", "EqMetTrace", "chain",
+          lambda c: mo.trace_metric_morph_check(c.rep, c.ops, pairs=100,
+                                                seed=c.seed + 71 * c.index).value),
+    Check("twisted_grading", "Sec3:twisted-grading", "build", _twisted_grading),
+    Check("symbol_norm_pure_block", "Sec3:Prop4-distance", "sampled", symbol_norm_pure_block,
+          stream=4),
+)
+
+# suite: (random-stream key, table, what the suite reads before a signature's first check)
+SIGNATURE_SUITES = {
+    "clifford": (0, CLIFFORD, lambda c: c.structural),
+    "krein": (1, KREIN, lambda c: (c.pair, c.krein_spins)),
+    "morphism": (2, MORPHISM, lambda c: (c.pair, c.morphism_spins)),
+}
+
+
+def _run_signature_suite(suite: str, cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
+    """Every row of the suite's table on every configured signature, in order."""
+    key, table, setup = SIGNATURE_SUITES[suite]
+    r = _Runner(cfg, suite)
+    for p, q in cfg.signatures:
         ctx = contexts[(p, q)]
-        tag = _sig_tag(ctx.sig)
-        rep, ops = ctx.rep, ctx.ops
-        eye = np.eye(rep.dim)
-
-        def anticomm_table() -> float:
-            worst = 0.0
-            for a in range(rep.n_gen):
-                for b in range(rep.n_gen):
-                    target = 2.0 * rep.signs[a] * eye if a == b else 0.0 * eye
-                    worst = max(
-                        worst,
-                        residual_norm(
-                            rep.gammas[a] @ rep.gammas[b] + rep.gammas[b] @ rep.gammas[a],
-                            target,
-                        ),
-                    )
-            return worst
-
-        r.add(f"{tag}.anticommutator_table", "Sec2:CliffordRelation", "build", anticomm_table)
-        r.add(
-            f"{tag}.gamma_unitarity",
-            "Sec2:CliffordRelation",
-            "build",
-            lambda rep=rep: max(residual_norm(g @ adjoint(g), eye) for g in rep.gammas),
-        )
-        r.add(
-            f"{tag}.gamma_dagger_sign",
-            "Sec2:rho(e_a)=g_a.e_a",
-            "build",
-            lambda rep=rep: max(
-                residual_norm(adjoint(g), rep.signs[a] * g)
-                for a, g in enumerate(rep.gammas)
-            ),
-        )
-        r.add(
-            f"{tag}.twist_parity",
-            "Sec3:rho(c(v))=c(rv)",
-            "build",
-            lambda ctx=ctx, si=si: twist_parity(ctx, _rng(cfg, 0, si, 1)),
-        )
-        r.add(
-            f"{tag}.k_hermitian_involution",
-            "Sec1:K=exp(i.theta).K-dagger",
-            "build",
-            lambda ops=ops: max(
-                residual_norm(ops.K, adjoint(ops.K)),
-                residual_norm(ops.K @ ops.K, eye),
-                residual_norm(ops.Gamma, adjoint(ops.Gamma)),
-                residual_norm(ops.Gamma @ ops.Gamma, eye),
-            ),
-        )
-
-        struct = cl.verify_structural(rep, ops)
-        r.add(
-            f"{tag}.charge_conjugation",
-            "Sec2:kappa(v)=-conj(v)",
-            "build",
-            lambda s=struct: s["charge_conjugation"].value,
-        )
-        r.add(
-            f"{tag}.c_equals_k_chat",
-            "Sec2:C=K.Chat",
-            "build",
-            lambda s=struct: s["c_equals_k_chat"].value,
-        )
-        r.add(
-            f"{tag}.kappa_factorization",
-            "Sec2:kappa=kappahat.rho",
-            "build",
-            lambda s=struct: s["kappa_factorization"].value,
-        )
-        r.add(
-            f"{tag}.automorphism_commutation",
-            "Sec2:rho-chi-kappa-commute",
-            "build",
-            lambda s=struct: s["automorphism_commutation"].value,
-        )
-        r.add(
-            f"{tag}.rho_involution",
-            "Sec2:rho-involution",
-            "build",
-            lambda rep=rep, ops=ops: max(
-                residual_norm(ops.K @ (ops.K @ g @ ops.K) @ ops.K, g) for g in rep.gammas
-            ),
-        )
-        r.add(
-            f"{tag}.trace_metric",
-            "EqMetTrace",
-            "build",
-            lambda ctx=ctx, si=si: trace_metric(ctx, _rng(cfg, 0, si, 2)),
-        )
-
-        def cross_relations(ctx=ctx) -> float:
-            tab = ctx.sign_table
-            bad = 0.0
-            bad += abs(tab.eps0 - tab.eps0K)
-            bad += abs(tab.eps2 - tab.eps2K)
-            bad += abs(tab.eps1K - tab.eps * tab.eps1)
-            bad += abs(tab.eps3 - tab.eps_prime * tab.eps3K)
-            return bad
-
-        r.add(f"{tag}.sign_cross_relations", "Sec3:eps-relations", "build", cross_relations)
-
-        if (p, q) == (1, 3):
-            r.add(
-                f"{tag}.ko6_pseudo_row",
-                "Sec4:KO6-signs",
-                "build",
-                lambda ctx=ctx: 0.0 if ctx.sign_table.pseudo_row() == (1, 1, -1, -1) else 1.0,
-            )
+        setup(ctx)
+        _add_rows(r, table, ctx, f"p{p}q{q}.", partial(ctx.rng, key))
     return r.records
 
 
-# --------------------------------------------------------------------------
-# krein
-# --------------------------------------------------------------------------
-
-def run_krein(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
-    r = _Runner(cfg, "krein")
-    for si, (p, q) in enumerate(cfg.signatures):
-        ctx = contexts[(p, q)]
-        sig, rep, ops = ctx.sig, ctx.rep, ctx.ops
-        tag = _sig_tag(sig)
-        t = ctx.triple
-        space = ctx.pair.pseudo.space
-
-        r.add(
-            f"{tag}.k_product_hermitian",
-            "Sec1:K-product",
-            "build",
-            lambda ctx=ctx, si=si: k_product_hermitian(ctx, _rng(cfg, 1, si, 1)),
-        )
-
-        def krein_signs(ops=ops, sig=sig) -> float:
-            ev = np.linalg.eigvalsh(ops.K)
-            worst = float(np.max(np.abs(np.abs(ev) - 1.0)))
-            if sig.p > 0 and sig.q > 0:
-                # indefiniteness witness: both K-eigenvalue signs occur
-                if not (np.any(ev > 0) and np.any(ev < 0)):
-                    worst = max(worst, 1.0)
-            return worst
-
-        r.add(f"{tag}.krein_sign_spectrum", "Sec2:Krein-space", "build", krein_signs)
-        r.add(
-            f"{tag}.adjoint_pairing",
-            "Sec1:plus-adjoint",
-            "chain",
-            lambda ctx=ctx, si=si: adjoint_pairing(ctx, _rng(cfg, 1, si, 2)),
-        )
-
-        def kadj_involution(rep=rep, space=space, si=si) -> float:
-            rng = _rng(cfg, 1, si, 3)
-            o = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-            return residual_norm(kr.k_adjoint(space, kr.k_adjoint(space, o)), o)
-
-        r.add(f"{tag}.k_adjoint_involution", "Sec1:plus-adjoint", "build", kadj_involution)
-
-        spins = kr.sample_spin_plus(rep, 20, seed=cfg.seed + 37 * si + 5)
-
-        r.add(
-            f"{tag}.spin_inverse_rule",
-            "Sec2:x-inv=rho(x-dagger)",
-            "sampled",
-            lambda ctx=ctx, spins=spins: spin_inverse_rule(ctx, spins),
-        )
-        r.add(
-            f"{tag}.spin_k_unitarity",
-            "Sec1:K-unitarity",
-            "sampled",
-            lambda ctx=ctx, spins=spins: spin_k_unitarity(ctx, spins),
-        )
-        r.add(
-            f"{tag}.spin_product_invariance",
-            "Sec2:Spin+-invariant-product",
-            "sampled",
-            lambda ctx=ctx, spins=spins, si=si: spin_product_invariance(ctx, spins, _rng(cfg, 1, si, 4)),
-        )
-        r.add(
-            f"{tag}.k_fixed_under_spin",
-            "Sec2:K-fixed-under-Spin+",
-            "sampled",
-            lambda ctx=ctx, spins=spins: k_fixed_under_spin(ctx, spins),
-        )
-        r.add(
-            f"{tag}.twisted_leibniz",
-            "Sec1:twisted-Leibniz",
-            "chain",
-            lambda ctx=ctx, si=si: twisted_leibniz(ctx, _rng(cfg, 1, si, 5)),
-        )
-        r.add(
-            f"{tag}.bimodule_action",
-            "EqLR",
-            "chain",
-            lambda ctx=ctx, si=si: bimodule_action(ctx, _rng(cfg, 1, si, 6)),
-        )
-
-        def first_order_scalars(t=t) -> float:
-            worst = 0.0
-            for a in t.algebra_gens:
-                for b in t.algebra_gens:
-                    worst = max(
-                        worst,
-                        kr.twisted_first_order_residual(t.D, a, b, t.J, t.K).value,
-                    )
-            return worst
-
-        r.add(f"{tag}.first_order_scalars", "Sec1:twisted-first-order", "build", first_order_scalars)
-
-        def gauge_selfadjoint(spins=spins, t=t) -> float:
-            worst = 0.0
-            for s in spins[:5]:
-                out = kr.gauge_transform(t.D, s.matrix, t.J, t.K)
-                worst = max(worst, residual_norm(out, adjoint(out)))
-            return worst
-
-        r.add(f"{tag}.gauge_selfadjointness", "Sec1:Ad(u_K)", "chain", gauge_selfadjoint)
-
-        def gauge_equals_form(t=t, sig=sig, si=si) -> float:
-            # gauge orbits match the one-form formula where the order-zero
-            # and first-order axioms hold: algebra unitaries of a product
-            # with the finite model (dim >= 4 manifold sides), or the
-            # finite triple alone (trivial twist) in dimension 2.
-            ft = pr.build_finite_triple_ko6(1.0 + 2.0j)
-            rng = _rng(cfg, 1, si, 7)
-            worst = 0.0
-            if sig.dim >= 4:
-                pt = pr.assemble_product(t, ft)
-                for _ in range(5):
-                    th1, th2, lam = rng.uniform(0, 2 * np.pi, size=3)
-                    u_f = pr.finite_algebra_unitary(ft, th1, th2)
-                    worst = max(
-                        worst,
-                        pr.gauge_vs_form_residual(pt, np.exp(1j * lam) * np.eye(t.dim), u_f),
-                    )
-            else:
-                eye_f = np.eye(ft.dimF)
-                for _ in range(5):
-                    th1, th2 = rng.uniform(0, 2 * np.pi, size=2)
-                    u = pr.finite_algebra_unitary(ft, th1, th2)
-                    gauge = kr.gauge_transform(ft.DF, u, ft.JF, eye_f)
-                    a_form = u @ kr.twisted_commutator(ft.DF, adjoint(u), eye_f)
-                    formula = kr.fluctuate(ft.DF, a_form, ft.JF, +1)
-                    worst = max(worst, residual_norm(gauge, formula))
-            return worst
-
-        r.add(f"{tag}.gauge_equals_form", "Sec1:twisted-fluctuation", "sampled", gauge_equals_form)
-    return r.records
-
-
-# --------------------------------------------------------------------------
-# morphism
-# --------------------------------------------------------------------------
-
-def run_morphism(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
-    r = _Runner(cfg, "morphism")
-    for si, (p, q) in enumerate(cfg.signatures):
-        ctx = contexts[(p, q)]
-        rep, ops = ctx.rep, ctx.ops
-        tag = _sig_tag(ctx.sig)
-        t, pair = ctx.triple, ctx.pair
-
-        def involution(t=t, pair=pair) -> float:
-            back = mo.invert_k_morphism(pair.pseudo)
-            again = mo.apply_k_morphism(back)
-            return max(
-                residual_norm(back.D, t.D),
-                residual_norm(again.Dk, pair.pseudo.Dk),
-            )
-
-        r.add(f"{tag}.involution", "Sec3:D->KD", "involution", involution)
-
-        def selfadjoint_equivalence(pair=pair) -> float:
-            res, gap = mo.selfadjoint_equivalence_check(pair)
-            return max(res.value, gap)
-
-        r.add(
-            f"{tag}.selfadjoint_equivalence",
-            "Sec3:selfadjoint-equivalence",
-            "build",
-            selfadjoint_equivalence,
-        )
-        r.add(
-            f"{tag}.commutator_correspondence",
-            "Sec3:[DK,a]=K[D,a]_rho",
-            "build",
-            lambda ctx=ctx, si=si: commutator_correspondence(ctx, _rng(cfg, 2, si, 1)),
-        )
-        r.add(
-            f"{tag}.first_order_correspondence",
-            "Sec3:first-order-correspondence",
-            "build",
-            lambda ctx=ctx, si=si: first_order_correspondence(ctx, _rng(cfg, 2, si, 2)),
-        )
-
-        spins = kr.sample_spin_plus(rep, 20, seed=cfg.seed + 53 * si + 9)
-        r.add(
-            f"{tag}.fluctuation_correspondence",
-            "Sec3:DK_AK=K.D_Arho",
-            "sampled",
-            lambda ctx=ctx, spins=spins: fluctuation_correspondence(ctx, spins),
-        )
-        r.add(
-            f"{tag}.twisted_clifford",
-            "EqDefCliffTw",
-            "chain",
-            lambda ctx=ctx, si=si: twisted_clifford(ctx, _rng(cfg, 2, si, 3)),
-        )
-        r.add(
-            f"{tag}.generalized_clifford",
-            "EqCliffGeneralise",
-            "chain",
-            lambda rep=rep, ops=ops: mo.generalized_clifford_check(rep, ops).value,
-        )
-        if q == 0:
-            def euclid_collapse(rep=rep, ops=ops) -> float:
-                worst = residual_norm(ops.K, np.eye(rep.dim))
-                for a in range(rep.n_gen):
-                    for b in range(rep.n_gen):
-                        s_ab = rep.signs[a] * rep.signs[b]
-                        worst = max(worst, abs(s_ab - 1.0))
-                return worst
-
-            r.add(f"{tag}.euclidean_collapse", "Sec3:s_ab=1-collapse", "build", euclid_collapse)
-
-        r.add(
-            f"{tag}.trace_metric_morph",
-            "EqMetTrace",
-            "chain",
-            lambda rep=rep, ops=ops, si=si: mo.trace_metric_morph_check(
-                rep, ops, pairs=100, seed=cfg.seed + 71 * si
-            ).value,
-        )
-
-        def twisted_grading(ctx=ctx, t=t) -> float:
-            tab = ctx.sign_table
-            # when the Krein side anticommutes, the twisted side obeys
-            # D Gamma + eps' Gamma D = 0
-            if tab.eps3K != -1:
-                return 0.0
-            return residual_norm(
-                t.D @ t.Gamma + tab.eps_prime * (t.Gamma @ t.D), np.zeros_like(t.D)
-            )
-
-        r.add(f"{tag}.twisted_grading", "Sec3:twisted-grading", "build", twisted_grading)
-        r.add(
-            f"{tag}.symbol_norm_pure_block",
-            "Sec3:Prop4-distance",
-            "sampled",
-            lambda ctx=ctx, si=si: symbol_norm_pure_block(ctx, _rng(cfg, 2, si, 4)),
-        )
-    return r.records
-
-
-# --------------------------------------------------------------------------
-# geometry
-# --------------------------------------------------------------------------
+# ---- geometry
 
 def _family_points(metric: geo.MetricField, count: int, rng: np.random.Generator, h: float):
     lo = metric.domain[:, 0] + 4 * h
@@ -652,360 +539,236 @@ def _family_points(metric: geo.MetricField, count: int, rng: np.random.Generator
     return [lo + (hi - lo) * rng.uniform(size=metric.dim) for _ in range(count)]
 
 
+class _FamilyContext:
+    """One curved metric family, its sample points and the FD step."""
+
+    def __init__(self, metric: geo.MetricField, pts: list, h: float):
+        self.metric = metric
+        self.pts = pts
+        self.h = h
+
+    @cached_property
+    def connection(self) -> list[dict]:
+        """``spin_connection_coeffs`` at every sample point, computed once."""
+        return [geo.spin_connection_coeffs(self.metric, x, self.h) for x in self.pts]
+
+
+def _vielbein_orthonormality(f: _FamilyContext) -> float:
+    m = f.metric
+    flat, eye = np.diag(m.r_signs), np.eye(m.dim)
+    worst = 0.0
+    for x in f.pts:
+        e, einv = geo.vielbein(m, x)
+        worst = max(worst, residual_norm(e @ m.g_at(x) @ e.T, flat))
+        worst = max(worst, residual_norm(e @ m.gR_at(x) @ e.T, eye))
+        worst = max(worst, residual_norm(e @ einv.T, eye))
+    return worst
+
+
+def _rewrit_tgamma(f: _FamilyContext) -> float:
+    s = f.metric.r_signs
+    worst = 0.0
+    for c in f.connection:
+        tilde = s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]
+        worst = max(worst, float(np.max(np.abs(c["refl_frame_b_mu_a"] - tilde))))
+    return worst
+
+
+def _frame_connection_relation(f: _FamilyContext) -> float:
+    gaps = (c["refl_frame_b_mu_a"] - (c["GammaR_b_mu_a"] + c["K_b_mu_a"]) for c in f.connection)
+    return _worst(float(np.max(np.abs(gap))) for gap in gaps)
+
+
+FAMILY = (
+    Check("christoffel_symmetry", "Sec3:LeviCivita", "fd",
+          lambda f: max(geo.christoffel(f.metric, False, x, f.h).symmetry_residual()
+                        for x in f.pts)),
+    Check("relat_christos", "RelatChristos", "fd",
+          lambda f: max(geo.christoffel_relation_check(f.metric, x, f.h).value for x in f.pts)),
+    Check("metric_compatibility", "Sec3:metric-compatibility", "fd",
+          lambda f: max(max(geo.metric_compatibility_residual(f.metric, use_gR, x, f.h)
+                            for use_gR in (False, True)) for x in f.pts)),
+    Check("reflection_isometry", "EqReflect", "build",
+          lambda f: max(geo.reflection_isometry_residual(f.metric, x) for x in f.pts)),
+    Check("vielbein_orthonormality", "Sec3:vielbein", "sampled", _vielbein_orthonormality),
+    Check("rewrit_tgamma", "EqRewritTGamma", "fd", _rewrit_tgamma),
+    Check("frame_connection_relation", "EqRelatGammVielb", "fd", _frame_connection_relation),
+)
+
+
+class _Oracles(NamedTuple):
+    """The FD step, default metrics and (1,3) gammas the oracles read."""
+
+    h: float
+    exp2d: geo.MetricField
+    conf: geo.MetricField
+    flat: geo.MetricField
+    rep13: cl.CliffordRep
+
+
+def _conformal_closed_form(o: _Oracles) -> float:
+    x = np.array([0.15, -0.1])
+    got = geo.christoffel(o.conf, False, x, o.h).values
+    amp = 0.1
+    dphi = np.array([amp * np.cos(x[0] + 2 * x[1]), 2 * amp * np.cos(x[0] + 2 * x[1])])
+    # Gamma^l_mn = delta_lm dphi_n + delta_ln dphi_m - delta_mn dphi_l
+    d = np.eye(2)
+    want = (d[:, :, None] * dphi[None, None, :] + d[:, None, :] * dphi[None, :, None]
+            - d[None, :, :] * dphi[:, None, None])
+    return float(np.max(np.abs(got - want)))
+
+
+def _plane_wave_dirac(o: _Oracles) -> float:
+    """Flat-space plane wave against the symbol."""
+    k = np.array([0.3, -0.2, 0.5, 0.1])
+    psi = geo.plane_wave_spinor(k, np.array([1.0, 0.5j, -0.25, 0.125 + 0.3j]))
+    x = np.array([0.05, 0.1, -0.1, 0.2])
+    got = geo.dirac_apply_pseudo(o.flat, o.rep13, psi, x, o.h)
+    want = -sum(k[a] * o.rep13.gammas[a] for a in range(4)) @ psi(x)
+    return float(np.linalg.norm(got - want))
+
+
+X0_EXP2D = np.array([0.1, -0.2])
+
+ORACLES = (
+    Check("exp2d.closed_form_gamma", "Sec3:LeviCivita", "fd_fine",
+          lambda o: abs(geo.christoffel(o.exp2d, False, X0_EXP2D, o.h).values[0, 0, 0] - 1.0)),
+    Check("exp2d.fd_convergence_ratio", "Sec3:LeviCivita", "ratio",
+          lambda o: abs(geo.fd_convergence_ratio(o.exp2d, X0_EXP2D, o.h) - 4.0)),
+    Check("conformal2d.closed_form_gamma", "Sec3:LeviCivita", "fd_fine", _conformal_closed_form),
+    Check("flat4d.plane_wave_dirac", "Sec2:DK=i.gamma.nabla", "fd_fine", _plane_wave_dirac),
+)
+
+# K (i gamma nabla) psi against the reflected-frame assembly on default
+# metrics: (family, signature, spinor seed offset, points, sign must stay
+# constant between the points)
+DECOMPOSITIONS = (
+    ("lorentz4d", (1, 3), 17, 3, True),
+    ("lorentz2d", (1, 1), 19, 3, True),
+    ("conformal2d", (2, 0), 23, 2, False),  # Euclidean reduction: trivial twist
+)
+
+
+def _dirac_decomposition(metric, ctx: SignatureContext, spinor, pts, constant_sign, h) -> float:
+    checks = [geo.dirac_decomposition_check(metric, ctx.rep, ctx.ops, spinor, x, h) for x in pts]
+    if constant_sign and len({sgn for _, sgn in checks}) != 1:
+        return float("inf")
+    return _worst(res.value for res, _ in checks)
+
+
 def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "geometry")
     h = cfg.fd_step
-    curved = ["exp2d", "conformal2d", "lorentz2d", "lorentz4d"]
-
-    for fi, name in enumerate(curved):
+    for fi, name in enumerate(("exp2d", "conformal2d", "lorentz2d", "lorentz4d")):
         metric = geo.metric_family(name, cfg.metric_params if name == cfg.metric_family else None)
-        rng = _rng(cfg, 3, fi)
-        pts = _family_points(metric, 5, rng, h)
-        r.add(
-            f"{name}.christoffel_symmetry",
-            "Sec3:LeviCivita",
-            "fd",
-            lambda metric=metric, pts=pts: max(
-                geo.christoffel(metric, False, x, h).symmetry_residual() for x in pts
-            ),
-        )
-        r.add(
-            f"{name}.relat_christos",
-            "RelatChristos",
-            "fd",
-            lambda metric=metric, pts=pts: max(
-                geo.christoffel_relation_check(metric, x, h).value for x in pts
-            ),
-        )
-        r.add(
-            f"{name}.metric_compatibility",
-            "Sec3:metric-compatibility",
-            "fd",
-            lambda metric=metric, pts=pts: max(
-                max(
-                    geo.metric_compatibility_residual(metric, False, x, h),
-                    geo.metric_compatibility_residual(metric, True, x, h),
-                )
-                for x in pts
-            ),
-        )
-        r.add(
-            f"{name}.reflection_isometry",
-            "EqReflect",
-            "build",
-            lambda metric=metric, pts=pts: max(
-                geo.reflection_isometry_residual(metric, x) for x in pts
-            ),
-        )
-
-        def vielbein_orthonormal(metric=metric, pts=pts) -> float:
-            worst = 0.0
-            for x in pts:
-                e, einv = geo.vielbein(metric, False, x)
-                g = metric.g_at(x)
-                gr = metric.gR_at(x)
-                flat = np.diag(metric.r_signs)
-                worst = max(worst, residual_norm(e @ g @ e.T, flat))
-                worst = max(worst, residual_norm(e @ gr @ e.T, np.eye(metric.dim)))
-                worst = max(worst, residual_norm(e @ einv.T, np.eye(metric.dim)))
-            return worst
-
-        r.add(f"{name}.vielbein_orthonormality", "Sec3:vielbein", "sampled", vielbein_orthonormal)
-
-        def rewrit_tgamma(metric=metric, pts=pts) -> float:
-            worst = 0.0
-            s = metric.r_signs
-            for x in pts:
-                c = geo.spin_connection_coeffs(metric, x, h)
-                tilde = s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]
-                worst = max(worst, float(np.max(np.abs(c["refl_frame_b_mu_a"] - tilde))))
-            return worst
-
-        r.add(f"{name}.rewrit_tgamma", "EqRewritTGamma", "fd", rewrit_tgamma)
-
-        def frame_relation(metric=metric, pts=pts) -> float:
-            worst = 0.0
-            for x in pts:
-                c = geo.spin_connection_coeffs(metric, x, h)
-                worst = max(
-                    worst,
-                    float(
-                        np.max(
-                            np.abs(
-                                c["refl_frame_b_mu_a"]
-                                - (c["GammaR_b_mu_a"] + c["K_b_mu_a"])
-                            )
-                        )
-                    ),
-                )
-            return worst
-
-        r.add(f"{name}.frame_connection_relation", "EqRelatGammVielb", "fd", frame_relation)
-
-    # closed-form oracles
-    exp2d = geo.metric_family("exp2d")
-    x0 = np.array([0.1, -0.2])
-    r.add(
-        "exp2d.closed_form_gamma",
-        "Sec3:LeviCivita",
-        "fd_fine",
-        lambda: abs(geo.christoffel(exp2d, False, x0, h).values[0, 0, 0] - 1.0),
-    )
-    r.add(
-        "exp2d.fd_convergence_ratio",
-        "Sec3:LeviCivita",
-        "ratio",
-        lambda: abs(geo.fd_convergence_ratio(exp2d, x0, h) - 4.0),
-    )
-
-    conf = geo.metric_family("conformal2d")
-    amp = 0.1
-
-    def conformal_closed_form() -> float:
-        x = np.array([0.15, -0.1])
-        got = geo.christoffel(conf, False, x, h).values
-        dphi = np.array(
-            [amp * np.cos(x[0] + 2 * x[1]), 2 * amp * np.cos(x[0] + 2 * x[1])]
-        )
-        dim = 2
-        want = np.zeros((dim, dim, dim))
-        for l in range(dim):
-            for m in range(dim):
-                for n in range(dim):
-                    want[l, m, n] = (
-                        (l == m) * dphi[n] + (l == n) * dphi[m] - (m == n) * dphi[l]
-                    )
-        return float(np.max(np.abs(got - want)))
-
-    r.add("conformal2d.closed_form_gamma", "Sec3:LeviCivita", "fd_fine", conformal_closed_form)
-
-    # flat-space plane wave against the symbol
-    rep13 = cl.build_gammas(cl.Signature(1, 3))
-    flat = geo.metric_family("flat4d")
-
-    def plane_wave() -> float:
-        k = np.array([0.3, -0.2, 0.5, 0.1])
-        psi0 = np.array([1.0, 0.5j, -0.25, 0.125 + 0.3j])
-        psi = geo.plane_wave_spinor(k, psi0)
-        x = np.array([0.05, 0.1, -0.1, 0.2])
-        got = geo.dirac_apply_pseudo(flat, rep13, psi, x, h)
-        want = -sum(k[a] * rep13.gammas[a] for a in range(4)) @ psi(x)
-        return float(np.linalg.norm(got - want))
-
-    r.add("flat4d.plane_wave_dirac", "Sec2:DK=i.gamma.nabla", "fd_fine", plane_wave)
-
-    # Dirac decomposition, 2d and 4d, sign must be constant
-    ops13 = cl.build_structural(rep13)
-    lor4 = geo.metric_family("lorentz4d")
-    rng = _rng(cfg, 3, 99)
-    pts4 = _family_points(lor4, 3, rng, h)
-    spin4 = geo.trig_spinor(4, 4, seed=cfg.seed + 17)
-
-    def decomposition_4d() -> float:
-        worst = 0.0
-        signs = set()
-        for x in pts4:
-            res, sgn = geo.dirac_decomposition_check(lor4, rep13, ops13, spin4, x, h)
-            worst = max(worst, res.value)
-            signs.add(sgn)
-        if len(signs) != 1:
-            return float("inf")
-        return worst
-
-    r.add("lorentz4d.dirac_decomposition", "EqDefDir", "fd_coarse", decomposition_4d)
-
-    rep11 = cl.build_gammas(cl.Signature(1, 1))
-    ops11 = cl.build_structural(rep11)
-    lor2 = geo.metric_family("lorentz2d")
-    pts2 = _family_points(lor2, 3, rng, h)
-    spin2 = geo.trig_spinor(2, 2, seed=cfg.seed + 19)
-
-    def decomposition_2d() -> float:
-        worst = 0.0
-        signs = set()
-        for x in pts2:
-            res, sgn = geo.dirac_decomposition_check(lor2, rep11, ops11, spin2, x, h)
-            worst = max(worst, res.value)
-            signs.add(sgn)
-        if len(signs) != 1:
-            return float("inf")
-        return worst
-
-    r.add("lorentz2d.dirac_decomposition", "EqDefDir", "fd_coarse", decomposition_2d)
-
-    # Euclidean reduction: conformal metric, trivial twist
-    rep20 = cl.build_gammas(cl.Signature(2, 0))
-    ops20 = cl.build_structural(rep20)
-    spin_e = geo.trig_spinor(2, 2, seed=cfg.seed + 23)
-    pts_e = _family_points(conf, 2, rng, h)
-
-    def decomposition_euclid() -> float:
-        worst = 0.0
-        for x in pts_e:
-            res, _ = geo.dirac_decomposition_check(conf, rep20, ops20, spin_e, x, h)
-            worst = max(worst, res.value)
-        return worst
-
-    r.add("conformal2d.dirac_decomposition", "EqDefDir", "fd_coarse", decomposition_euclid)
+        family = _FamilyContext(metric, _family_points(metric, 5, _rng(cfg, 3, fi), h), h)
+        _add_rows(r, FAMILY, family, f"{name}.")
+    exp2d, conf, flat = (geo.metric_family(name) for name in ("exp2d", "conformal2d", "flat4d"))
+    _add_rows(r, ORACLES, _Oracles(h, exp2d, conf, flat, contexts[(1, 3)].rep))
+    rng = _rng(cfg, 3, 99)  # the decomposition points share one stream, drawn in table order
+    for name, sig, salt, count, constant_sign in DECOMPOSITIONS:
+        metric, ctx = geo.metric_family(name), contexts[sig]
+        spinor = geo.trig_spinor(ctx.rep.dim, metric.dim, seed=cfg.seed + salt)
+        pts = _family_points(metric, count, rng, h)
+        fn = partial(_dirac_decomposition, metric, ctx, spinor, pts, constant_sign, h)
+        r.add(f"{name}.dirac_decomposition", "EqDefDir", "fd_coarse", fn)
     return r.records
 
 
-# --------------------------------------------------------------------------
-# product
-# --------------------------------------------------------------------------
+# ---- product: the (1,3) context's product with the finite KO-6 triple
+
+def _twisted_grading_product(c: SignatureContext) -> float:
+    pt = c.product
+    grading = pt.Dp @ pt.Gammap + pt.Kp @ pt.Gammap @ pt.Kp @ pt.Dp
+    return residual_norm(grading, np.zeros_like(pt.Dp))
+
+
+def _kp_rewrite(c: SignatureContext) -> float:
+    pt, t, ft = c.product, c.triple, c.finite
+    rewritten = pt.Kp @ (kron(t.K @ t.D, np.eye(ft.dimF)) + kron(np.eye(c.rep.dim), ft.DF))
+    return residual_norm(pt.Dp, rewritten)
+
+
+def _o_constraint(c: SignatureContext, o: np.ndarray) -> float:
+    tab = c.sign_table
+    res = pr.constraint_check_O(o, c.ops.J, c.ops.Gamma, tab.eps, tab.eps_prime)
+    return max(v.value for v in res.values())
+
+
+def _derivation_splitting(c: SignatureContext, rng: np.random.Generator) -> float:
+    d, eye_m = c.rep.dim, np.eye(c.rep.dim)
+    scalars = [eye_m, (0.4 - 0.3j) * eye_m]
+    randoms = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    gens = c.finite.algebra_gens
+    return _worst(
+        pr.derivation_split_check(c.product, a1, a2).value
+        for a1 in scalars + randoms
+        for a2 in gens
+    )
+
+
+def _product_first_order(c: SignatureContext) -> float:
+    pt, eye_m, gens = c.product, np.eye(c.rep.dim), c.finite.algebra_gens
+    pairs = [(kron(eye_m, a2), kron(eye_m, b2)) for a2 in gens for b2 in gens]
+    # scalar manifold factors against finite generators
+    pairs += [(kron(lam * eye_m, a2), kron(eye_m, a2)) for lam in (1.0, 0.3 + 0.4j) for a2 in gens]
+    return _worst(
+        kr.twisted_first_order_residual(pt.Dp, a, b, pt.Jp, pt.Kp).value for a, b in pairs
+    )
+
+
+def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float:
+    spins = kr.sample_spin_plus(c.rep, 5, seed=c.seed + 91)
+    d = c.finite.dimF
+    worst = 0.0
+    for s in spins:
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        worst = max(worst, pr.product_fluctuation_check(c.product, s.matrix, u).value)
+    return worst
+
+
+def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:
+    dm, df = c.rep.dim, c.finite.dimF
+    draws = gaussian_stacks(rng, 50, dm, [(dm,), (dm,), (df,), (df,)], complex_=True)
+    return _worst(
+        pr.fermionic_action(c.product, psi1, psi2, phi1, phi2)["residual"]
+        for stacks in draws
+        for psi1, phi1, psi2, phi2 in zip(*stacks)
+    )
+
+
+PRODUCT = (
+    Check("finite_ko6_invariants", "Sec4:finite-KO6", "build",
+          lambda c: max(pr.finite_ko6_residuals(c.finite).values())),
+    Check("twisted_grading_product", "EqDirTot", "chain", _twisted_grading_product),
+    Check("kp_rewrite", "EqDirTot", "build", _kp_rewrite),
+    Check("o_constraint_k", "Sec4:O-constraints", "build", lambda c: _o_constraint(c, c.ops.K)),
+    # the control candidate must violate at least one constraint by O(1)
+    Check("o_constraint_control", "Sec4:O-constraints", "build",
+          lambda c: _flag(_o_constraint(c, c.ops.Gamma) > 0.5)),
+    Check("derivation_splitting", "Sec4:derivation-splitting", "build", _derivation_splitting,
+          stream=1),
+    Check("product_first_order", "Sec1:twisted-first-order", "build", _product_first_order),
+    Check("product_fluctuation", "Sec4:product-fluctuation", "sampled", _product_fluctuation,
+          stream=2),
+    Check("fermionic_action_split", "EqEval", "build", _fermionic_action_split, stream=3),
+    Check("gauge_vs_form", "Sec1:twisted-fluctuation", "sampled", _gauge_vs_form, stream=4),
+    Check("dirac_mass_shape", "Sec4:Dirac-mass-shape", "build",
+          lambda c: pr.dirac_mass_shape_check(c.product, seed=c.seed + 7).value),
+    Check("product_sign_row_definite", "Sec4:product-signs", "build",
+          lambda c: _flag(all(s in (-1, 1) for s in c.product.sign_row))),
+)
+
 
 def run_product(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "product")
     ctx = contexts[(1, 3)]
-    rep, ops, t = ctx.rep, ctx.ops, ctx.triple
-    ft = pr.build_finite_triple_ko6(1.0 + 2.0j)
-    pt = pr.assemble_product(t, ft)
-    tab = ctx.sign_table
-    eye_m = np.eye(rep.dim)
-    eye_f = np.eye(ft.dimF)
-
-    r.add(
-        "finite_ko6_invariants",
-        "Sec4:finite-KO6",
-        "build",
-        lambda: max(
-            residual_norm(ft.DF, adjoint(ft.DF)),
-            residual_norm(ft.JF.square(), eye_f),
-            residual_norm(ft.JF.mat @ np.conj(ft.DF), ft.DF @ ft.JF.mat),
-            residual_norm(ft.JF.mat @ np.conj(ft.GammaF), -ft.GammaF @ ft.JF.mat),
-            residual_norm(ft.GammaF @ ft.DF, -ft.DF @ ft.GammaF),
-            pr.finite_first_order_residual(ft),
-        ),
-    )
-    r.add(
-        "twisted_grading_product",
-        "EqDirTot",
-        "chain",
-        lambda: residual_norm(
-            pt.Dp @ pt.Gammap + pt.Kp @ pt.Gammap @ pt.Kp @ pt.Dp,
-            np.zeros_like(pt.Dp),
-        ),
-    )
-    r.add(
-        "kp_rewrite",
-        "EqDirTot",
-        "build",
-        lambda: residual_norm(
-            pt.Dp, pt.Kp @ (kron(t.K @ t.D, eye_f) + kron(eye_m, ft.DF))
-        ),
-    )
-    r.add(
-        "o_constraint_k",
-        "Sec4:O-constraints",
-        "build",
-        lambda: max(
-            v.value
-            for v in pr.constraint_check_O(ops.K, ops.J, ops.Gamma, tab.eps, tab.eps_prime).values()
-        ),
-    )
-
-    def o_constraint_control() -> float:
-        res = pr.constraint_check_O(ops.Gamma, ops.J, ops.Gamma, tab.eps, tab.eps_prime)
-        worst = max(v.value for v in res.values())
-        # the control candidate must violate at least one constraint by O(1)
-        return 0.0 if worst > 0.5 else 1.0
-
-    r.add("o_constraint_control", "Sec4:O-constraints", "build", o_constraint_control)
-
-    def derivation_split() -> float:
-        rng = _rng(cfg, 4, 1)
-        worst = 0.0
-        scalars = [eye_m, (0.4 - 0.3j) * eye_m]
-        randoms = [
-            rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-            for _ in range(3)
-        ]
-        for a1 in scalars + randoms:
-            for a2 in ft.algebra_gens:
-                worst = max(worst, pr.derivation_split_check(pt, a1, a2).value)
-        return worst
-
-    r.add("derivation_splitting", "Sec4:derivation-splitting", "build", derivation_split)
-
-    def product_first_order() -> float:
-        worst = 0.0
-        for a2 in ft.algebra_gens:
-            for b2 in ft.algebra_gens:
-                worst = max(
-                    worst,
-                    kr.twisted_first_order_residual(
-                        pt.Dp, kron(eye_m, a2), kron(eye_m, b2), pt.Jp, pt.Kp
-                    ).value,
-                )
-        # scalar manifold factors against finite generators
-        for lam in (1.0, 0.3 + 0.4j):
-            for a2 in ft.algebra_gens:
-                worst = max(
-                    worst,
-                    kr.twisted_first_order_residual(
-                        pt.Dp, kron(lam * eye_m, a2), kron(eye_m, a2), pt.Jp, pt.Kp
-                    ).value,
-                )
-        return worst
-
-    r.add("product_first_order", "Sec1:twisted-first-order", "build", product_first_order)
-
-    def product_fluct() -> float:
-        rng = _rng(cfg, 4, 2)
-        spins = kr.sample_spin_plus(rep, 5, seed=cfg.seed + 91)
-        worst = 0.0
-        for s in spins:
-            z = rng.normal(size=(ft.dimF, ft.dimF)) + 1j * rng.normal(size=(ft.dimF, ft.dimF))
-            u, _ = np.linalg.qr(z)
-            worst = max(worst, pr.product_fluctuation_check(pt, s.matrix, u).value)
-        return worst
-
-    r.add("product_fluctuation", "Sec4:product-fluctuation", "sampled", product_fluct)
-
-    def fermionic_split() -> float:
-        rng = _rng(cfg, 4, 3)
-        worst = 0.0
-        for _ in range(50):
-            psi1 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-            phi1 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-            psi2 = rng.normal(size=ft.dimF) + 1j * rng.normal(size=ft.dimF)
-            phi2 = rng.normal(size=ft.dimF) + 1j * rng.normal(size=ft.dimF)
-            worst = max(worst, pr.fermionic_action(pt, psi1, psi2, phi1, phi2)["residual"])
-        return worst
-
-    r.add("fermionic_action_split", "EqEval", "build", fermionic_split)
-
-    def gauge_vs_form() -> float:
-        rng = _rng(cfg, 4, 4)
-        worst = 0.0
-        for _ in range(5):
-            th1, th2, lam = rng.uniform(0, 2 * np.pi, size=3)
-            u_f = pr.finite_algebra_unitary(ft, th1, th2)
-            worst = max(
-                worst,
-                pr.gauge_vs_form_residual(pt, np.exp(1j * lam) * eye_m, u_f),
-            )
-        return worst
-
-    r.add("gauge_vs_form", "Sec1:twisted-fluctuation", "sampled", gauge_vs_form)
-    r.add(
-        "dirac_mass_shape",
-        "Sec4:Dirac-mass-shape",
-        "build",
-        lambda: pr.dirac_mass_shape_check(pt, seed=cfg.seed + 7).value,
-    )
-
-    def sign_row_definite() -> float:
-        e0, e1, e2, e3 = pt.sign_row
-        return 0.0 if all(s in (-1, 1) for s in (e0, e1, e2, e3)) else 1.0
-
-    r.add("product_sign_row_definite", "Sec4:product-signs", "build", sign_row_definite)
+    ctx.product, ctx.sign_table  # built before the first check: an error aborts the run
+    _add_rows(r, PRODUCT, ctx, streams=partial(_rng, cfg, 4))
     return r.records
 
 
-# --------------------------------------------------------------------------
-# emergence
-# --------------------------------------------------------------------------
+# ---- emergence
 
 def _candidate_label(row: pr.EmergenceRow) -> str:
     body = "".join(str(i) for i in row.indices) if row.indices else "id"
@@ -1014,83 +777,58 @@ def _candidate_label(row: pr.EmergenceRow) -> str:
     return f"candidate.g{row.grade}_{body}.eps_{eps}.sig_{sig}"
 
 
+def _candidate(row: pr.EmergenceRow) -> float:
+    """Scalar-diagonal residual; for odd-grade candidates also the eps <-> signature class."""
+    bad = row.diag_scalar_residual
+    if row.eps_prime == -1:
+        want_plus = 1 if row.eps == -1 else 3
+        if row.plus_count != want_plus:
+            bad = max(bad, 1.0)
+    return bad
+
+
+def _class_rows(table: dict, key: str, plus_count: int) -> float:
+    rows = table[key]
+    return _flag(len(rows) == 4 and all(row.plus_count == plus_count for row in rows))
+
+
+def _gamma_time_candidate(table: dict) -> float:
+    for row in table["rows"]:
+        if row.indices == (0,):
+            return _flag(row.signature == (1, -1, -1, -1) and row.eps == -1)
+    return 1.0
+
+
+# rows over the summary of the candidate table, with the candidates under "rows"
+EMERGENCE = (
+    Check("table_complete", "Sec4:signature-emergence", "build",
+          lambda e: float(abs(e["n_rows"] - 16))),
+    Check("diag_metric_scalar", "Sec4:signature-emergence", "build",
+          lambda e: max(row.diag_scalar_residual for row in e["rows"])),
+    Check("lorentz_class_eps_minus", "Sec4:eps-to-signature", "build",
+          lambda e: _class_rows(e, "lorentzian_rows", 1)),
+    Check("lorentz_class_eps_plus", "Sec4:eps-to-signature", "build",
+          lambda e: _class_rows(e, "anti_lorentzian_rows", 3)),
+    Check("ko6_selects_lorentz", "Sec4:KO6-selects-Lorentz", "build",
+          lambda e: _flag(not e["violations"] and len(e["ko6_rows"]) == 4)),
+    Check("riemannian_row_listed", "Sec4:signature-emergence", "build",
+          lambda e: _flag(e["riemannian_row_present"])),
+    Check("gamma_time_candidate", "Sec4:K=gamma0", "build", _gamma_time_candidate),
+)
+
+
 def run_emergence(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "emergence")
-    rep4 = cl.build_gammas(cl.Signature(4, 0))
-    rows = pr.signature_emergence(rep4)
-    summary = pr.check_emergence_table(rows)
-
-    # one row per candidate; the residual covers the scalar-diagonal check
-    # and, for odd-grade candidates, the eps <-> signature classification
+    rows = pr.signature_emergence(contexts[(4, 0)].rep)
+    summary = {**pr.check_emergence_table(rows), "rows": rows}
     for row in rows:
-        def candidate(row=row) -> float:
-            bad = row.diag_scalar_residual
-            if row.eps_prime == -1:
-                want_plus = 1 if row.eps == -1 else 3
-                if row.plus_count != want_plus:
-                    bad = max(bad, 1.0)
-            return bad
-
-        r.add(_candidate_label(row), "Sec4:signature-emergence", "build", candidate)
-
-    r.add(
-        "table_complete",
-        "Sec4:signature-emergence",
-        "build",
-        lambda: float(abs(summary["n_rows"] - 16)),
-    )
-    r.add(
-        "diag_metric_scalar",
-        "Sec4:signature-emergence",
-        "build",
-        lambda: max(row.diag_scalar_residual for row in rows),
-    )
-    r.add(
-        "lorentz_class_eps_minus",
-        "Sec4:eps-to-signature",
-        "build",
-        lambda: 0.0
-        if len(summary["lorentzian_rows"]) == 4
-        and all(row.plus_count == 1 for row in summary["lorentzian_rows"])
-        else 1.0,
-    )
-    r.add(
-        "lorentz_class_eps_plus",
-        "Sec4:eps-to-signature",
-        "build",
-        lambda: 0.0
-        if len(summary["anti_lorentzian_rows"]) == 4
-        and all(row.plus_count == 3 for row in summary["anti_lorentzian_rows"])
-        else 1.0,
-    )
-    r.add(
-        "ko6_selects_lorentz",
-        "Sec4:KO6-selects-Lorentz",
-        "build",
-        lambda: 0.0 if not summary["violations"] and len(summary["ko6_rows"]) == 4 else 1.0,
-    )
-    r.add(
-        "riemannian_row_listed",
-        "Sec4:signature-emergence",
-        "build",
-        lambda: 0.0 if summary["riemannian_row_present"] else 1.0,
-    )
-
-    def gamma_time_row() -> float:
-        for row in rows:
-            if row.indices == (0,):
-                ok = row.signature == (1, -1, -1, -1) and row.eps == -1
-                return 0.0 if ok else 1.0
-        return 1.0
-
-    r.add("gamma_time_candidate", "Sec4:K=gamma0", "build", gamma_time_row)
+        r.add(_candidate_label(row), "Sec4:signature-emergence", "build", partial(_candidate, row))
+    _add_rows(r, EMERGENCE, summary)
     return r.records
 
 
 SUITE_BUILDERS = {
-    "clifford": run_clifford,
-    "krein": run_krein,
-    "morphism": run_morphism,
+    **{suite: partial(_run_signature_suite, suite) for suite in SIGNATURE_SUITES},
     "geometry": run_geometry,
     "product": run_product,
     "emergence": run_emergence,
@@ -1101,7 +839,7 @@ def run(cfg: SuiteConfig) -> Report:
     """Execute the configured suites in declared order and build the report."""
     cfg.validate()
     records: list[CheckRecord] = []
-    contexts = _Contexts()
+    contexts = _Contexts(cfg)
     for suite in cfg.resolved_suites():
         builder = SUITE_BUILDERS.get(suite)
         if builder is None:

@@ -149,6 +149,20 @@ def test_config_file_errors(tmp_path):
         parse_config_file(str(tmp_path / "missing.cfg"))
 
 
+def test_repeated_signature_flag_is_a_config_error(capsys):
+    code = main(["--suite", "clifford", "--signature", "1", "3", "--signature", "1", "3"])
+    assert code == 2
+    assert "(1,3)" in capsys.readouterr().err
+
+
+def test_repeated_signature_in_config_file_is_a_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("suites = clifford\nsignatures = 1,3; 2,0; 1,3\n")
+    assert parse_config_file(str(cfg_file))["signatures"] == ((1, 3), (2, 0), (1, 3))
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "(1,3)" in capsys.readouterr().err
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         ["verify", "--suite", "emergence"],

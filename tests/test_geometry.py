@@ -147,11 +147,11 @@ def test_reflection_isometry_exact():
 
 def test_vielbein_examples():
     flat = metric_family("flat2d", {"signs": (1.0, 1.0)})
-    e, einv = vielbein(flat, False, np.zeros(2))
+    e, einv = vielbein(flat, np.zeros(2))
     assert np.array_equal(e, np.eye(2))
     m = MetricField(2, lambda x: np.diag([4.0, -9.0]), np.array([1.0, -1.0]),
                     np.array([[-1, 1], [-1, 1]]), "const")
-    e, einv = vielbein(m, False, np.zeros(2))
+    e, einv = vielbein(m, np.zeros(2))
     assert np.allclose(e, np.diag([0.5, 1.0 / 3.0]))
     assert np.allclose(einv, np.diag([2.0, 3.0]))
 
@@ -161,7 +161,7 @@ def test_vielbein_joint_orthonormality():
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = -0.4 + 0.8 * rng.uniform(size=4)
-        e, einv = vielbein(m, False, x)
+        e, einv = vielbein(m, x)
         g = m.g_at(x)
         gr = m.gR_at(x)
         assert np.max(np.abs(e @ g @ e.T - np.diag(m.r_signs))) <= 1e-10
@@ -178,7 +178,7 @@ def test_vielbein_rejects_nondiagonal():
         "skew",
     )
     with pytest.raises(NonDiagonalMetricError):
-        vielbein(bad, False, np.zeros(2))
+        vielbein(bad, np.zeros(2))
 
 
 def test_spin_connection_flat_vanishes():
