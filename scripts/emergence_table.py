@@ -9,7 +9,7 @@ rows whose emergent pair equals (+1, -1) are exactly the single-gamma
 candidates, and they all induce the (+,-,-,-) diagonal.
 """
 
-from kreintwist.clifford import Signature, build_gammas
+from kreintwist.clifford import Signature, build_gammas, build_structural
 from kreintwist.product import check_emergence_table, signature_emergence
 
 
@@ -18,7 +18,8 @@ def fmt_sig(sig):
 
 
 def main() -> None:
-    rows = signature_emergence(build_gammas(Signature(4, 0)))
+    rep4 = build_gammas(Signature(4, 0))
+    rows = signature_emergence(rep4, build_structural(rep4))
     header = (
         f"{'indices':<12} {'grade':>5} {'eps':>4} {'eps_prime':>9} "
         f"{'induced':>10} {'emergent (e0,e2)':>17}  note"

@@ -2,10 +2,12 @@
 
 Metrics are diagonal component functions on an axis-aligned box, together
 with a constant diagonal spacelike reflection r making g_R = g(., r .)
-positive definite.  Christoffel symbols, vielbeins, frame connection
-coefficients and the first-order Dirac operator are all evaluated
-pointwise with second-order stencils (default step 1e-3), so every
-identity check inherits an O(h^2) error floor.
+positive definite.  Each kernel reads one metric jet at its point: g and
+g_R with their inverses and one second-order central-difference sweep of
+g (default step 1e-3), from which the g_R sweep follows exactly.
+Christoffel symbols, frame connection coefficients and the first-order
+Dirac operator are array contractions over the jet, so every identity
+check inherits an O(h^2) error floor.
 
 Index conventions (0-based):
     christoffel()[l, m, n]      Gamma^l_{mn}
@@ -19,7 +21,7 @@ coordinate (diagonal metrics only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "ChristoffelTensor",
     "SpinorField",
     "metric_family",
+    "FAMILY_PARAMS",
     "METRIC_FAMILY_NAMES",
     "christoffel",
     "reflected_christoffel",
@@ -99,15 +102,17 @@ class MetricField:
             raise OutOfDomainError(f"point {x} violates the 2h margin of {self.domain.tolist()}")
         return x
 
-    def validate_at(self, x) -> None:
+    def validate_at(self, x) -> np.ndarray:
+        """g at x, once it is symmetric and invertible with g_R positive definite."""
         g = self.g_at(x)
         if residual_norm(g, g.T) > 1e-12:
             raise SingularMetricError("metric components not symmetric")
         if abs(np.linalg.det(g)) < 1e-10:
             raise SingularMetricError("metric not invertible at the point")
-        gr = self.gR_at(x)
+        gr = g * self.r_signs[None, :]
         if np.min(np.linalg.eigvalsh((gr + gr.T) / 2)) < 1e-8:
             raise SingularMetricError("g_R not positive definite: r is not spacelike here")
+        return g
 
 
 def _box(dim: int, lo: float, hi: float) -> np.ndarray:
@@ -127,14 +132,11 @@ def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
     params = dict(params or {})
     amp = float(params.get("amp", 0.1))
 
-    if name == "flat2d":
-        signs = np.array(params.get("signs", (1.0, -1.0)), dtype=float)
+    if name in ("flat2d", "flat4d"):
+        dim = 2 if name == "flat2d" else 4
+        signs = np.array(params.get("signs", (1.0,) + (-1.0,) * (dim - 1)), dtype=float)
         const = np.diag(signs)
-        return MetricField(2, lambda x: const.copy(), signs, _box(2, -0.6, 0.6), name)
-    if name == "flat4d":
-        signs = np.array(params.get("signs", (1.0, -1.0, -1.0, -1.0)), dtype=float)
-        const = np.diag(signs)
-        return MetricField(4, lambda x: const.copy(), signs, _box(4, -0.6, 0.6), name)
+        return MetricField(dim, lambda x: const.copy(), signs, _box(dim, -0.6, 0.6), name)
     if name == "exp2d":
         def g(x):
             return np.diag([np.exp(2.0 * x[0]), 1.0])
@@ -161,7 +163,10 @@ def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
     raise KeyError(f"unknown metric family '{name}'")
 
 
-METRIC_FAMILY_NAMES = ("flat2d", "flat4d", "exp2d", "conformal2d", "lorentz2d", "lorentz4d")
+# scalar parameters each family reads (no configuration sets the flat ``signs`` sequence)
+FAMILY_PARAMS = {"flat2d": (), "flat4d": (), "exp2d": (),
+                 "conformal2d": ("amp",), "lorentz2d": ("amp",), "lorentz4d": ("amp",)}
+METRIC_FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -176,46 +181,69 @@ class ChristoffelTensor:
         return float(np.max(np.abs(self.values - np.swapaxes(self.values, 1, 2))))
 
 
-def _metric_derivatives(metric: MetricField, x: np.ndarray, h: float, use_gR: bool) -> np.ndarray:
-    """dg[k, m, n] = d_k g_{mn} by central differences."""
-    dim = metric.dim
-    read = metric.gR_at if use_gR else metric.g_at
-    dg = np.zeros((dim, dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h
-        dg[k] = (read(x + e) - read(x - e)) / (2.0 * h)
-    return dg
+class _Jet(NamedTuple):
+    """g and g_R = g r at a checked, validated point, their inverses and one
+    central-difference sweep: up[k] and down[k] are g at x + h e_k and
+    x - h e_k, dg[k, m, n] = d_k g_{mn} and dgR[k, m, n] = d_k gR_{mn}."""
+
+    x: np.ndarray
+    h: float
+    g: np.ndarray
+    gR: np.ndarray
+    ginv: np.ndarray
+    gRinv: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    dg: np.ndarray
+    dgR: np.ndarray
+
+    def side(self, use_gR: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(metric, inverse, derivatives) of g, or of g_R."""
+        return (self.gR, self.gRinv, self.dgR) if use_gR else (self.g, self.ginv, self.dg)
+
+
+def _jet(metric: MetricField, x, h: float) -> _Jet:
+    x = metric.check_point(x, h)
+    g = metric.validate_at(x)
+    s = metric.r_signs
+    gR = g * s[None, :]
+    try:
+        ginv, gRinv = np.linalg.inv(g), np.linalg.inv(gR)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - validate_at guards
+        raise SingularMetricError(str(exc)) from exc
+    steps = h * np.eye(metric.dim)
+    up = np.array([metric.g_at(x + e) for e in steps])
+    down = np.array([metric.g_at(x - e) for e in steps])
+    dgR = (up * s - down * s) / (2.0 * h)  # differences of gR_at readings, signed zeros too
+    return _Jet(x, h, g, gR, ginv, gRinv, up, down, (up - down) / (2.0 * h), dgR)
+
+
+def _raise_last(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[l, ...] = sum_k ginv[l, k] t[..., k], added in k order like an entrywise loop."""
+    return sum(ginv[:, k, None, None] * t[None, ..., k] for k in range(len(ginv)))
+
+
+def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^l_{mn} = 1/2 g^{lk} (d_m g_{nk} + d_n g_{mk} - d_k g_{mn})."""
+    return 0.5 * _raise_last(ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+
+
+def _reflect(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """s_l gamma[l, m, n] s_n."""
+    return s[:, None, None] * gamma * s[None, None, :]
 
 
 def christoffel(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> ChristoffelTensor:
     """Levi-Civita coefficients of g (or g_R) from second-order stencils."""
-    x = metric.check_point(x, h)
-    metric.validate_at(x)
-    g = metric.gR_at(x) if use_gR else metric.g_at(x)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - validate_at guards
-        raise SingularMetricError(str(exc)) from exc
-    dg = _metric_derivatives(metric, x, h, use_gR)
-    dim = metric.dim
-    gamma = np.zeros((dim, dim, dim))
-    for l in range(dim):
-        for m in range(dim):
-            for n in range(dim):
-                s = 0.0
-                for k in range(dim):
-                    s += ginv[l, k] * (dg[m][n, k] + dg[n][m, k] - dg[k][m, n])
-                gamma[l, m, n] = 0.5 * s
-    return ChristoffelTensor(gamma, x, h)
+    jet = _jet(metric, x, h)
+    _, ginv, dg = jet.side(use_gR)
+    return ChristoffelTensor(_levi_civita(ginv, dg), jet.x, h)
 
 
 def reflected_christoffel(metric: MetricField, x, h: float = 1e-3) -> ChristoffelTensor:
     """Gamma^{rl}_{m rn} = s_l s_n Gamma^l_{mn} for the constant diagonal r."""
-    base = christoffel(metric, False, x, h)
-    s = metric.r_signs
-    values = s[:, None, None] * base.values * s[None, None, :]
-    return ChristoffelTensor(values, base.point, h)
+    jet = _jet(metric, x, h)
+    return ChristoffelTensor(_reflect(metric.r_signs, _levi_civita(jet.ginv, jet.dg)), jet.x, h)
 
 
 def christoffel_relation_check(metric: MetricField, x, h: float = 1e-3, tol: float = 1e-5) -> Residual:
@@ -224,50 +252,42 @@ def christoffel_relation_check(metric: MetricField, x, h: float = 1e-3, tol: flo
     Gamma^{rl}_{m rn} = Gamma_R^l_{mn} + 1/2 gR^{lk} (d_{rn} g_{mk} - d_n gR_{mk})
     with d_{rn} = s_n d_n.
     """
-    x = metric.check_point(x, h)
-    lhs = reflected_christoffel(metric, x, h).values
-    gr = christoffel(metric, True, x, h).values
-    grinv = np.linalg.inv(metric.gR_at(x))
-    dg = _metric_derivatives(metric, x, h, use_gR=False)
-    dgr = _metric_derivatives(metric, x, h, use_gR=True)
+    jet = _jet(metric, x, h)
     s = metric.r_signs
-    dim = metric.dim
-    corr = np.zeros((dim, dim, dim))
-    for l in range(dim):
-        for m in range(dim):
-            for n in range(dim):
-                acc = 0.0
-                for k in range(dim):
-                    acc += grinv[l, k] * (s[n] * dg[n][m, k] - dgr[n][m, k])
-                corr[l, m, n] = 0.5 * acc
+    lhs = _reflect(s, _levi_civita(jet.ginv, jet.dg))
+    gr = _levi_civita(jet.gRinv, jet.dgR)
+    bracket = s[None, :, None] * jet.dg.transpose(1, 0, 2) - jet.dgR.transpose(1, 0, 2)
+    corr = 0.5 * _raise_last(jet.gRinv, bracket)
     return Residual(float(np.max(np.abs(lhs - (gr + corr)))), tol)
 
 
 def metric_compatibility_residual(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> float:
     """max |d_n g_{mk} - Gamma^l_{nm} g_{lk} - Gamma^l_{nk} g_{ml}| (should be O(h^2))."""
-    x = metric.check_point(x, h)
-    g = metric.gR_at(x) if use_gR else metric.g_at(x)
-    gamma = christoffel(metric, use_gR, x, h).values
-    dg = _metric_derivatives(metric, x, h, use_gR)
-    dim = metric.dim
-    worst = 0.0
-    for n in range(dim):
-        for m in range(dim):
-            for k in range(dim):
-                v = dg[n][m, k] - np.dot(gamma[:, n, m], g[:, k]) - np.dot(gamma[:, n, k], g[m, :])
-                worst = max(worst, abs(float(v)))
-    return worst
+    g, ginv, dg = _jet(metric, x, h).side(use_gR)
+    gamma = _levi_civita(ginv, dg)
+    # Gamma^l_{nm} g_{lk} and Gamma^l_{nk} g_{ml} at [n, m, k]: one dot over l each
+    lowered = np.vecdot(gamma[..., None], g[:, None, None, :], axis=0)
+    lowered_other = np.vecdot(gamma[:, :, None, :], g.T[:, None, :, None], axis=0)
+    return float(np.max(np.abs(dg - lowered - lowered_other)))
 
 
 def reflection_isometry_residual(metric: MetricField, x) -> float:
     """r g r = g and r gR r = gR (exact for diagonal families)."""
     r = np.diag(metric.r_signs)
-    g = metric.g_at(x)
-    gr = metric.gR_at(x)
-    return max(
-        float(np.max(np.abs(r @ g @ r - g))),
-        float(np.max(np.abs(r @ gr @ r - gr))),
-    )
+    return max(float(np.max(np.abs(r @ m @ r - m))) for m in (metric.g_at(x), metric.gR_at(x)))
+
+
+def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, Einv) of a diagonal metric, or of each metric of a stack."""
+    d = np.diagonal(g, axis1=-2, axis2=-1)
+    eye = np.eye(g.shape[-1])
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    if np.any(np.max(np.abs(g - d[..., None] * eye), axis=(-2, -1)) > 1e-12 * scale):
+        raise NonDiagonalMetricError("vielbein extraction needs a diagonal metric")
+    d = np.abs(d)
+    if np.min(d) < 1e-12:
+        raise SingularMetricError("vanishing diagonal metric component")
+    return (1.0 / np.sqrt(d))[..., None] * eye, np.sqrt(d)[..., None] * eye
 
 
 def vielbein(metric: MetricField, x) -> tuple[np.ndarray, np.ndarray]:
@@ -276,31 +296,13 @@ def vielbein(metric: MetricField, x) -> tuple[np.ndarray, np.ndarray]:
     The same frame makes g orthonormal with flat signs and g_R orthonormal
     with the Kronecker delta.
     """
-    g = metric.g_at(x)
-    off = g - np.diag(np.diag(g))
-    if np.max(np.abs(off)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise NonDiagonalMetricError("vielbein extraction needs a diagonal metric")
-    d = np.abs(np.diag(g))
-    if np.min(d) < 1e-12:
-        raise SingularMetricError("vanishing diagonal metric component")
-    e = np.diag(1.0 / np.sqrt(d))
-    einv = np.diag(np.sqrt(d))
-    return e, einv
+    return _frames(metric.g_at(x))
 
 
-def _vielbein_derivatives(metric: MetricField, x, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _vielbein_derivatives(jet: _Jet) -> tuple[np.ndarray, np.ndarray]:
     """dE[mu, a, lam] = d_mu e_a^lam and dEinv[mu, a, lam] = d_mu e^a_lam."""
-    dim = metric.dim
-    de = np.zeros((dim, dim, dim))
-    dei = np.zeros((dim, dim, dim))
-    for mu in range(dim):
-        step = np.zeros(dim)
-        step[mu] = h
-        ep, eip = vielbein(metric, x + step)
-        em, eim = vielbein(metric, x - step)
-        de[mu] = (ep - em) / (2.0 * h)
-        dei[mu] = (eip - eim) / (2.0 * h)
-    return de, dei
+    (e_up, einv_up), (e_down, einv_down) = _frames(jet.up), _frames(jet.down)
+    return (e_up - e_down) / (2.0 * jet.h), (einv_up - einv_down) / (2.0 * jet.h)
 
 
 def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
@@ -315,59 +317,28 @@ def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
       K^b_{mu a}       = g_b ( 1/2 (e^b_lam g^{lam k}) (d_{ra} g_{mu k} - d_a gR_{mu k})
                                - d_mu g_a )
     with d_a = e_a^nu d_nu, d_{ra} = g_a d_a, and d_mu g_a = 0 for the
-    constant reflection (the term is kept with a zero input so the formula
-    stays literal).
+    constant reflection, so that last term drops.
     """
-    x = metric.check_point(x, h)
-    dim = metric.dim
-    e, einv = vielbein(metric, x)
-    de, dei = _vielbein_derivatives(metric, x, h)
-    gam = christoffel(metric, False, x, h).values
-    gam_r = christoffel(metric, True, x, h).values
-    gam_refl = reflected_christoffel(metric, x, h).values
-    dg = _metric_derivatives(metric, x, h, use_gR=False)
-    dgr = _metric_derivatives(metric, x, h, use_gR=True)
-    ginv = np.linalg.inv(metric.g_at(x))
-    flat_signs = metric.r_signs  # diagonal alignment: frame sign a = r sign a
-    d_sign = np.zeros((dim, dim))  # d_mu g_a, zero for constant reflections
+    jet = _jet(metric, x, h)
+    e, einv = _frames(jet.g)
+    de, dei = _vielbein_derivatives(jet)
+    s = metric.r_signs  # diagonal alignment: frame sign a = r sign a
+    gamma = _levi_civita(jet.ginv, jet.dg)
+    # the frames are diagonal, so every sum below has at most one nonzero term
+    d_frame = np.einsum("bl,mal->bma", einv, de)
 
-    def frame_convert(gamma_coord):
-        out = np.zeros((dim, dim, dim))
-        for b in range(dim):
-            for mu in range(dim):
-                for a in range(dim):
-                    acc = np.dot(einv[b, :], de[mu][a, :])
-                    acc += einv[b, :] @ gamma_coord[:, mu, :] @ e[a, :]
-                    out[b, mu, a] = acc
-        return out
+    def to_frame(g_coord):
+        return d_frame + np.einsum("bmn,an->bma", np.einsum("bl,lmn->bmn", einv, g_coord), e)
 
-    gamma_frame = frame_convert(gam)
-    gamma_r_frame = frame_convert(gam_r)
-
-    refl_frame = np.zeros((dim, dim, dim))
-    for b in range(dim):
-        for mu in range(dim):
-            for a in range(dim):
-                acc = e[a, :] @ gam_refl[:, mu, :].T @ einv[b, :]
-                acc -= np.dot(e[a, :], dei[mu][b, :])
-                refl_frame[b, mu, a] = acc
-
-    k_term = np.zeros((dim, dim, dim))
-    for b in range(dim):
-        gb_row = einv[b, :] @ ginv  # e^b_lam g^{lam k}
-        for mu in range(dim):
-            for a in range(dim):
-                da_g = flat_signs[a] * np.einsum("n,nk->k", e[a, :], dg[:, mu, :])
-                da_gr = np.einsum("n,nk->k", e[a, :], dgr[:, mu, :])
-                k_term[b, mu, a] = flat_signs[b] * (
-                    0.5 * np.dot(gb_row, da_g - da_gr) - d_sign[mu, a]
-                )
-
+    refl = np.einsum("aml,bl->bma", np.einsum("an,lmn->aml", e, _reflect(s, gamma)), einv)
+    d_ra_g = s[:, None, None] * np.einsum("an,nmk->amk", e, jet.dg)
+    d_a_gr = np.einsum("an,nmk->amk", e, jet.dgR)
+    k_term = 0.5 * np.einsum("bk,amk->bma", einv @ jet.ginv, d_ra_g - d_a_gr)
     return {
-        "Gamma_b_mu_a": gamma_frame,
-        "GammaR_b_mu_a": gamma_r_frame,
-        "K_b_mu_a": k_term,
-        "refl_frame_b_mu_a": refl_frame,
+        "Gamma_b_mu_a": to_frame(gamma),
+        "GammaR_b_mu_a": to_frame(_levi_civita(jet.gRinv, jet.dgR)),
+        "K_b_mu_a": s[:, None, None] * k_term,
+        "refl_frame_b_mu_a": refl - np.einsum("an,mbn->bma", e, dei),
     }
 
 
@@ -429,10 +400,22 @@ def poly_spinor(dim_spinor: int, dim_chart: int, seed: int = 9) -> SpinorField:
     return SpinorField(f, g)
 
 
-def _fd_partial(psi: SpinorField, x: np.ndarray, mu: int, h: float) -> np.ndarray:
-    e = np.zeros_like(x)
-    e[mu] = h
-    return (psi(x + e) - psi(x - e)) / (2.0 * h)
+def _dirac_assembly(psi: SpinorField, x, h: float, e, conn, left, right, unit) -> np.ndarray:
+    """sum_mu unit gamma^mu (d_mu + 1/4 conn^b_{mu a} left_a right_b) psi at x.
+
+    gamma^mu = e_a^mu left_a and d_mu is the central difference of step h.
+    The connection terms are added in (a, b) order and zero coefficients
+    are skipped.
+    """
+    psix = psi(x)
+    out = np.zeros_like(psix)
+    for mu, step in enumerate(h * np.eye(len(x))):
+        nabla = (psi(x + step) - psi(x - step)) / (2.0 * h)
+        for a, b in zip(*np.nonzero(conn[:, mu, :].T)):
+            nabla = nabla + 0.25 * conn[b, mu, a] * (left[a] @ right[b] @ psix)
+        gamma_mu = sum(e[a, mu] * left[a] for a in range(len(x)))
+        out = out + unit * (gamma_mu @ nabla)
+    return out
 
 
 def dirac_apply_pseudo(
@@ -452,22 +435,9 @@ def dirac_apply_pseudo(
     if metric.dim != rep.n_gen:
         raise ValueError("representation dimension does not match the chart")
     coeffs = coeffs or spin_connection_coeffs(metric, x, h)
-    gamma_frame = coeffs["Gamma_b_mu_a"]
     e, _ = vielbein(metric, x)
-    signs = metric.r_signs
-    dim = metric.dim
-    psix = psi(x)
-    out = np.zeros_like(psix)
-    for mu in range(dim):
-        nabla = _fd_partial(psi, x, mu, h)
-        for a in range(dim):
-            for b in range(dim):
-                c = gamma_frame[b, mu, a]
-                if c != 0.0:
-                    nabla = nabla + 0.25 * c * (rep.gammas[a] @ (signs[b] * rep.gammas[b]) @ psix)
-        gamma_mu = sum(e[a, mu] * rep.gammas[a] for a in range(dim))
-        out = out + 1j * (gamma_mu @ nabla)
-    return out
+    lowered = [s * g for s, g in zip(metric.r_signs, rep.gammas)]
+    return _dirac_assembly(psi, x, h, e, coeffs["Gamma_b_mu_a"], rep.gammas, lowered, 1j)
 
 
 def dirac_decomposition_check(
@@ -489,23 +459,9 @@ def dirac_decomposition_check(
     x = metric.check_point(x, h)
     coeffs = spin_connection_coeffs(metric, x, h)
     lhs = ops.K @ dirac_apply_pseudo(metric, rep, psi, x, h, coeffs)
-
     gt = [ops.K @ g for g in rep.gammas]
-    e, _ = vielbein(metric, x)
     conn = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
-    dim = metric.dim
-    psix = psi(x)
-    rhs = np.zeros_like(psix)
-    for mu in range(dim):
-        nabla = _fd_partial(psi, x, mu, h)
-        for a in range(dim):
-            for b in range(dim):
-                c = conn[b, mu, a]
-                if c != 0.0:
-                    nabla = nabla + 0.25 * c * (gt[a] @ gt[b] @ psix)
-        gt_mu = sum(e[a, mu] * gt[a] for a in range(dim))
-        rhs = rhs - 1j * (gt_mu @ nabla)
-
+    rhs = _dirac_assembly(psi, x, h, vielbein(metric, x)[0], conn, gt, gt, -1j)
     r_plus = float(np.linalg.norm(lhs - rhs))
     r_minus = float(np.linalg.norm(lhs + rhs))
     if r_minus <= r_plus:

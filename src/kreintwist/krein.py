@@ -10,6 +10,7 @@ of negative-norm factors; they are the canonical nontrivial K-unitaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -234,19 +235,17 @@ def gauge_transform(
     d,
     u_k,
     j: AntilinearOp,
-    K,
+    space: KreinSpace,
     tol: float = 1e-9,
     selfadjoint_tol: float = 1e-11,
 ) -> np.ndarray:
     """Ad(u_K) D Ad(u_K)^dagger with Ad(u_K) = u_K (J u_K J^-1).
 
-    Requires u_K to be K-unitary; the output is checked to stay
+    Requires u_K to be K-unitary in ``space``; the output is checked to stay
     self-adjoint, which is the point of fluctuating with K-unitaries.
     """
     d = as_cmat(d)
     u_k = as_cmat(u_k)
-    K = as_cmat(K)
-    space = KreinSpace(d.shape[0], K)
     ok, res = is_k_unitary(space, u_k, tol)
     if not ok:
         raise NotKUnitaryError(f"gauge element is not K-unitary ({res.value:.3e})")
@@ -291,6 +290,7 @@ class TwistedTripleData:
     def dim(self) -> int:
         return self.D.shape[0]
 
+    @cached_property
     def space(self) -> KreinSpace:
         return KreinSpace(self.dim, self.K)
 

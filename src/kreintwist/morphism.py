@@ -93,7 +93,7 @@ def apply_k_morphism(t: TwistedTripleData) -> PseudoTripleData:
     return PseudoTripleData(
         algebra_gens=t.algebra_gens,
         Dk=t.K @ t.D,
-        space=t.space(),
+        space=t.space,
         J=t.J,
         Gamma=t.Gamma,
     )

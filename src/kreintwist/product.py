@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .clifford import (
     CliffordRep,
+    StructuralOps,
     antilinear_sign,
     measure_sign,
     phase_normalize,
@@ -184,6 +186,7 @@ class ProductTripleData:
     def dim(self) -> int:
         return self.Dp.shape[0]
 
+    @cached_property
     def space(self) -> KreinSpace:
         return KreinSpace(self.dim, self.Kp)
 
@@ -253,7 +256,7 @@ def product_fluctuation_check(
     through the morphism.
     """
     m = pt.manifold
-    space = KreinSpace(m.D.shape[0], m.K)
+    space = m.space
     u_k = as_cmat(u_k)
     u = as_cmat(u)
     ok, res = _unitary_residual(u)
@@ -323,7 +326,7 @@ def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:
             "fluctuation formula needs a definite product J-D sign (manifold eps1 = eps)"
         )
     w = kron(as_cmat(u_k), as_cmat(u))
-    space = pt.space()
+    space = pt.space
     ad = w @ pt.Jp.sandwich(w)
     gauge = ad @ pt.Dp @ adjoint(ad)
     w_plus = k_adjoint(space, w)
@@ -354,20 +357,18 @@ class EmergenceRow:
     excluded_reason: Optional[str]
 
 
-def signature_emergence(rep4: CliffordRep) -> list[EmergenceRow]:
+def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[EmergenceRow]:
     """Enumerate all 16 normalized gamma products as twist candidates.
 
     Every candidate is Hermitian, unitary, squares to one and conjugates
     each Euclidean gamma to a sign; the induced metric diagonal is read
     from the squares of gamma_K^a = K hat_gamma^a and the emergent real
     structure is K Jhat.  Rows whose emergent grading sign is +1 cannot
-    reach the KO-6 table and carry an exclusion reason.
+    reach the KO-6 table and carry an exclusion reason.  ``ops`` are the
+    structural operators of rep4 (K = 1 there); Jhat and Gamma are read.
     """
     if rep4.sig.p != 4 or rep4.sig.q != 0:
         raise ValueError("signature emergence expects the Euclidean 4D representation")
-    from .clifford import build_structural
-
-    ops = build_structural(rep4)  # K = 1 here; supplies Jhat and Gamma
     jhat = ops.Jhat
     gamma_hat_full = ops.Gamma
     rows = []

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 from typing import Optional
 
 from .clifford import all_signatures
@@ -51,6 +53,10 @@ class ReportIOError(OSError):
     """Report could not be written (exit code 2)."""
 
 
+def _finite(value) -> bool:
+    return isinstance(value, Real) and math.isfinite(value)
+
+
 @dataclass
 class SuiteConfig:
     suites: tuple = ("all",)
@@ -92,16 +98,29 @@ class SuiteConfig:
             seen.add((p, q))
         if not (1e-6 < self.fd_step < 1e-1):
             raise ConfigError("fd_step must lie in (1e-6, 1e-1)")
-        from .geometry import METRIC_FAMILY_NAMES
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        from .geometry import FAMILY_PARAMS
 
-        if self.metric_family not in METRIC_FAMILY_NAMES:
+        if self.metric_family not in FAMILY_PARAMS:
             raise ConfigError(
                 f"unknown metric family '{self.metric_family}' "
-                f"(choose from {', '.join(METRIC_FAMILY_NAMES)})"
+                f"(choose from {', '.join(FAMILY_PARAMS)})"
             )
-        for cls in self.tolerances:
+        reads = FAMILY_PARAMS[self.metric_family]
+        for key, value in self.metric_params.items():
+            if key not in reads:
+                raise ConfigError(
+                    f"metric family '{self.metric_family}' reads no parameter '{key}' "
+                    f"(it reads: {', '.join(reads) or 'none'})"
+                )
+            if not _finite(value):
+                raise ConfigError(f"parameter '{key}' must be a finite number, got {value!r}")
+        for cls, value in self.tolerances.items():
             if cls not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance class '{cls}'")
+            if not (_finite(value) and value > 0):
+                raise ConfigError(f"tolerance '{cls}' must be a finite positive number, got {value!r}")
         if self.output_format not in ("text", "json"):
             raise ConfigError(f"unknown output format '{self.output_format}'")
 

@@ -409,7 +409,7 @@ def _first_order_scalars(c: SignatureContext) -> float:
 
 def _gauge_selfadjointness(c: SignatureContext) -> float:
     t = c.triple
-    outs = (kr.gauge_transform(t.D, s.matrix, t.J, t.K) for s in c.krein_spins[:5])
+    outs = (kr.gauge_transform(t.D, s.matrix, t.J, t.space) for s in c.krein_spins[:5])
     return _worst(residual_norm(out, adjoint(out)) for out in outs)
 
 
@@ -432,11 +432,12 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
         return _gauge_vs_form(c, rng)
     ft = c.finite
     eye_f = np.eye(ft.dimF)
+    space_f = kr.KreinSpace(ft.dimF, eye_f)
     worst = 0.0
     for _ in range(5):
         th1, th2 = rng.uniform(0, 2 * np.pi, size=2)
         u = pr.finite_algebra_unitary(ft, th1, th2)
-        gauge = kr.gauge_transform(ft.DF, u, ft.JF, eye_f)
+        gauge = kr.gauge_transform(ft.DF, u, ft.JF, space_f)
         a_form = u @ kr.twisted_commutator(ft.DF, adjoint(u), eye_f)
         worst = max(worst, residual_norm(gauge, kr.fluctuate(ft.DF, a_form, ft.JF, +1)))
     return worst
@@ -556,22 +557,20 @@ class _FamilyContext:
 def _vielbein_orthonormality(f: _FamilyContext) -> float:
     m = f.metric
     flat, eye = np.diag(m.r_signs), np.eye(m.dim)
-    worst = 0.0
-    for x in f.pts:
+
+    def gaps(x):
         e, einv = geo.vielbein(m, x)
-        worst = max(worst, residual_norm(e @ m.g_at(x) @ e.T, flat))
-        worst = max(worst, residual_norm(e @ m.gR_at(x) @ e.T, eye))
-        worst = max(worst, residual_norm(e @ einv.T, eye))
-    return worst
+        return (residual_norm(e @ m.g_at(x) @ e.T, flat),
+                residual_norm(e @ m.gR_at(x) @ e.T, eye), residual_norm(e @ einv.T, eye))
+
+    return _worst(gap for x in f.pts for gap in gaps(x))
 
 
 def _rewrit_tgamma(f: _FamilyContext) -> float:
     s = f.metric.r_signs
-    worst = 0.0
-    for c in f.connection:
-        tilde = s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]
-        worst = max(worst, float(np.max(np.abs(c["refl_frame_b_mu_a"] - tilde))))
-    return worst
+    gaps = (c["refl_frame_b_mu_a"] - s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]
+            for c in f.connection)
+    return _worst(float(np.max(np.abs(gap))) for gap in gaps)
 
 
 def _frame_connection_relation(f: _FamilyContext) -> float:
@@ -819,7 +818,8 @@ EMERGENCE = (
 
 def run_emergence(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "emergence")
-    rows = pr.signature_emergence(contexts[(4, 0)].rep)
+    ctx = contexts[(4, 0)]
+    rows = pr.signature_emergence(ctx.rep, ctx.ops)
     summary = {**pr.check_emergence_table(rows), "rows": rows}
     for row in rows:
         r.add(_candidate_label(row), "Sec4:signature-emergence", "build", partial(_candidate, row))

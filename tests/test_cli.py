@@ -36,7 +36,7 @@ def test_text_table_line_count(capsys):
 
 
 def test_exit_one_on_forced_failure(capsys):
-    code = main(["--suite", "geometry", "--tol", "fd=0"])
+    code = main(["--suite", "geometry", "--tol", "fd=1e-300"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -161,6 +161,42 @@ def test_repeated_signature_in_config_file_is_a_config_error(tmp_path, capsys):
     assert parse_config_file(str(cfg_file))["signatures"] == ((1, 3), (2, 0), (1, 3))
     assert main(["--config", str(cfg_file)]) == 2
     assert "(1,3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seed", "-1"],
+    ["--suite", "geometry", "--seed", "-1"],
+    ["--suite", "product", "--seed", "-1"],
+    ["--param", "typo=1"],
+    ["--metric", "exp2d", "--param", "amp=0.2"],
+    ["--metric", "flat4d", "--param", "amp=0.2"],
+    ["--param", "amp=nan"],
+    ["--param", "amp=inf"],
+    ["--tol", "build=nan"],
+    ["--tol", "build=-1"],
+    ["--tol", "build=0"],
+    ["--tol", "fd=inf"],
+])
+def test_bad_values_are_config_errors(extra, capsys):
+    assert main(["--suite", "clifford", "--signature", "2", "0", *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_values_a_family_reads_are_accepted():
+    cfg = config_from_args(["--metric", "lorentz2d", "--param", "amp=0.2", "--tol", "fd=1e-300"])
+    assert cfg.metric_params == {"amp": 0.2}
+    assert cfg.tol("fd") == 1e-300
+    assert config_from_args(["--seed", "0"]).seed == 0
+
+
+@pytest.mark.parametrize("line", [
+    "seed = -3", "param.typo = 1", "param.amp = nan", "tol.build = 0", "tol.fd = -1e-5",
+])
+def test_bad_values_in_config_file_are_config_errors(tmp_path, line, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"suites = clifford, geometry\nsignatures = 2,0\n{line}\n")
+    assert main(["--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_installed_entry_point():

@@ -1,0 +1,255 @@
+"""The geometry kernels against loop-wise references, bit for bit.
+
+The references below are the index loops the kernels were first written
+as: one scalar (or vector) operation per tensor entry, in loop order.  The
+kernels contract whole arrays instead, and must give exactly the same
+floating-point results, at several points and two steps of every metric
+family, plus non-diagonal metrics for the kernels that accept them.
+"""
+
+import numpy as np
+import pytest
+
+from kreintwist.clifford import Signature, build_gammas, build_structural
+from kreintwist.geometry import (
+    METRIC_FAMILY_NAMES,
+    MetricField,
+    christoffel,
+    christoffel_relation_check,
+    dirac_apply_pseudo,
+    dirac_decomposition_check,
+    metric_compatibility_residual,
+    metric_family,
+    spin_connection_coeffs,
+    trig_spinor,
+)
+
+STEPS = (1e-3, 1e-2)
+
+
+def ref_metric_derivatives(metric, x, h, use_gR):
+    read = metric.gR_at if use_gR else metric.g_at
+    dim = metric.dim
+    dg = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = h
+        dg[k] = (read(x + e) - read(x - e)) / (2.0 * h)
+    return dg
+
+
+def ref_christoffel(metric, use_gR, x, h):
+    g = metric.gR_at(x) if use_gR else metric.g_at(x)
+    ginv = np.linalg.inv(g)
+    dg = ref_metric_derivatives(metric, x, h, use_gR)
+    dim = metric.dim
+    gamma = np.zeros((dim, dim, dim))
+    for l in range(dim):
+        for m in range(dim):
+            for n in range(dim):
+                s = 0.0
+                for k in range(dim):
+                    s += ginv[l, k] * (dg[m][n, k] + dg[n][m, k] - dg[k][m, n])
+                gamma[l, m, n] = 0.5 * s
+    return gamma
+
+
+def ref_reflected(metric, x, h):
+    s = metric.r_signs
+    return s[:, None, None] * ref_christoffel(metric, False, x, h) * s[None, None, :]
+
+
+def ref_relation(metric, x, h):
+    lhs = ref_reflected(metric, x, h)
+    gr = ref_christoffel(metric, True, x, h)
+    grinv = np.linalg.inv(metric.gR_at(x))
+    dg = ref_metric_derivatives(metric, x, h, False)
+    dgr = ref_metric_derivatives(metric, x, h, True)
+    s = metric.r_signs
+    dim = metric.dim
+    corr = np.zeros((dim, dim, dim))
+    for l in range(dim):
+        for m in range(dim):
+            for n in range(dim):
+                acc = 0.0
+                for k in range(dim):
+                    acc += grinv[l, k] * (s[n] * dg[n][m, k] - dgr[n][m, k])
+                corr[l, m, n] = 0.5 * acc
+    return float(np.max(np.abs(lhs - (gr + corr))))
+
+
+def ref_compatibility(metric, use_gR, x, h):
+    g = metric.gR_at(x) if use_gR else metric.g_at(x)
+    gamma = ref_christoffel(metric, use_gR, x, h)
+    dg = ref_metric_derivatives(metric, x, h, use_gR)
+    dim = metric.dim
+    worst = 0.0
+    for n in range(dim):
+        for m in range(dim):
+            for k in range(dim):
+                v = dg[n][m, k] - np.dot(gamma[:, n, m], g[:, k]) - np.dot(gamma[:, n, k], g[m, :])
+                worst = max(worst, abs(float(v)))
+    return worst
+
+
+def ref_vielbein(metric, x):
+    d = np.abs(np.diag(metric.g_at(x)))
+    return np.diag(1.0 / np.sqrt(d)), np.diag(np.sqrt(d))
+
+
+def ref_spin_connection(metric, x, h):
+    dim = metric.dim
+    e, einv = ref_vielbein(metric, x)
+    de = np.zeros((dim, dim, dim))
+    dei = np.zeros((dim, dim, dim))
+    for mu in range(dim):
+        step = np.zeros(dim)
+        step[mu] = h
+        ep, eip = ref_vielbein(metric, x + step)
+        em, eim = ref_vielbein(metric, x - step)
+        de[mu] = (ep - em) / (2.0 * h)
+        dei[mu] = (eip - eim) / (2.0 * h)
+    gam_refl = ref_reflected(metric, x, h)
+    dg = ref_metric_derivatives(metric, x, h, False)
+    dgr = ref_metric_derivatives(metric, x, h, True)
+    ginv = np.linalg.inv(metric.g_at(x))
+    s = metric.r_signs
+
+    def frame_convert(gamma_coord):
+        out = np.zeros((dim, dim, dim))
+        for b in range(dim):
+            for mu in range(dim):
+                for a in range(dim):
+                    acc = np.dot(einv[b, :], de[mu][a, :])
+                    acc += einv[b, :] @ gamma_coord[:, mu, :] @ e[a, :]
+                    out[b, mu, a] = acc
+        return out
+
+    refl = np.zeros((dim, dim, dim))
+    k_term = np.zeros((dim, dim, dim))
+    for b in range(dim):
+        gb_row = einv[b, :] @ ginv
+        for mu in range(dim):
+            for a in range(dim):
+                acc = e[a, :] @ gam_refl[:, mu, :].T @ einv[b, :]
+                acc -= np.dot(e[a, :], dei[mu][b, :])
+                refl[b, mu, a] = acc
+                da_g = s[a] * np.einsum("n,nk->k", e[a, :], dg[:, mu, :])
+                da_gr = np.einsum("n,nk->k", e[a, :], dgr[:, mu, :])
+                k_term[b, mu, a] = s[b] * (0.5 * np.dot(gb_row, da_g - da_gr) - 0.0)
+    return {
+        "Gamma_b_mu_a": frame_convert(ref_christoffel(metric, False, x, h)),
+        "GammaR_b_mu_a": frame_convert(ref_christoffel(metric, True, x, h)),
+        "K_b_mu_a": k_term,
+        "refl_frame_b_mu_a": refl,
+    }
+
+
+def ref_dirac_sum(psi, x, h, e, conn, left, right, unit):
+    dim = len(x)
+    psix = psi(x)
+    out = np.zeros_like(psix)
+    for mu in range(dim):
+        step = np.zeros_like(x)
+        step[mu] = h
+        nabla = (psi(x + step) - psi(x - step)) / (2.0 * h)
+        for a in range(dim):
+            for b in range(dim):
+                c = conn[b, mu, a]
+                if c != 0.0:
+                    nabla = nabla + 0.25 * c * (left[a] @ right[b] @ psix)
+        gamma_mu = sum(e[a, mu] * left[a] for a in range(dim))
+        if unit == 1j:
+            out = out + 1j * (gamma_mu @ nabla)
+        else:
+            out = out - 1j * (gamma_mu @ nabla)
+    return out
+
+
+def ref_dirac_pseudo(metric, rep, psi, x, h):
+    coeffs = ref_spin_connection(metric, x, h)
+    e, _ = ref_vielbein(metric, x)
+    right = [metric.r_signs[b] * rep.gammas[b] for b in range(metric.dim)]
+    return ref_dirac_sum(psi, x, h, e, coeffs["Gamma_b_mu_a"], rep.gammas, right, 1j)
+
+
+def ref_decomposition(metric, rep, ops, psi, x, h):
+    coeffs = ref_spin_connection(metric, x, h)
+    lhs = ops.K @ ref_dirac_pseudo(metric, rep, psi, x, h)
+    gt = [ops.K @ g for g in rep.gammas]
+    e, _ = ref_vielbein(metric, x)
+    conn = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
+    rhs = ref_dirac_sum(psi, x, h, e, conn, gt, gt, -1j)
+    r_plus = float(np.linalg.norm(lhs - rhs))
+    r_minus = float(np.linalg.norm(lhs + rhs))
+    return (r_minus, -1) if r_minus <= r_plus else (r_plus, +1)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.result_type(a, np.float64)).tobytes()
+
+
+def _points(metric, count=10):
+    rng = np.random.default_rng(len(metric.name) + 10 * metric.dim)
+    lo = metric.domain[:, 0] + 0.1
+    hi = metric.domain[:, 1] - 0.1
+    return [np.zeros(metric.dim)] + [lo + (hi - lo) * rng.uniform(size=metric.dim)
+                                     for _ in range(count - 1)]
+
+
+def _nondiagonal_metrics():
+    """Symmetric non-diagonal fields on which every component moves with every
+    coordinate: Euclidean in 2d, Lorentzian in 4d with r g r = g."""
+    def g2(x):
+        u = 0.9 * x[0] - 0.6 * x[1]
+        c = 0.3 * np.cos(u)
+        return np.array([[1.0 + 0.2 * np.sin(x[0] + x[1]), c], [c, 1.2 + 0.1 * u ** 2]])
+
+    def g4(x):
+        u = x @ np.array([1.0, -0.7, 0.4, 0.9])
+        v = x @ np.array([0.3, 0.8, -0.6, 0.5])
+        a, b, c = 0.2 * np.sin(u), 0.15 * np.cos(v), 0.1 * np.sin(u + v)
+        return np.array([[1.2 + 0.1 * np.sin(v), 0.0, 0.0, 0.0],
+                         [0.0, -(1.5 + 0.1 * np.cos(u)), a, b],
+                         [0.0, a, -(1.6 + 0.1 * np.sin(u - v)), c],
+                         [0.0, b, c, -(1.7 + 0.1 * u * v)]])
+
+    box2 = np.array([[-0.6, 0.6]] * 2)
+    box4 = np.array([[-0.6, 0.6]] * 4)
+    return [MetricField(2, g2, np.array([1.0, 1.0]), box2, "skew2d"),
+            MetricField(4, g4, np.array([1.0, -1.0, -1.0, -1.0]), box4, "skew4d")]
+
+
+ALL_METRICS = [metric_family(name) for name in METRIC_FAMILY_NAMES] + _nondiagonal_metrics()
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+@pytest.mark.parametrize("h", STEPS)
+def test_christoffel_relation_and_compatibility_match_loops(metric, h):
+    for x in _points(metric):
+        for use_gR in (False, True):
+            got = christoffel(metric, use_gR, x, h).values
+            assert bits(got) == bits(ref_christoffel(metric, use_gR, x, h))
+            got = metric_compatibility_residual(metric, use_gR, x, h)
+            assert bits(got) == bits(ref_compatibility(metric, use_gR, x, h))
+        assert bits(christoffel_relation_check(metric, x, h).value) == bits(ref_relation(metric, x, h))
+
+
+@pytest.mark.parametrize("name", METRIC_FAMILY_NAMES)
+@pytest.mark.parametrize("h", STEPS)
+def test_spin_connection_and_dirac_match_loops(name, h):
+    metric = metric_family(name)
+    rep = build_gammas(Signature(1, metric.dim - 1))
+    ops = build_structural(rep)
+    psi = trig_spinor(rep.dim, metric.dim, seed=5)
+    for x in _points(metric):
+        got = spin_connection_coeffs(metric, x, h)
+        want = ref_spin_connection(metric, x, h)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert bits(got[key]) == bits(want[key]), key
+        assert bits(dirac_apply_pseudo(metric, rep, psi, x, h)) == bits(
+            ref_dirac_pseudo(metric, rep, psi, x, h))
+        res, sign = dirac_decomposition_check(metric, rep, ops, psi, x, h)
+        want_value, want_sign = ref_decomposition(metric, rep, ops, psi, x, h)
+        assert (bits(res.value), sign) == (bits(want_value), want_sign)

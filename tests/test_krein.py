@@ -267,14 +267,14 @@ def test_fluctuate_trivial_and_real_case(pair13):
 
 def test_gauge_transform_identity(pair13):
     t = pair13.twisted
-    assert residual_norm(gauge_transform(t.D, np.eye(4), t.J, t.K), t.D) <= 1e-14
+    assert residual_norm(gauge_transform(t.D, np.eye(4), t.J, t.space), t.D) <= 1e-14
 
 
 def test_gauge_transform_spin_elements_stay_selfadjoint(pair13, rep13):
     rep, ops = rep13
     t = pair13.twisted
     for s in sample_spin_plus(rep, 10, seed=21):
-        out = gauge_transform(t.D, s.matrix, t.J, t.K)
+        out = gauge_transform(t.D, s.matrix, t.J, t.space)
         assert residual_norm(out, adjoint(out)) <= 1e-11
 
 
@@ -282,7 +282,7 @@ def test_gauge_transform_rejects_non_k_unitary(pair13):
     t = pair13.twisted
     bad = np.diag([2.0, 1.0, 1.0, 1.0])
     with pytest.raises(NotKUnitaryError):
-        gauge_transform(t.D, bad, t.J, t.K)
+        gauge_transform(t.D, bad, t.J, t.space)
 
 
 def test_twisted_triple_requires_hermitian_dirac(rep13):

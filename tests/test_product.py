@@ -304,7 +304,7 @@ def test_gauge_vs_form_fails_off_axioms(product13, rep13):
 @pytest.fixture(scope="module")
 def emergence_rows():
     rep4 = build_gammas(Signature(4, 0))
-    return signature_emergence(rep4)
+    return signature_emergence(rep4, build_structural(rep4))
 
 
 def test_emergence_enumerates_sixteen(emergence_rows):
@@ -368,4 +368,4 @@ def test_emergence_even_grades_excluded(emergence_rows):
 def test_emergence_rejects_wrong_signature():
     rep = build_gammas(Signature(1, 3))
     with pytest.raises(ValueError):
-        signature_emergence(rep)
+        signature_emergence(rep, build_structural(rep))
