@@ -105,6 +105,8 @@ class MetricField:
     def validate_at(self, x) -> np.ndarray:
         """g at x, once it is symmetric and invertible with g_R positive definite."""
         g = self.g_at(x)
+        if not np.all(np.isfinite(g)):
+            raise SingularMetricError("metric components not finite at the point")
         if residual_norm(g, g.T) > 1e-12:
             raise SingularMetricError("metric components not symmetric")
         if abs(np.linalg.det(g)) < 1e-10:

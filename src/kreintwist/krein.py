@@ -213,15 +213,16 @@ def opposite_action(b, j: AntilinearOp) -> np.ndarray:
 def twisted_first_order_residual(
     d, a, b, j: AntilinearOp, K, tol: float = 1e-12
 ) -> Residual:
-    """Norm of [[D, a]_rho, b^o]_{rho^o}.
+    """Largest norm of [[D, a]_rho, b^o]_{rho^o} over paired a, b: two
+    matrices, or two stacks of them paired entry by entry.
 
     The opposite twist acts by rho^o(b^o) = (rho^-1(b))^o = J (K b K)^dagger J^-1.
     """
     K = as_cmat(K)
     x = twisted_commutator(d, a, K)
     b_op = opposite_action(b, j)
-    rho_b_op = j.sandwich(adjoint(K @ as_cmat(b) @ K))
-    return Residual(residual_norm(x @ b_op - rho_b_op @ x), tol)
+    rho_b_op = j.sandwich(adjoint(K @ as_cstack(b) @ K))
+    return Residual(float(np.max(op_norms(x @ b_op - rho_b_op @ x))), tol)
 
 
 def fluctuate(d, a_rho, j: AntilinearOp, eps1: int) -> np.ndarray:

@@ -7,6 +7,7 @@ conjugations stay one-liners.  Everything here is pure and immutable.
 Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
 ``adjoint``, ``op_norms`` and ``AntilinearOp.sandwich`` act on each matrix
 of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
+Identities over generator tables are normed the same way (``table_norm``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "ShapeError",
     "NotASignError",
     "STACK_ENTRIES",
+    "TABLE_ENTRIES",
     "as_cmat",
     "as_cstack",
     "adjoint",
@@ -29,6 +31,7 @@ __all__ = [
     "chunk_sizes",
     "gaussian_stacks",
     "max_residual",
+    "table_norm",
     "residual_norm",
     "commutator",
     "anticommutator",
@@ -51,6 +54,12 @@ class NotASignError(ValueError):
 # dimension-10 run by 3.2-3.7 MB (2 vCPU, OpenBLAS); stacks of 2**14 entries
 # added none and ran at least as fast at every dimension from 2 to 32.
 STACK_ENTRIES = 1 << 14
+
+# Largest number of complex entries in one operand of a ``table_norm`` chunk.
+# Dimension-10 generator tables in chunks of STACK_ENTRIES (256 KiB operands,
+# above glibc's default mmap threshold) page-faulted their temporaries on every
+# chunk and ran 25% slower than one SVD per entry; 64 KiB chunks do not.
+TABLE_ENTRIES = 1 << 12
 
 
 def _require_finite(m: np.ndarray) -> np.ndarray:
@@ -112,6 +121,19 @@ def max_residual(stacks, residuals) -> float:
     for operands in stacks:
         worst = max(worst, float(np.max(residuals(*operands))))
     return worst
+
+
+def table_norm(entries, shape: tuple, dim: int) -> float:
+    """Largest operator norm over a table of dim x dim matrices of the given shape.
+
+    ``entries(*idx)`` returns the entries at the index arrays ``idx`` (one per
+    axis) as one stack; chunks of at most ``TABLE_ENTRIES`` entries per
+    operand are each normed by one batched SVD.
+    """
+    count, step = int(np.prod(shape)), max(1, TABLE_ENTRIES // (dim * dim))
+    indices = (np.unravel_index(np.arange(i, min(i + step, count)), shape)
+               for i in range(0, count, step))
+    return max_residual(indices, lambda *idx: op_norms(entries(*idx)))
 
 
 def adjoint(a) -> np.ndarray:

@@ -38,6 +38,7 @@ from .linalg import (
     max_residual,
     op_norms,
     residual_norm,
+    table_norm,
 )
 
 __all__ = [
@@ -207,16 +208,15 @@ def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> 
 
 
 def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps, tol: float = 1e-11) -> Residual:
-    """gt^a gt^b + s_ab gt^b gt^a = 2 delta^ab with s_ab = g_a g_b, gt = K gamma."""
-    eye = np.eye(rep.dim)
-    worst = 0.0
-    gt = [ops.K @ g for g in rep.gammas]
-    for a in range(rep.n_gen):
-        for b in range(rep.n_gen):
-            s_ab = rep.signs[a] * rep.signs[b]
-            target = 2.0 * eye if a == b else np.zeros_like(eye)
-            worst = max(worst, residual_norm(gt[a] @ gt[b] + s_ab * gt[b] @ gt[a], target))
-    return Residual(worst, tol)
+    """gt^a gt^b + s_ab gt^b gt^a = 2 delta^ab with s_ab = g_a g_b, gt = K gamma,
+    as one table over the ordered pairs (a, b)."""
+    eye, gt, s = np.eye(rep.dim), ops.K @ rep.gamma_stack, rep.signs[:, None, None]
+
+    def relations(a, b):
+        target = np.where((a == b)[:, None, None], 2.0 * eye, 0.0)
+        return gt[a] @ gt[b] + s[a] * s[b] * gt[b] @ gt[a] - target
+
+    return Residual(table_norm(relations, (rep.n_gen,) * 2, rep.dim), tol)
 
 
 def trace_metric_morph_check(

@@ -39,8 +39,10 @@ from .linalg import (
     as_cmat,
     commutator,
     kron,
+    op_norms,
     residual_norm,
     sign_of_pair,
+    table_norm,
 )
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
     "build_finite_triple_ko6",
     "finite_first_order_residual",
     "finite_ko6_residuals",
+    "twisted_grading_residual",
     "constraint_check_O",
     "assemble_product",
     "derivation_split_check",
@@ -130,11 +133,7 @@ def finite_ko6_residuals(t: FiniteTriple) -> dict:
         ),
         "GammaF DF = -DF GammaF": residual_norm(t.GammaF @ t.DF, -t.DF @ t.GammaF),
         "first order": finite_first_order_residual(t),
-        "order zero": max(
-            residual_norm(commutator(a, t.JF.sandwich(adjoint(b))), 0 * eye)
-            for a in t.algebra_gens
-            for b in t.algebra_gens
-        ),
+        "order zero": _generator_pair_norm(t, commutator),
     }
 
 
@@ -146,12 +145,15 @@ def _validate_finite_ko6(t: FiniteTriple, tol: float = BUILD_TOL) -> None:
 
 def finite_first_order_residual(t: FiniteTriple) -> float:
     """max over generator pairs of |[[DF, a], JF b^dagger JF^-1]|."""
-    worst = 0.0
-    for a in t.algebra_gens:
-        for b in t.algebra_gens:
-            b_op = t.JF.sandwich(adjoint(b))
-            worst = max(worst, residual_norm(commutator(commutator(t.DF, a), b_op)))
-    return worst
+    return _generator_pair_norm(t, lambda a, b_op: commutator(commutator(t.DF, a), b_op))
+
+
+def _generator_pair_norm(t: FiniteTriple, gap) -> float:
+    """Largest |gap(a, b^o)| over the table of ordered generator pairs (a, b),
+    b^o = JF b^dagger JF^-1."""
+    gens = np.array(t.algebra_gens)
+    return table_norm(lambda a, b: gap(gens[a], t.JF.sandwich(adjoint(gens[b]))),
+                      (len(gens),) * 2, t.dimF)
 
 
 def constraint_check_O(o, j: AntilinearOp, gamma, eps: int, eps_prime: int) -> dict:
@@ -203,7 +205,7 @@ def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> Produ
     gp = kron(manifold.Gamma, finite.GammaF)
     kp = kron(manifold.K, eye_f)
 
-    grading = residual_norm(dp @ gp + kp @ gp @ kp @ dp, np.zeros_like(dp))
+    grading = twisted_grading_residual(dp, gp, kp)
     if grading > 1e-11:
         raise ConstraintViolationError(
             f"twisted grading anticommutation failed ({grading:.3e})"
@@ -231,6 +233,11 @@ def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> Produ
         Kp=kp,
         sign_row=(eps0p, eps1p, eps2p, eps3p),
     )
+
+
+def twisted_grading_residual(dp, gp, kp) -> float:
+    """|Dp Gp + (Kp Gp Kp) Dp|: the product's twisted grading relation."""
+    return residual_norm(dp @ gp + kp @ gp @ kp @ dp)
 
 
 def derivation_split_check(pt: ProductTripleData, a1, a2, tol: float = BUILD_TOL) -> Residual:
@@ -362,7 +369,8 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
 
     Every candidate is Hermitian, unitary, squares to one and conjugates
     each Euclidean gamma to a sign; the induced metric diagonal is read
-    from the squares of gamma_K^a = K hat_gamma^a and the emergent real
+    from the squares of gamma_K^a = K hat_gamma^a (one stack of four per
+    candidate, its scalar residuals normed together) and the emergent real
     structure is K Jhat.  Rows whose emergent grading sign is +1 cannot
     reach the KO-6 table and carry an exclusion reason.  ``ops`` are the
     structural operators of rep4 (K = 1 there); Jhat and Gamma are read.
@@ -371,22 +379,19 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
         raise ValueError("signature emergence expects the Euclidean 4D representation")
     jhat = ops.Jhat
     gamma_hat_full = ops.Gamma
+    eye, hats = np.eye(rep4.dim), np.array(rep4.hat_gammas)
     rows = []
     for r in range(5):
         for subset in itertools.combinations(range(4), r):
             k_cand = phase_normalize(gamma_product(rep4, subset, euclidean=True))
             eps = antilinear_sign(k_cand, jhat)
             eps_prime = measure_sign(k_cand, gamma_hat_full)
-            taus = []
-            diag_resid = 0.0
-            for a in range(4):
-                gk = k_cand @ rep4.hat_gammas[a]
-                sq = gk @ gk
-                tau = sign_of_pair(sq, np.eye(rep4.dim))
-                diag_resid = max(diag_resid, residual_norm(sq, tau * np.eye(rep4.dim)))
-                taus.append(tau)
+            gk = k_cand @ hats
+            squares = gk @ gk
+            taus = [sign_of_pair(sq, eye) for sq in squares]
+            diag_resid = float(np.max(op_norms(squares - np.array(taus)[:, None, None] * eye)))
             j_em = AntilinearOp(k_cand @ jhat.mat)
-            eps0_em = sign_of_pair(j_em.square(), np.eye(rep4.dim))
+            eps0_em = sign_of_pair(j_em.square(), eye)
             eps2_em = antilinear_sign(gamma_hat_full, j_em)
             plus = sum(1 for t in taus if t > 0)
             if eps_prime == +1:

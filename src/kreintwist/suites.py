@@ -15,7 +15,7 @@ residual values.  Check failures never raise; they become failed records
 from __future__ import annotations
 
 import time
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import krein as kr
 from . import morphism as mo
 from . import product as pr
 from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_residual, op_norms, residual_norm
-from .report import CheckRecord, ConfigError, Report, SuiteConfig
+from .report import CHECKED_FAMILIES, CheckRecord, ConfigError, Report, SuiteConfig
 
 __all__ = ["run", "SUITE_BUILDERS", "SignatureContext"]
 
@@ -136,9 +136,9 @@ class SignatureContext:
     def sign_table(self) -> cl.SignTable:
         return cl.sign_table(self.rep, self.ops, self.dirac[0])
 
-    @cached_property
+    @property
     def finite(self) -> pr.FiniteTriple:
-        return pr.build_finite_triple_ko6(1.0 + 2.0j)
+        return _finite_ko6()
 
     @cached_property
     def product(self) -> pr.ProductTripleData:
@@ -152,6 +152,10 @@ class SignatureContext:
     @cached_property
     def morphism_spins(self) -> list:
         return kr.sample_spin_plus(self.rep, 20, seed=self.seed + 53 * self.index + 9)
+
+
+# the finite KO-6 triple depends on neither signature nor seed: built on first use, then shared
+_finite_ko6 = cache(partial(pr.build_finite_triple_ko6, 1.0 + 2.0j))
 
 
 class _Contexts(dict):
@@ -359,8 +363,7 @@ CLIFFORD = (
     Check("gamma_unitarity", "Sec2:CliffordRelation", "build",
           lambda c: c.rep.relation_residuals[1]),
     Check("gamma_dagger_sign", "Sec2:rho(e_a)=g_a.e_a", "build",
-          lambda c: max(residual_norm(adjoint(g), c.rep.signs[a] * g)
-                        for a, g in enumerate(c.rep.gammas))),
+          lambda c: c.rep.gamma_table_norm(lambda g, s: adjoint(g) - s * g)),
     Check("twist_parity", "Sec3:rho(c(v))=c(rv)", "build", twist_parity, stream=1),
     Check("k_hermitian_involution", "Sec1:K=exp(i.theta).K-dagger", "build",
           lambda c: max(*cl.involution_residuals(c.ops.K), *cl.involution_residuals(c.ops.Gamma))),
@@ -373,8 +376,8 @@ CLIFFORD = (
     Check("automorphism_commutation", "Sec2:rho-chi-kappa-commute", "build",
           lambda c: c.structural["automorphism_commutation"].value),
     Check("rho_involution", "Sec2:rho-involution", "build",
-          lambda c: max(residual_norm(c.ops.K @ (c.ops.K @ g @ c.ops.K) @ c.ops.K, g)
-                        for g in c.rep.gammas)),
+          lambda c: c.rep.gamma_table_norm(
+              lambda g, s: c.ops.K @ (c.ops.K @ g @ c.ops.K) @ c.ops.K - g)),
     Check("trace_metric", "EqMetTrace", "build", trace_metric, stream=2),
     Check("sign_cross_relations", "Sec3:eps-relations", "build", _sign_cross_relations),
     Check("ko6_pseudo_row", "Sec4:KO6-signs", "build",
@@ -399,12 +402,10 @@ def _k_adjoint_involution(c: SignatureContext, rng: np.random.Generator) -> floa
 
 
 def _first_order_scalars(c: SignatureContext) -> float:
-    t = c.triple
-    return _worst(
-        kr.twisted_first_order_residual(t.D, a, b, t.J, t.K).value
-        for a in t.algebra_gens
-        for b in t.algebra_gens
-    )
+    t, n = c.triple, len(c.triple.algebra_gens)
+    gens = np.array(t.algebra_gens)
+    return kr.twisted_first_order_residual(
+        t.D, np.repeat(gens, n, axis=0), np.tile(gens, (n, 1, 1)), t.J, t.K).value
 
 
 def _gauge_selfadjointness(c: SignatureContext) -> float:
@@ -478,7 +479,7 @@ def _selfadjoint_equivalence(c: SignatureContext) -> float:
 def _euclidean_collapse(c: SignatureContext) -> float:
     s = c.rep.signs
     k_is_one = residual_norm(c.ops.K, np.eye(c.rep.dim))
-    return _worst((abs(a * b - 1.0) for a in s for b in s), k_is_one)
+    return max(k_is_one, float(np.max(np.abs(np.outer(s, s) - 1.0))))
 
 
 def _twisted_grading(c: SignatureContext) -> float:
@@ -658,7 +659,7 @@ def _dirac_decomposition(metric, ctx: SignatureContext, spinor, pts, constant_si
 def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "geometry")
     h = cfg.fd_step
-    for fi, name in enumerate(("exp2d", "conformal2d", "lorentz2d", "lorentz4d")):
+    for fi, name in enumerate(CHECKED_FAMILIES):
         metric = geo.metric_family(name, cfg.metric_params if name == cfg.metric_family else None)
         family = _FamilyContext(metric, _family_points(metric, 5, _rng(cfg, 3, fi), h), h)
         _add_rows(r, FAMILY, family, f"{name}.")
@@ -675,12 +676,6 @@ def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
 
 
 # ---- product: the (1,3) context's product with the finite KO-6 triple
-
-def _twisted_grading_product(c: SignatureContext) -> float:
-    pt = c.product
-    grading = pt.Dp @ pt.Gammap + pt.Kp @ pt.Gammap @ pt.Kp @ pt.Dp
-    return residual_norm(grading, np.zeros_like(pt.Dp))
-
 
 def _kp_rewrite(c: SignatureContext) -> float:
     pt, t, ft = c.product, c.triple, c.finite
@@ -711,9 +706,8 @@ def _product_first_order(c: SignatureContext) -> float:
     pairs = [(kron(eye_m, a2), kron(eye_m, b2)) for a2 in gens for b2 in gens]
     # scalar manifold factors against finite generators
     pairs += [(kron(lam * eye_m, a2), kron(eye_m, a2)) for lam in (1.0, 0.3 + 0.4j) for a2 in gens]
-    return _worst(
-        kr.twisted_first_order_residual(pt.Dp, a, b, pt.Jp, pt.Kp).value for a, b in pairs
-    )
+    a, b = (np.array(side) for side in zip(*pairs))
+    return kr.twisted_first_order_residual(pt.Dp, a, b, pt.Jp, pt.Kp).value
 
 
 def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -739,7 +733,8 @@ def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> fl
 PRODUCT = (
     Check("finite_ko6_invariants", "Sec4:finite-KO6", "build",
           lambda c: max(pr.finite_ko6_residuals(c.finite).values())),
-    Check("twisted_grading_product", "EqDirTot", "chain", _twisted_grading_product),
+    Check("twisted_grading_product", "EqDirTot", "chain",
+          lambda c: pr.twisted_grading_residual(c.product.Dp, c.product.Gammap, c.product.Kp)),
     Check("kp_rewrite", "EqDirTot", "build", _kp_rewrite),
     Check("o_constraint_k", "Sec4:O-constraints", "build", lambda c: _o_constraint(c, c.ops.K)),
     # the control candidate must violate at least one constraint by O(1)

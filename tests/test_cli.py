@@ -170,6 +170,7 @@ def test_repeated_signature_in_config_file_is_a_config_error(tmp_path, capsys):
     ["--param", "typo=1"],
     ["--metric", "exp2d", "--param", "amp=0.2"],
     ["--metric", "flat4d", "--param", "amp=0.2"],
+    ["--metric", "flat2d"],  # a family the geometry suite does not check
     ["--param", "amp=nan"],
     ["--param", "amp=inf"],
     ["--tol", "build=nan"],
@@ -191,6 +192,7 @@ def test_values_a_family_reads_are_accepted():
 
 @pytest.mark.parametrize("line", [
     "seed = -3", "param.typo = 1", "param.amp = nan", "tol.build = 0", "tol.fd = -1e-5",
+    "metric = flat2d",
 ])
 def test_bad_values_in_config_file_are_config_errors(tmp_path, line, capsys):
     cfg_file = tmp_path / "run.cfg"

@@ -80,6 +80,19 @@ def test_singular_metric_rejected():
         christoffel(bad_r, False, np.array([0.0, 0.0]), H)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda m, x: christoffel(m, False, x, H),
+    lambda m, x: christoffel_relation_check(m, x, H),
+    lambda m, x: metric_compatibility_residual(m, True, x, H),
+    lambda m, x: spin_connection_coeffs(m, x, H),
+], ids=["christoffel", "relation", "compatibility", "spin_connection"])
+def test_non_finite_metric_rejected(kernel):
+    from kreintwist.geometry import SingularMetricError
+
+    with pytest.raises(SingularMetricError, match="not finite"):
+        kernel(metric_family("lorentz4d", {"amp": float("nan")}), np.full(4, 0.1))
+
+
 def test_reflected_christoffel_sign_bookkeeping():
     m = metric_family("lorentz4d")
     x = np.array([0.1, -0.2, 0.3, 0.15])
