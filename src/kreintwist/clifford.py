@@ -177,14 +177,16 @@ class CliffordRep:
     @cached_property
     def relation_residuals(self) -> tuple[float, float]:
         """(max |{g_a, g_b} - 2 g_a delta_ab 1|, max |g_a g_a^dagger - 1|), the
-        first over the table of ordered pairs (a, b)."""
+        first over the pairs a <= b: the (b, a) anticommutator is the same sum."""
         eye, gam, s = np.eye(self.dim), self.gamma_stack, self.signs[:, None, None]
+        pa, pb = np.triu_indices(self.n_gen)
 
-        def anticommutators(a, b):
+        def anticommutators(i):
+            a, b = pa[i], pb[i]
             target = np.where((a == b)[:, None, None], 2.0 * s[a] * eye, 0.0)
             return gam[a] @ gam[b] + gam[b] @ gam[a] - target
 
-        return (table_norm(anticommutators, (self.n_gen,) * 2, self.dim),
+        return (table_norm(anticommutators, pa.shape, self.dim),
                 self.gamma_table_norm(lambda g, s: g @ adjoint(g) - eye))
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import CliffordRep, metric_pairing, represent
+from .clifford import CliffordRep, metric_pairing, metric_pairings, represent_stack
 from .linalg import (
     AntilinearOp,
     Residual,
@@ -23,6 +23,7 @@ from .linalg import (
     adjoint,
     as_cmat,
     as_cstack,
+    chunk_sizes,
     op_norms,
     residual_norm,
 )
@@ -121,31 +122,59 @@ class SpinElement:
     matrix: np.ndarray
 
 
+# candidates per rng.normal call of the spin sampler's walk
+_WALK_ROWS = 64
+
+
+def _accept(candidates, want_negative: Optional[bool] = None, attempts: int = 100) -> tuple:
+    """The first admissible (v, g(v,v)) of at most ``attempts`` (v, g(v,v), |v|^2) candidates.
+
+    Besides the hard |g(v,v)| < 1e-8 degeneracy bound, draws are rejected
+    when |v|^2 > 3 |g(v,v)| so normalized boost factors stay mild and
+    residuals of six-factor products remain far below 1e-11.
+    """
+    for _, (v, q, vv) in zip(range(attempts), candidates):
+        if abs(q) < 1e-8:
+            continue
+        if want_negative is not None and (q < 0) != want_negative:
+            continue
+        if vv > 3.0 * abs(q):
+            continue
+        return v, q
+    raise RandomDegenerateError(
+        "no admissible unit vector found in 100 attempts"
+    )
+
+
 def _draw_unit_vector(
     rep: CliffordRep,
     rng: np.random.Generator,
     want_negative: Optional[bool] = None,
     attempts: int = 100,
 ) -> tuple[np.ndarray, int]:
-    """Draw v with g(v,v) = +-1 after scaling, rejecting degenerate draws.
+    """Draw v with g(v,v) = +-1 after scaling, one candidate per rng.normal call."""
 
-    Besides the hard |g(v,v)| < 1e-8 degeneracy bound, draws are rejected
-    when |v|^2 > 3 |g(v,v)| so normalized boost factors stay mild and
-    residuals of six-factor products remain far below 1e-11.
+    def candidates():
+        while True:
+            v = rng.normal(size=rep.n_gen)
+            yield v, float(np.real(metric_pairing(rep, v, v))), float(v @ v)
+
+    v, q = _accept(candidates(), want_negative, attempts)
+    return v / np.sqrt(abs(q)), (1 if q > 0 else -1)
+
+
+def _candidate_walk(rep: CliffordRep, rng: np.random.Generator):
+    """(v, g(v,v), |v|^2) for the candidates of ``rng`` in stream order.
+
+    Each block of ``_WALK_ROWS`` candidates is one rng.normal call; the
+    stream is sequential, so its rows are the vectors that successive
+    ``rng.normal(size=n_gen)`` calls would draw, and the block norms equal
+    the per-row ``metric_pairing`` and ``v @ v`` bit for bit.
     """
-    for _ in range(attempts):
-        v = rng.normal(size=rep.n_gen)
-        q = float(np.real(metric_pairing(rep, v, v)))
-        if abs(q) < 1e-8:
-            continue
-        if want_negative is not None and (q < 0) != want_negative:
-            continue
-        if float(v @ v) > 3.0 * abs(q):
-            continue
-        return v / np.sqrt(abs(q)), (1 if q > 0 else -1)
-    raise RandomDegenerateError(
-        "no admissible unit vector found in 100 attempts"
-    )
+    while True:
+        block = rng.normal(size=(_WALK_ROWS, rep.n_gen))
+        q = np.real(metric_pairings(rep, block, block))
+        yield from zip(block, q.tolist(), np.vecdot(block, block).tolist())
 
 
 def sample_spin_plus(
@@ -159,33 +188,42 @@ def sample_spin_plus(
     Each element is a product of 2k unit vectors (k cycling through
     1..max_pairs) with an even number of negative-norm factors, so that
     x^-1 = K x^dagger K holds.
+
+    The factors are chosen by one walk over the candidate stream, then
+    represented and multiplied as stacks: the elements, longest product
+    first, form chunks (``chunk_sizes``), and step t multiplies the chain of
+    every element with more than t factors by its t-th factor, from the
+    identity, left to right, as a per-element ``mat = mat @ represent(rep, v)``
+    loop would.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    has_negative = rep.sig.q > 0
-    out = []
-    for j in range(count):
-        k = (j % max_pairs) + 1
-        factors = []
-        norms = []
-        for _ in range(2 * k):
-            v, s = _draw_unit_vector(rep, rng)
-            factors.append(v)
-            norms.append(s)
-        if sum(1 for s in norms if s < 0) % 2 == 1:
+    walk = _candidate_walk(rep, np.random.default_rng(seed))
+    lengths = np.array([2 * ((j % max_pairs) + 1) for j in range(count)])
+    chosen = []
+    for length in lengths:
+        drawn = [_accept(walk) for _ in range(length)]
+        if sum(1 for _, q in drawn if q < 0) % 2 == 1:
             # redraw the last factor with the parity-fixing norm sign
-            want_neg = norms[-1] > 0
-            if want_neg and not has_negative:
+            want_neg = drawn[-1][1] > 0
+            if want_neg and rep.sig.q == 0:
                 raise RandomDegenerateError("cannot fix norm parity in this signature")
-            v, s = _draw_unit_vector(rep, rng, want_negative=want_neg)
-            factors[-1] = v
-            norms[-1] = s
-        mat = np.eye(rep.dim, dtype=np.complex128)
-        for v in factors:
-            mat = mat @ represent(rep, v)
-        out.append(SpinElement(factors=tuple(factors), matrix=mat))
-    return out
+            drawn[-1] = _accept(walk, want_negative=want_neg)
+        chosen += drawn
+    vs, qs = zip(*chosen)
+    units = np.array(vs) / np.sqrt(np.abs(qs))[:, None]
+    starts = np.cumsum(lengths) - lengths
+
+    order = np.argsort(-lengths, kind="stable")
+    mats = np.empty((count, rep.dim, rep.dim), dtype=np.complex128)
+    for chunk in np.split(order, np.cumsum(chunk_sizes(count, rep.dim))[:-1]):
+        chain = np.tile(np.eye(rep.dim, dtype=np.complex128), (len(chunk), 1, 1))
+        for t in range(lengths[chunk[0]]):
+            live = chunk[lengths[chunk] > t]  # a prefix: the chunk is sorted by length
+            chain[: len(live)] = chain[: len(live)] @ represent_stack(rep, units[starts[live] + t])
+        mats[chunk] = chain
+    return [SpinElement(factors=tuple(units[start : start + length]), matrix=mats[j])
+            for j, (start, length) in enumerate(zip(starts, lengths))]
 
 
 def twisted_commutator(d, a, K) -> np.ndarray:

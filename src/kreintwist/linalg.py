@@ -159,12 +159,14 @@ def op_norms(a) -> np.ndarray:
     """Largest singular value of each square matrix of a stack (..., n, n).
 
     One batched SVD; each matrix goes through the same LAPACK routine as a
-    single ``op_norm`` call, so the values agree bit for bit.
+    single ``op_norm`` call, so the values agree bit for bit.  A stack with
+    no nonzero entry (empty ones included) skips the SVD: its norms are the
+    SVD's exact +0.0.  NaN and inf entries count as nonzero and reach the SVD.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
-    if m.shape[-1] == 0:
+    if not m.any():
         return np.zeros(m.shape[:-2])
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 

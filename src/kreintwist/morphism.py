@@ -33,6 +33,7 @@ from .linalg import (
     adjoint,
     as_cmat,
     as_cstack,
+    chunk_sizes,
     commutator,
     gaussian_stacks,
     max_residual,
@@ -209,14 +210,17 @@ def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> 
 
 def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps, tol: float = 1e-11) -> Residual:
     """gt^a gt^b + s_ab gt^b gt^a = 2 delta^ab with s_ab = g_a g_b, gt = K gamma,
-    as one table over the ordered pairs (a, b)."""
+    as one table over the pairs a <= b: the (b, a) entry is the same sum when
+    s_ab = 1 and its exact negative, of the same norm, when s_ab = -1."""
     eye, gt, s = np.eye(rep.dim), ops.K @ rep.gamma_stack, rep.signs[:, None, None]
+    pa, pb = np.triu_indices(rep.n_gen)
 
-    def relations(a, b):
+    def relations(i):
+        a, b = pa[i], pb[i]
         target = np.where((a == b)[:, None, None], 2.0 * eye, 0.0)
         return gt[a] @ gt[b] + s[a] * s[b] * gt[b] @ gt[a] - target
 
-    return Residual(table_norm(relations, (rep.n_gen,) * 2, rep.dim), tol)
+    return Residual(table_norm(relations, pa.shape, rep.dim), tol)
 
 
 def trace_metric_morph_check(
@@ -261,7 +265,8 @@ def symbol_norm_probe(rep: CliffordRep, ops: StructuralOps, k) -> dict:
 def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
     """``symbol_norm_probe`` for every row of a (k, n_gen) stack, as arrays."""
     ks = np.asarray(ks, dtype=float)
-    norm = op_norms(ops.K @ represent_stack(rep, ks))
+    chunks = np.split(ks, np.cumsum(chunk_sizes(len(ks), rep.dim))[:-1])
+    norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, k)) for k in chunks])
     g_r = np.real(metric_pairings(rep, ks, rep.signs * ks))
     g_r_norm = np.sqrt(np.maximum(g_r, 0.0))
     plus_weight = np.sum(np.abs(ks[:, rep.signs > 0]) ** 2, axis=1)

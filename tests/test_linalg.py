@@ -13,6 +13,7 @@ from kreintwist.linalg import (
     as_cmat,
     kron,
     op_norm,
+    op_norms,
     residual_norm,
     sign_of_pair,
 )
@@ -76,6 +77,39 @@ def test_op_norm_examples():
 def test_op_norm_rejects_nonsquare():
     with pytest.raises(ShapeError):
         op_norm(np.ones((2, 3)))
+
+
+def _svd_norms(m):
+    return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 3, 1, 1), (0, 5, 5)])
+@pytest.mark.parametrize("zero", [0.0, complex(-0.0, -0.0)])
+def test_op_norms_of_zero_stacks_are_the_svd_zeros(shape, zero):
+    m = np.full(shape, zero, dtype=np.complex128)
+    got, want = op_norms(m), _svd_norms(m)
+    assert np.shape(got) == np.shape(want) == shape[:-2]
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_op_norms_send_a_lone_nonfinite_entry_to_the_svd(bad):
+    # the SVD raises on NaN and returns NaN on inf; neither may read as a zero norm
+    m = np.zeros((3, 4, 4), dtype=np.complex128)
+    m[1, 2, 0] = bad
+    if np.isnan(bad):
+        with pytest.raises(np.linalg.LinAlgError):
+            op_norms(m)
+        return
+    got = op_norms(m)
+    assert got[0] == got[2] == 0.0 and np.isnan(got[1])
+    assert got.tobytes() == _svd_norms(m).tobytes()
+
+
+def test_op_norms_of_empty_matrices():
+    assert op_norms(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert op_norm(np.zeros((0, 0))) == 0.0
 
 
 @settings(max_examples=50, deadline=None)
