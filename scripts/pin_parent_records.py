@@ -3,14 +3,11 @@
 Writes ``tests/data/parent_records_all.json``: for each pinned seed, either
 the exception type that aborted the run or every record's check id, anchor,
 tolerance, pass flag and residual (non-finite residuals as strings).  The
-suite-table tests require the current code to reproduce it exactly.  The
-committed fixture was written by the hand-written suites, before they
-became tables; rewrite it only with a change that is meant to alter the
-records.
-
-``tests/data/parent_records.json`` (clifford, krein and morphism, compared
-by the batched-engine tests) was written the same way by the per-sample
-checks, before they were batched, and is kept as written.
+suite-table tests require the current code to reproduce it exactly.  Its
+records outside the spin-dependent checks were first written by the
+hand-written suites, before they became tables.  Rewrite it only with a
+change that is meant to alter the records, and compare the old and the new
+fixture record by record.
 
 Run from the repository root:
 

@@ -115,12 +115,20 @@ def gaussian_stacks(rng: np.random.Generator, count: int, dim: int, shapes, comp
         yield stacks
 
 
-def max_residual(stacks, residuals) -> float:
-    """Largest value of ``residuals(*operands)`` over an iterable of stacks."""
-    worst = 0.0
-    for operands in stacks:
-        worst = max(worst, float(np.max(residuals(*operands))))
+def _worst(values, start: float = 0.0) -> float:
+    """Running maximum of ``values`` from ``start``; NaN once a value is NaN,
+    so that a NaN residual fails its check (``nan <= tol`` is false)."""
+    worst = start
+    for value in values:
+        if np.isnan(value):
+            return float("nan")
+        worst = max(worst, value)
     return worst
+
+
+def max_residual(stacks, residuals) -> float:
+    """Largest value of ``residuals(*operands)`` over an iterable of stacks (NaN if any is NaN)."""
+    return _worst(float(np.max(residuals(*operands))) for operands in stacks)
 
 
 def table_norm(entries, shape: tuple, dim: int) -> float:

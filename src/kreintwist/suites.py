@@ -15,7 +15,7 @@ residual values.  Check failures never raise; they become failed records
 from __future__ import annotations
 
 import time
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from . import krein as kr
 from . import morphism as mo
 from . import product as pr
 from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_residual, op_norms, residual_norm
+from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, ConfigError, Report, SuiteConfig
 
 __all__ = ["run", "SUITE_BUILDERS", "SignatureContext"]
@@ -82,11 +83,6 @@ def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, *key])
 
 
-def _worst(values, start: float = 0.0) -> float:
-    """Running maximum of ``values`` from ``start``."""
-    return reduce(max, values, start)
-
-
 def _flag(ok) -> float:
     """Residual of a yes/no check: 0 when it holds, 1 otherwise."""
     return 0.0 if ok else 1.0
@@ -97,11 +93,10 @@ class SignatureContext:
     suite that reads the signature.
 
     Gammas and structural operators are built on construction, the rest on
-    first use and kept once built.  A construction error in a read outside
-    the checks (a suite's set-up) aborts the run; in a read inside a check
-    it becomes that check's failed record, and the next reader tries again.
+    first use, inside a check, and kept once built; a construction error
+    becomes that check's failed record, and the next reader tries again.
     ``seed`` and ``index`` (the position in the configured signatures) key
-    the random streams and spin samples; a signature read only by the
+    the random streams, spin samples included; a signature read only by the
     geometry, product or emergence suite may have no index.
     """
 
@@ -147,11 +142,11 @@ class SignatureContext:
 
     @cached_property
     def krein_spins(self) -> list:
-        return kr.sample_spin_plus(self.rep, 20, seed=self.seed + 37 * self.index + 5)
+        return kr.sample_spin_plus(self.rep, 20, self.rng(1, 0))
 
     @cached_property
     def morphism_spins(self) -> list:
-        return kr.sample_spin_plus(self.rep, 20, seed=self.seed + 53 * self.index + 9)
+        return kr.sample_spin_plus(self.rep, 20, self.rng(2, 0))
 
 
 # the finite KO-6 triple depends on neither signature nor seed: built on first use, then shared
@@ -345,8 +340,7 @@ def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> f
     probes = mo.symbol_norm_probes(rep, ctx.ops, np.concatenate(ks))
     counted = probes["pure_block"]
     counted[: rep.n_gen] = True  # basis vectors count whatever their block
-    gaps = np.abs(probes["norm"] - probes["gR_norm"])[counted]
-    return max(0.0, float(np.max(gaps)))
+    return _worst(np.abs(probes["norm"] - probes["gR_norm"])[counted])
 
 
 # ---- clifford, krein, morphism: one table each over the signature contexts
@@ -417,12 +411,9 @@ def _gauge_selfadjointness(c: SignatureContext) -> float:
 def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
     """Gauge orbits against the one-form formula on the product triple."""
     pt, eye_m = c.product, np.eye(c.rep.dim)
-    worst = 0.0
-    for _ in range(5):
-        th1, th2, lam = rng.uniform(0, 2 * np.pi, size=3)
-        u_f = pr.finite_algebra_unitary(pt.finite, th1, th2)
-        worst = max(worst, pr.gauge_vs_form_residual(pt, np.exp(1j * lam) * eye_m, u_f))
-    return worst
+    unitaries = ((np.exp(1j * lam) * eye_m, pr.finite_algebra_unitary(pt.finite, th1, th2))
+                 for th1, th2, lam in rng.uniform(0, 2 * np.pi, size=(5, 3)))
+    return _worst(pr.gauge_vs_form_residual(pt, u_m, u_f) for u_m, u_f in unitaries)
 
 
 def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -434,14 +425,14 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
     ft = c.finite
     eye_f = np.eye(ft.dimF)
     space_f = kr.KreinSpace(ft.dimF, eye_f)
-    worst = 0.0
-    for _ in range(5):
-        th1, th2 = rng.uniform(0, 2 * np.pi, size=2)
-        u = pr.finite_algebra_unitary(ft, th1, th2)
+
+    def residual(u):
         gauge = kr.gauge_transform(ft.DF, u, ft.JF, space_f)
         a_form = u @ kr.twisted_commutator(ft.DF, adjoint(u), eye_f)
-        worst = max(worst, residual_norm(gauge, kr.fluctuate(ft.DF, a_form, ft.JF, +1)))
-    return worst
+        return residual_norm(gauge, kr.fluctuate(ft.DF, a_form, ft.JF, +1))
+
+    return _worst(residual(pr.finite_algebra_unitary(ft, th1, th2))
+                  for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2)))
 
 
 KREIN = (
@@ -514,21 +505,16 @@ MORPHISM = (
           stream=4),
 )
 
-# suite: (random-stream key, table, what the suite reads before a signature's first check)
-SIGNATURE_SUITES = {
-    "clifford": (0, CLIFFORD, lambda c: c.structural),
-    "krein": (1, KREIN, lambda c: (c.pair, c.krein_spins)),
-    "morphism": (2, MORPHISM, lambda c: (c.pair, c.morphism_spins)),
-}
+# suite: (random-stream key, table)
+SIGNATURE_SUITES = {"clifford": (0, CLIFFORD), "krein": (1, KREIN), "morphism": (2, MORPHISM)}
 
 
 def _run_signature_suite(suite: str, cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     """Every row of the suite's table on every configured signature, in order."""
-    key, table, setup = SIGNATURE_SUITES[suite]
+    key, table = SIGNATURE_SUITES[suite]
     r = _Runner(cfg, suite)
     for p, q in cfg.signatures:
         ctx = contexts[(p, q)]
-        setup(ctx)
         _add_rows(r, table, ctx, f"p{p}q{q}.", partial(ctx.rng, key))
     return r.records
 
@@ -711,13 +697,10 @@ def _product_first_order(c: SignatureContext) -> float:
 
 
 def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float:
-    spins = kr.sample_spin_plus(c.rep, 5, seed=c.seed + 91)
-    d = c.finite.dimF
-    worst = 0.0
-    for s in spins:
-        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        worst = max(worst, pr.product_fluctuation_check(c.product, s.matrix, u).value)
-    return worst
+    spins = kr.sample_spin_plus(c.rep, 5, rng)
+    z = rng.normal(size=(5, 2, c.finite.dimF, c.finite.dimF))  # real, imaginary part of each draw
+    us, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    return _worst(pr.product_fluctuation_check(c.product, s.matrix, u).value for s, u in zip(spins, us))
 
 
 def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -756,9 +739,7 @@ PRODUCT = (
 
 def run_product(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "product")
-    ctx = contexts[(1, 3)]
-    ctx.product, ctx.sign_table  # built before the first check: an error aborts the run
-    _add_rows(r, PRODUCT, ctx, streams=partial(_rng, cfg, 4))
+    _add_rows(r, PRODUCT, contexts[(1, 3)], streams=partial(_rng, cfg, 4))
     return r.records
 
 

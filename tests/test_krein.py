@@ -168,8 +168,7 @@ def test_spin_even_negative_norm_count(rep13):
 
 
 def test_spin_sampler_degenerate_request(reps):
-    # asking for a negative-norm vector in a positive-definite signature
-    # exhausts the resampling budget and raises
+    # a positive-definite signature has no negative-norm vector to build
     from kreintwist.krein import RandomDegenerateError, _draw_unit_vector
 
     rep, _ = reps[(2, 0)]

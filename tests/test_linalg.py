@@ -12,10 +12,12 @@ from kreintwist.linalg import (
     antilinear_conjugate,
     as_cmat,
     kron,
+    max_residual,
     op_norm,
     op_norms,
     residual_norm,
     sign_of_pair,
+    table_norm,
 )
 
 from conftest import SIGMA1, SIGMA2, SIGMA3
@@ -175,3 +177,15 @@ def test_sign_of_pair():
     assert sign_of_pair(SIGMA1 @ SIGMA3, SIGMA3 @ SIGMA1) == -1
     with pytest.raises(NotASignError):
         sign_of_pair(SIGMA1, SIGMA1 + SIGMA3)
+
+
+def test_max_residual_keeps_nan():
+    assert np.isnan(max_residual([(np.array([1.0, np.nan]),)], lambda r: r))
+    assert np.isnan(max_residual([(np.array([np.nan]),), (np.array([1.0]),)], lambda r: r))
+    assert max_residual([(np.array([1.0, 2.0]),), (np.array([0.5]),)], lambda r: r) == 2.0
+
+
+def test_table_norm_of_an_inf_entry_is_nan():
+    stack = np.array([np.eye(2), np.eye(2), np.eye(2)], dtype=np.complex128)
+    stack[1, 0, 0] = np.inf
+    assert np.isnan(table_norm(lambda i: stack[i], (3,), 2))

@@ -1,18 +1,21 @@
-"""The suite tables against the records of the hand-written suites.
+"""The suite tables against pinned records.
 
 ``tests/data/parent_records_all.json`` holds every record of all six suites
-at four seeds, pinned before the suites became tables
-(``scripts/pin_parent_records.py``); the tables must reproduce them
-exactly, and a seed that aborted the run must abort it with the same
-exception type.
+at four seeds (``scripts/pin_parent_records.py``).  The records outside the
+spin-dependent checks were pinned from the hand-written suites, before they
+became tables; the tables must reproduce them exactly, and a seed that
+aborted the run must abort it with the same exception type.
 """
 
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from kreintwist import suites as su
+from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
 from kreintwist.suites import run
 
@@ -57,3 +60,17 @@ def test_list_form_signatures_run():
     listed = records([[1, 3], [2, 0]])
     assert listed == records(((1, 3), (2, 0)))
     assert listed[0]["check_id"] == "clifford.p1q3.anticommutator_table"
+
+
+def test_a_nan_residual_fails_its_row(monkeypatch):
+    def one_nan(stack):
+        norms = np.zeros(len(stack))
+        norms[-1] = np.nan
+        return norms
+
+    monkeypatch.setattr(su, "op_norms", one_nan)
+    r = su._Runner(SuiteConfig(seed=0), "krein")
+    row = next(row for row in su.KREIN if row.id == "k_fixed_under_spin")
+    su._add_rows(r, [row], su.SignatureContext(Signature(1, 3), 0, 0))
+    (rec,) = r.records
+    assert math.isnan(rec.residual) and not rec.passed
