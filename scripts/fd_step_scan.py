@@ -70,8 +70,8 @@ def main() -> None:
     for h in args.steps:
         rc = relat_christos_independent(lor, x4, h)
         cf = abs(christoffel(exp2, False, x2, h).values[0, 0, 0] - 1.0)
-        dd, _ = dirac_decomposition_check(lor, rep, ops, psi, x4, h, tol=1.0)
-        print(f"{h:>10.1e} {rc:>14.3e} {cf:>14.3e} {dd.value:>14.3e}")
+        dd, _ = dirac_decomposition_check(lor, rep, ops, psi, x4, h)
+        print(f"{h:>10.1e} {rc:>14.3e} {cf:>14.3e} {dd:>14.3e}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ almost-commutative product triples) together with a check-suite runner that
 turns every algebraic identity into a measured residual.
 """
 
-from .linalg import AntilinearOp, Residual, adjoint, kron, op_norm, residual_norm
+from .linalg import AntilinearOp, adjoint, kron, op_norm, residual_norm
 from .clifford import (
     CliffordRep,
     Signature,
@@ -28,7 +28,6 @@ from .krein import (
     canonical_twisted_triple,
     fluctuate,
     gauge_transform,
-    is_k_unitary,
     k_adjoint,
     k_product,
     sample_spin_plus,
@@ -55,7 +54,6 @@ from .suites import run
 
 __all__ = [
     "AntilinearOp",
-    "Residual",
     "adjoint",
     "kron",
     "op_norm",
@@ -77,7 +75,6 @@ __all__ = [
     "canonical_twisted_triple",
     "fluctuate",
     "gauge_transform",
-    "is_k_unitary",
     "k_adjoint",
     "k_product",
     "sample_spin_plus",

@@ -36,7 +36,6 @@ __all__ = [
     "commutator",
     "anticommutator",
     "AntilinearOp",
-    "Residual",
     "sign_of_pair",
 ]
 
@@ -196,22 +195,6 @@ def anticommutator(a, b) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Residual:
-    """A measured operator-norm deviation against a tolerance."""
-
-    value: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.tolerance
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        tag = "ok" if self.passed else "FAIL"
-        return f"{self.value:.3e} <= {self.tolerance:.1e} [{tag}]"
-
-
-@dataclass(frozen=True)
 class AntilinearOp:
     """Antilinear operator psi -> mat @ conj(psi).
 
@@ -256,11 +239,6 @@ class AntilinearOp:
         """
         m = as_cstack(a)
         return self.mat @ np.conj(m) @ self._mat_inv
-
-
-def antilinear_conjugate(j: AntilinearOp, a) -> np.ndarray:
-    """The linear operator J A J^-1."""
-    return j.sandwich(a)
 
 
 def sign_of_pair(x, y, tol: float = 1e-12) -> int:

@@ -19,6 +19,7 @@ from .clifford import (
     trace_metric_residuals,
 )
 from .krein import (
+    K_UNITARY_TOL,
     KreinSpace,
     NotKUnitaryError,
     TwistedTripleData,
@@ -29,7 +30,6 @@ from .krein import (
 )
 from .linalg import (
     AntilinearOp,
-    Residual,
     adjoint,
     as_cmat,
     as_cstack,
@@ -41,6 +41,7 @@ from .linalg import (
     residual_norm,
     table_norm,
 )
+from .linalg import _worst  # the one NaN-propagating maximum
 
 __all__ = [
     "PseudoTripleData",
@@ -48,9 +49,7 @@ __all__ = [
     "apply_k_morphism",
     "invert_k_morphism",
     "selfadjoint_equivalence_check",
-    "commutator_correspondence_check",
     "commutator_correspondence_residuals",
-    "first_order_correspondence_check",
     "first_order_correspondence_residuals",
     "fluctuation_correspondence_check",
     "fluctuation_correspondence_residuals",
@@ -58,7 +57,6 @@ __all__ = [
     "twisted_clifford_residuals",
     "generalized_clifford_check",
     "trace_metric_morph_check",
-    "symbol_norm_probe",
     "symbol_norm_probes",
 ]
 
@@ -112,21 +110,16 @@ def invert_k_morphism(p: PseudoTripleData) -> TwistedTripleData:
     )
 
 
-def selfadjoint_equivalence_check(pair: MorphismPair, tol: float = 1e-12) -> tuple[Residual, float]:
+def selfadjoint_equivalence_check(pair: MorphismPair) -> float:
     """Self-adjointness of D and K-self-adjointness of D^K agree.
 
-    Returns the max of the two residuals plus the gap between them; the
-    gap vanishes because K is unitary.
+    The largest of the two residuals and the gap between them, which
+    vanishes because K is unitary.
     """
     r1 = residual_norm(pair.twisted.D, adjoint(pair.twisted.D))
     dk = pair.pseudo.Dk
     r2 = residual_norm(dk, k_adjoint(pair.pseudo.space, dk))
-    return Residual(max(r1, r2), tol), abs(r1 - r2)
-
-
-def commutator_correspondence_check(pair: MorphismPair, a, tol: float = 1e-12) -> Residual:
-    """K [D, a]_rho = [D^K, a]."""
-    return Residual(float(commutator_correspondence_residuals(pair, as_cmat(a)[None])[0]), tol)
+    return _worst((r1, r2, abs(r1 - r2)))
 
 
 def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
@@ -136,14 +129,8 @@ def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
     return op_norms(lhs - commutator(pair.pseudo.Dk, a))
 
 
-def first_order_correspondence_check(pair: MorphismPair, a, b, tol: float = 1e-12) -> Residual:
-    """[[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for any a, b."""
-    r = first_order_correspondence_residuals(pair, as_cmat(a)[None], as_cmat(b)[None])
-    return Residual(float(r[0]), tol)
-
-
 def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray:
-    """Gap of the first-order correspondence for paired a, b of two stacks."""
+    """Gap of [[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for paired a, b of two stacks."""
     t = pair.twisted
     K = t.K
     a = as_cstack(a)
@@ -156,13 +143,13 @@ def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray
     return op_norms(lhs - rhs)
 
 
-def fluctuation_correspondence_check(pair: MorphismPair, u_k, tol: float = 1e-10) -> Residual:
+def fluctuation_correspondence_check(pair: MorphismPair, u_k) -> float:
     """U_K D^K U_K^+ = K (V_K D V_K^dagger) with V_K = rho(U_K).
 
     Also folds in the identity rho(U_K) = rho(u_K) J rho(u_K) J^-1, so both
     constructions of the twisted-side conjugator are compared.
     """
-    return Residual(float(fluctuation_correspondence_residuals(pair, as_cmat(u_k)[None])[0]), tol)
+    return float(fluctuation_correspondence_residuals(pair, as_cmat(u_k)[None])[0])
 
 
 def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
@@ -175,7 +162,7 @@ def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
     space = pair.pseudo.space
     u_k = as_cstack(u_k)
     unitarity = k_unitarity_residuals(space, u_k)
-    bad = ~(unitarity <= 1e-9)
+    bad = ~(unitarity <= K_UNITARY_TOL)
     if np.any(bad):
         raise NotKUnitaryError(f"fluctuation element is not K-unitary ({unitarity[bad][0]:.3e})")
     big_u = u_k @ t.J.sandwich(u_k)
@@ -186,16 +173,14 @@ def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
     return np.maximum(op_norms(lhs - rhs), op_norms(v_k - rho_u @ t.J.sandwich(rho_u)))
 
 
-def twisted_clifford_check(
-    rep: CliffordRep, ops: StructuralOps, u, v, tol: float = 1e-11
-) -> Residual:
+def twisted_clifford_check(rep: CliffordRep, ops: StructuralOps, u, v) -> float:
     """rho(ct(u) ct(v)) + ct(v) ct(u) = 2 g(u, rv) with ct = K c.
 
     This is the twisted Clifford relation of the image representation.
     """
     u = np.asarray(u, dtype=np.complex128).ravel()
     v = np.asarray(v, dtype=np.complex128).ravel()
-    return Residual(float(twisted_clifford_residuals(rep, ops, u[None], v[None])[0]), tol)
+    return float(twisted_clifford_residuals(rep, ops, u[None], v[None])[0])
 
 
 def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:
@@ -208,7 +193,7 @@ def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> 
     return op_norms(lhs - g[:, None, None] * np.eye(rep.dim))
 
 
-def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps, tol: float = 1e-11) -> Residual:
+def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps) -> float:
     """gt^a gt^b + s_ab gt^b gt^a = 2 delta^ab with s_ab = g_a g_b, gt = K gamma,
     as one table over the pairs a <= b: the (b, a) entry is the same sum when
     s_ab = 1 and its exact negative, of the same norm, when s_ab = -1."""
@@ -220,16 +205,12 @@ def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps, tol: float 
         target = np.where((a == b)[:, None, None], 2.0 * eye, 0.0)
         return gt[a] @ gt[b] + s[a] * s[b] * gt[b] @ gt[a] - target
 
-    return Residual(table_norm(relations, pa.shape, rep.dim), tol)
+    return table_norm(relations, pa.shape, rep.dim)
 
 
 def trace_metric_morph_check(
-    rep: CliffordRep,
-    ops: StructuralOps,
-    pairs: int = 100,
-    seed: int = 11,
-    tol: float = 1e-11,
-) -> Residual:
+    rep: CliffordRep, ops: StructuralOps, pairs: int = 100, seed: int = 11
+) -> float:
     """Normalized traces reproduce g on the plain side, g(r., .) on the twisted one."""
     n = rep.n_gen
 
@@ -241,29 +222,18 @@ def trace_metric_morph_check(
         return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
 
     stacks = gaussian_stacks(np.random.default_rng(seed), pairs, rep.dim, [(n,), (n,)])
-    return Residual(max_residual(stacks, residuals), tol)
-
-
-def symbol_norm_probe(rep: CliffordRep, ops: StructuralOps, k) -> dict:
-    """Compare |K c(k)| with the reflected-metric length of k.
-
-    Both values are reported; `match` asserts equality only when it is an
-    identity (k supported in a single definiteness block).  For mixed
-    directions the operator c(rk) c(k) is not scalar and the probe records
-    the discrepancy instead of asserting.
-    """
-    k = np.asarray(k, dtype=float).ravel()
-    probes = symbol_norm_probes(rep, ops, k[None])
-    return {
-        "norm": float(probes["norm"][0]),
-        "gR_norm": float(probes["gR_norm"][0]),
-        "match": bool(probes["match"][0]),
-        "pure_block": bool(probes["pure_block"][0]),
-    }
+    return max_residual(stacks, residuals)
 
 
 def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
-    """``symbol_norm_probe`` for every row of a (k, n_gen) stack, as arrays."""
+    """|K c(k)| and the reflected-metric length of k for every row of a
+    (k, n_gen) stack, as arrays keyed norm, gR_norm and pure_block.
+
+    The two agree only where that is an identity (``pure_block``: k
+    supported in a single definiteness block).  For mixed directions the
+    operator c(rk) c(k) is not scalar and the probe records the discrepancy
+    instead of asserting.
+    """
     ks = np.asarray(ks, dtype=float)
     chunks = np.split(ks, np.cumsum(chunk_sizes(len(ks), rep.dim))[:-1])
     norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, k)) for k in chunks])
@@ -274,6 +244,5 @@ def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
     return {
         "norm": norm,
         "gR_norm": g_r_norm,
-        "match": np.abs(norm - g_r_norm) <= 1e-10,
         "pure_block": np.minimum(plus_weight, minus_weight) < 1e-14,
     }

@@ -30,11 +30,17 @@ from .clifford import (
     phase_normalize,
     gamma_product,
 )
-from .krein import KreinSpace, TwistedTripleData, k_adjoint, twisted_commutator
+from .krein import (
+    K_UNITARY_TOL,
+    KreinSpace,
+    TwistedTripleData,
+    k_adjoint,
+    k_unitarity_residuals,
+    twisted_commutator,
+)
 from .linalg import (
     AntilinearOp,
     NotASignError,
-    Residual,
     adjoint,
     as_cmat,
     commutator,
@@ -44,6 +50,7 @@ from .linalg import (
     sign_of_pair,
     table_norm,
 )
+from .linalg import _worst  # the one NaN-propagating maximum
 
 __all__ = [
     "ConstraintViolationError",
@@ -118,14 +125,14 @@ def build_finite_triple_ko6(mass: complex) -> FiniteTriple:
 
 
 def finite_ko6_residuals(t: FiniteTriple) -> dict:
-    """Residual of every KO-6 invariant of a finite triple, by name."""
+    """The residual of every KO-6 invariant of a finite triple, by name."""
     eye = np.eye(t.dimF)
     return {
         "DF self-adjoint": residual_norm(t.DF, adjoint(t.DF)),
-        "GammaF involution": max(
+        "GammaF involution": _worst((
             residual_norm(t.GammaF @ t.GammaF, eye),
             residual_norm(t.GammaF, adjoint(t.GammaF)),
-        ),
+        )),
         "JF^2 = +1": residual_norm(t.JF.square(), eye),
         "JF DF = DF JF": residual_norm(t.JF.mat @ np.conj(t.DF), t.DF @ t.JF.mat),
         "JF GammaF = -GammaF JF": residual_norm(
@@ -137,8 +144,8 @@ def finite_ko6_residuals(t: FiniteTriple) -> dict:
     }
 
 
-def _validate_finite_ko6(t: FiniteTriple, tol: float = BUILD_TOL) -> None:
-    bad = {k: v for k, v in finite_ko6_residuals(t).items() if v > tol}
+def _validate_finite_ko6(t: FiniteTriple) -> None:
+    bad = {k: v for k, v in finite_ko6_residuals(t).items() if v > BUILD_TOL}
     if bad:
         raise ConstraintViolationError(f"finite triple invariants failed: {bad}")
 
@@ -162,13 +169,9 @@ def constraint_check_O(o, j: AntilinearOp, gamma, eps: int, eps_prime: int) -> d
     o = as_cmat(o)
     gamma = as_cmat(gamma)
     return {
-        "selfadjoint": Residual(residual_norm(o, adjoint(o)), BUILD_TOL),
-        "j_relation": Residual(
-            residual_norm(j.mat @ np.conj(o), eps * (o @ j.mat)), BUILD_TOL
-        ),
-        "gamma_relation": Residual(
-            residual_norm(gamma @ o, eps_prime * (o @ gamma)), BUILD_TOL
-        ),
+        "selfadjoint": residual_norm(o, adjoint(o)),
+        "j_relation": residual_norm(j.mat @ np.conj(o), eps * (o @ j.mat)),
+        "gamma_relation": residual_norm(gamma @ o, eps_prime * (o @ gamma)),
     }
 
 
@@ -240,7 +243,7 @@ def twisted_grading_residual(dp, gp, kp) -> float:
     return residual_norm(dp @ gp + kp @ gp @ kp @ dp)
 
 
-def derivation_split_check(pt: ProductTripleData, a1, a2, tol: float = BUILD_TOL) -> Residual:
+def derivation_split_check(pt: ProductTripleData, a1, a2) -> float:
     """[Dp, a1 (x) a2]_rho_p = [D, a1]_rho (x) a2 + K a1 (x) [DF, a2]."""
     a1 = as_cmat(a1)
     a2 = as_cmat(a2)
@@ -249,12 +252,10 @@ def derivation_split_check(pt: ProductTripleData, a1, a2, tol: float = BUILD_TOL
     rhs = kron(twisted_commutator(m.D, a1, m.K), a2) + kron(
         m.K @ a1, commutator(pt.finite.DF, a2)
     )
-    return Residual(residual_norm(lhs, rhs), tol)
+    return residual_norm(lhs, rhs)
 
 
-def product_fluctuation_check(
-    pt: ProductTripleData, u_k, u, tol: float = 1e-10
-) -> Residual:
+def product_fluctuation_check(pt: ProductTripleData, u_k, u) -> float:
     """(U_K (x) U) Dp (U_K^dag (x) U^dag) = Kp (D^K_fluct (x) 1 + 1 (x) DF_fluct).
 
     U_K = u_k J u_k J^-1 and U = u JF u JF^-1.  The Krein-side fluctuation
@@ -269,11 +270,9 @@ def product_fluctuation_check(
     ok, res = _unitary_residual(u)
     if not ok:
         raise ConstraintViolationError(f"finite gauge element not unitary ({res:.3e})")
-    from .krein import is_k_unitary  # local import to avoid cycle noise
-
-    ok, kres = is_k_unitary(space, u_k, 1e-9)
-    if not ok:
-        raise ConstraintViolationError(f"manifold gauge element not K-unitary ({kres.value:.3e})")
+    kres = k_unitarity_residuals(space, u_k[None])[0]
+    if not kres <= K_UNITARY_TOL:
+        raise ConstraintViolationError(f"manifold gauge element not K-unitary ({kres:.3e})")
 
     big_u_k = u_k @ m.J.sandwich(u_k)
     big_u = u @ pt.finite.JF.sandwich(u)
@@ -287,7 +286,7 @@ def product_fluctuation_check(
     dk_fluct = v_k @ dk @ k_adjoint(space, v_k)
     df_fluct = big_u @ pt.finite.DF @ adjoint(big_u)
     rhs = pt.Kp @ (kron(dk_fluct, eye_f) + kron(eye_m, df_fluct))
-    return Residual(residual_norm(lhs, rhs), tol)
+    return residual_norm(lhs, rhs)
 
 
 def _unitary_residual(u: np.ndarray) -> tuple[bool, float]:
@@ -461,7 +460,7 @@ def check_emergence_table(rows: Sequence[EmergenceRow]) -> dict:
     return out
 
 
-def dirac_mass_shape_check(pt: ProductTripleData, seed: int = 23, tol: float = BUILD_TOL) -> Residual:
+def dirac_mass_shape_check(pt: ProductTripleData, seed: int = 23) -> float:
     """Mass block shape of the product Dirac operator.
 
     Checks Dp - D (x) 1 = K (x) DF exactly, and that the finite part of the
@@ -473,6 +472,7 @@ def dirac_mass_shape_check(pt: ProductTripleData, seed: int = 23, tol: float = B
     r = residual_norm(pt.Dp - kron(m.D, eye_f), kron(m.K, pt.finite.DF))
     rng = np.random.default_rng(seed)
     dim_m = m.D.shape[0]
+    gaps = []
     for _ in range(10):
         psi1 = rng.normal(size=dim_m) + 1j * rng.normal(size=dim_m)
         phi1 = rng.normal(size=dim_m) + 1j * rng.normal(size=dim_m)
@@ -484,5 +484,5 @@ def dirac_mass_shape_check(pt: ProductTripleData, seed: int = 23, tol: float = B
         split = complex(np.vdot(psi1, m.K @ phi1)) * complex(
             np.vdot(psi2, pt.finite.DF @ phi2)
         )
-        r = max(r, abs(mass_part - split))
-    return Residual(r, tol)
+        gaps.append(abs(mass_part - split))
+    return _worst(gaps, r)

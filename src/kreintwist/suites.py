@@ -84,7 +84,7 @@ def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
 
 
 def _flag(ok) -> float:
-    """Residual of a yes/no check: 0 when it holds, 1 otherwise."""
+    """The residual of a yes/no check: 0 when it holds, 1 otherwise."""
     return 0.0 if ok else 1.0
 
 
@@ -360,15 +360,16 @@ CLIFFORD = (
           lambda c: c.rep.gamma_table_norm(lambda g, s: adjoint(g) - s * g)),
     Check("twist_parity", "Sec3:rho(c(v))=c(rv)", "build", twist_parity, stream=1),
     Check("k_hermitian_involution", "Sec1:K=exp(i.theta).K-dagger", "build",
-          lambda c: max(*cl.involution_residuals(c.ops.K), *cl.involution_residuals(c.ops.Gamma))),
+          lambda c: _worst((*cl.involution_residuals(c.ops.K),
+                            *cl.involution_residuals(c.ops.Gamma)))),
     Check("charge_conjugation", "Sec2:kappa(v)=-conj(v)", "build",
-          lambda c: c.structural["charge_conjugation"].value),
+          lambda c: c.structural["charge_conjugation"]),
     Check("c_equals_k_chat", "Sec2:C=K.Chat", "build",
-          lambda c: c.structural["c_equals_k_chat"].value),
+          lambda c: c.structural["c_equals_k_chat"]),
     Check("kappa_factorization", "Sec2:kappa=kappahat.rho", "build",
-          lambda c: c.structural["kappa_factorization"].value),
+          lambda c: c.structural["kappa_factorization"]),
     Check("automorphism_commutation", "Sec2:rho-chi-kappa-commute", "build",
-          lambda c: c.structural["automorphism_commutation"].value),
+          lambda c: c.structural["automorphism_commutation"]),
     Check("rho_involution", "Sec2:rho-involution", "build",
           lambda c: c.rep.gamma_table_norm(
               lambda g, s: c.ops.K @ (c.ops.K @ g @ c.ops.K) @ c.ops.K - g)),
@@ -399,7 +400,7 @@ def _first_order_scalars(c: SignatureContext) -> float:
     t, n = c.triple, len(c.triple.algebra_gens)
     gens = np.array(t.algebra_gens)
     return kr.twisted_first_order_residual(
-        t.D, np.repeat(gens, n, axis=0), np.tile(gens, (n, 1, 1)), t.J, t.K).value
+        t.D, np.repeat(gens, n, axis=0), np.tile(gens, (n, 1, 1)), t.J, t.K)
 
 
 def _gauge_selfadjointness(c: SignatureContext) -> float:
@@ -459,18 +460,13 @@ KREIN = (
 def _involution(c: SignatureContext) -> float:
     back = mo.invert_k_morphism(c.pair.pseudo)
     again = mo.apply_k_morphism(back)
-    return max(residual_norm(back.D, c.triple.D), residual_norm(again.Dk, c.pair.pseudo.Dk))
-
-
-def _selfadjoint_equivalence(c: SignatureContext) -> float:
-    res, gap = mo.selfadjoint_equivalence_check(c.pair)
-    return max(res.value, gap)
+    return _worst((residual_norm(back.D, c.triple.D), residual_norm(again.Dk, c.pair.pseudo.Dk)))
 
 
 def _euclidean_collapse(c: SignatureContext) -> float:
     s = c.rep.signs
     k_is_one = residual_norm(c.ops.K, np.eye(c.rep.dim))
-    return max(k_is_one, float(np.max(np.abs(np.outer(s, s) - 1.0))))
+    return _worst((k_is_one, float(np.max(np.abs(np.outer(s, s) - 1.0)))))
 
 
 def _twisted_grading(c: SignatureContext) -> float:
@@ -485,7 +481,7 @@ def _twisted_grading(c: SignatureContext) -> float:
 MORPHISM = (
     Check("involution", "Sec3:D->KD", "involution", _involution),
     Check("selfadjoint_equivalence", "Sec3:selfadjoint-equivalence", "build",
-          _selfadjoint_equivalence),
+          lambda c: mo.selfadjoint_equivalence_check(c.pair)),
     Check("commutator_correspondence", "Sec3:[DK,a]=K[D,a]_rho", "build",
           commutator_correspondence, stream=1),
     Check("first_order_correspondence", "Sec3:first-order-correspondence", "build",
@@ -494,12 +490,12 @@ MORPHISM = (
           lambda c: fluctuation_correspondence(c, c.morphism_spins)),
     Check("twisted_clifford", "EqDefCliffTw", "chain", twisted_clifford, stream=3),
     Check("generalized_clifford", "EqCliffGeneralise", "chain",
-          lambda c: mo.generalized_clifford_check(c.rep, c.ops).value),
+          lambda c: mo.generalized_clifford_check(c.rep, c.ops)),
     Check("euclidean_collapse", "Sec3:s_ab=1-collapse", "build", _euclidean_collapse,
           when=lambda c: c.sig.q == 0),
     Check("trace_metric_morph", "EqMetTrace", "chain",
           lambda c: mo.trace_metric_morph_check(c.rep, c.ops, pairs=100,
-                                                seed=c.seed + 71 * c.index).value),
+                                                seed=c.seed + 71 * c.index)),
     Check("twisted_grading", "Sec3:twisted-grading", "build", _twisted_grading),
     Check("symbol_norm_pure_block", "Sec3:Prop4-distance", "sampled", symbol_norm_pure_block,
           stream=4),
@@ -567,15 +563,15 @@ def _frame_connection_relation(f: _FamilyContext) -> float:
 
 FAMILY = (
     Check("christoffel_symmetry", "Sec3:LeviCivita", "fd",
-          lambda f: max(geo.christoffel(f.metric, False, x, f.h).symmetry_residual()
-                        for x in f.pts)),
+          lambda f: _worst(geo.christoffel(f.metric, False, x, f.h).symmetry_residual()
+                           for x in f.pts)),
     Check("relat_christos", "RelatChristos", "fd",
-          lambda f: max(geo.christoffel_relation_check(f.metric, x, f.h).value for x in f.pts)),
+          lambda f: _worst(geo.christoffel_relation_check(f.metric, x, f.h) for x in f.pts)),
     Check("metric_compatibility", "Sec3:metric-compatibility", "fd",
-          lambda f: max(max(geo.metric_compatibility_residual(f.metric, use_gR, x, f.h)
-                            for use_gR in (False, True)) for x in f.pts)),
+          lambda f: _worst(geo.metric_compatibility_residual(f.metric, use_gR, x, f.h)
+                           for x in f.pts for use_gR in (False, True))),
     Check("reflection_isometry", "EqReflect", "build",
-          lambda f: max(geo.reflection_isometry_residual(f.metric, x) for x in f.pts)),
+          lambda f: _worst(geo.reflection_isometry_residual(f.metric, x) for x in f.pts)),
     Check("vielbein_orthonormality", "Sec3:vielbein", "sampled", _vielbein_orthonormality),
     Check("rewrit_tgamma", "EqRewritTGamma", "fd", _rewrit_tgamma),
     Check("frame_connection_relation", "EqRelatGammVielb", "fd", _frame_connection_relation),
@@ -639,7 +635,7 @@ def _dirac_decomposition(metric, ctx: SignatureContext, spinor, pts, constant_si
     checks = [geo.dirac_decomposition_check(metric, ctx.rep, ctx.ops, spinor, x, h) for x in pts]
     if constant_sign and len({sgn for _, sgn in checks}) != 1:
         return float("inf")
-    return _worst(res.value for res, _ in checks)
+    return _worst(res for res, _ in checks)
 
 
 def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
@@ -672,7 +668,7 @@ def _kp_rewrite(c: SignatureContext) -> float:
 def _o_constraint(c: SignatureContext, o: np.ndarray) -> float:
     tab = c.sign_table
     res = pr.constraint_check_O(o, c.ops.J, c.ops.Gamma, tab.eps, tab.eps_prime)
-    return max(v.value for v in res.values())
+    return _worst(res.values())
 
 
 def _derivation_splitting(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -681,7 +677,7 @@ def _derivation_splitting(c: SignatureContext, rng: np.random.Generator) -> floa
     randoms = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
     gens = c.finite.algebra_gens
     return _worst(
-        pr.derivation_split_check(c.product, a1, a2).value
+        pr.derivation_split_check(c.product, a1, a2)
         for a1 in scalars + randoms
         for a2 in gens
     )
@@ -693,14 +689,14 @@ def _product_first_order(c: SignatureContext) -> float:
     # scalar manifold factors against finite generators
     pairs += [(kron(lam * eye_m, a2), kron(eye_m, a2)) for lam in (1.0, 0.3 + 0.4j) for a2 in gens]
     a, b = (np.array(side) for side in zip(*pairs))
-    return kr.twisted_first_order_residual(pt.Dp, a, b, pt.Jp, pt.Kp).value
+    return kr.twisted_first_order_residual(pt.Dp, a, b, pt.Jp, pt.Kp)
 
 
 def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float:
     spins = kr.sample_spin_plus(c.rep, 5, rng)
     z = rng.normal(size=(5, 2, c.finite.dimF, c.finite.dimF))  # real, imaginary part of each draw
     us, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    return _worst(pr.product_fluctuation_check(c.product, s.matrix, u).value for s, u in zip(spins, us))
+    return _worst(pr.product_fluctuation_check(c.product, s.matrix, u) for s, u in zip(spins, us))
 
 
 def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -715,7 +711,7 @@ def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> fl
 
 PRODUCT = (
     Check("finite_ko6_invariants", "Sec4:finite-KO6", "build",
-          lambda c: max(pr.finite_ko6_residuals(c.finite).values())),
+          lambda c: _worst(pr.finite_ko6_residuals(c.finite).values())),
     Check("twisted_grading_product", "EqDirTot", "chain",
           lambda c: pr.twisted_grading_residual(c.product.Dp, c.product.Gammap, c.product.Kp)),
     Check("kp_rewrite", "EqDirTot", "build", _kp_rewrite),
@@ -731,7 +727,7 @@ PRODUCT = (
     Check("fermionic_action_split", "EqEval", "build", _fermionic_action_split, stream=3),
     Check("gauge_vs_form", "Sec1:twisted-fluctuation", "sampled", _gauge_vs_form, stream=4),
     Check("dirac_mass_shape", "Sec4:Dirac-mass-shape", "build",
-          lambda c: pr.dirac_mass_shape_check(c.product, seed=c.seed + 7).value),
+          lambda c: pr.dirac_mass_shape_check(c.product, seed=c.seed + 7)),
     Check("product_sign_row_definite", "Sec4:product-signs", "build",
           lambda c: _flag(all(s in (-1, 1) for s in c.product.sign_row))),
 )
@@ -779,7 +775,7 @@ EMERGENCE = (
     Check("table_complete", "Sec4:signature-emergence", "build",
           lambda e: float(abs(e["n_rows"] - 16))),
     Check("diag_metric_scalar", "Sec4:signature-emergence", "build",
-          lambda e: max(row.diag_scalar_residual for row in e["rows"])),
+          lambda e: _worst(row.diag_scalar_residual for row in e["rows"])),
     Check("lorentz_class_eps_minus", "Sec4:eps-to-signature", "build",
           lambda e: _class_rows(e, "lorentzian_rows", 1)),
     Check("lorentz_class_eps_plus", "Sec4:eps-to-signature", "build",

@@ -36,9 +36,9 @@ from kreintwist.geometry import (
 from kreintwist.krein import (
     KreinSpace,
     canonical_twisted_triple,
-    is_k_unitary,
     k_adjoint,
     k_product,
+    k_unitarity_residuals,
     sample_spin_plus,
     twisted_commutator,
 )
@@ -46,8 +46,8 @@ from kreintwist.linalg import adjoint, residual_norm
 from kreintwist.morphism import (
     MorphismPair,
     apply_k_morphism,
-    commutator_correspondence_check,
-    first_order_correspondence_check,
+    commutator_correspondence_residuals,
+    first_order_correspondence_residuals,
     fluctuation_correspondence_check,
     generalized_clifford_check,
     invert_k_morphism,
@@ -120,8 +120,8 @@ def test_criterion_2_structural_suite():
                 ),
             )
         res = verify_structural(rep, ops)
-        worst = max(worst, res["c_equals_k_chat"].value)
-        worst = max(worst, res["kappa_factorization"].value)
+        worst = max(worst, res["c_equals_k_chat"])
+        worst = max(worst, res["kappa_factorization"])
     _report("2 structural operators", worst <= 1e-12, f"(residual {worst:.2e})")
 
 
@@ -176,7 +176,7 @@ def test_criterion_4_krein_calculus():
                 worst_sampled,
                 residual_norm(np.linalg.inv(x), ops.K @ adjoint(x) @ ops.K),
             )
-            worst_sampled = max(worst_sampled, is_k_unitary(space, x)[1].value)
+            worst_sampled = max(worst_sampled, k_unitarity_residuals(space, x[None])[0])
             psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
             phi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
             worst_sampled = max(
@@ -230,20 +230,20 @@ def test_criterion_5_k_morphism():
         for _ in range(10):
             a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
             b = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-            worst_corr = max(worst_corr, commutator_correspondence_check(pair, a).value)
-            worst_corr = max(worst_corr, first_order_correspondence_check(pair, a, b).value)
+            worst_corr = max(worst_corr, commutator_correspondence_residuals(pair, a[None])[0])
+            worst_corr = max(worst_corr, first_order_correspondence_residuals(pair, a[None], b[None])[0])
         for s in sample_spin_plus(rep, 20, seed=500 + sig.p + 11 * sig.q):
             worst_corr = max(
-                worst_corr, fluctuation_correspondence_check(pair, s.matrix).value
+                worst_corr, fluctuation_correspondence_check(pair, s.matrix)
             )
         for _ in range(100):
             u = rng.normal(size=rep.n_gen)
             v = rng.normal(size=rep.n_gen)
-            worst_cliff = max(worst_cliff, twisted_clifford_check(rep, ops, u, v).value)
-        worst_cliff = max(worst_cliff, generalized_clifford_check(rep, ops).value)
+            worst_cliff = max(worst_cliff, twisted_clifford_check(rep, ops, u, v))
+        worst_cliff = max(worst_cliff, generalized_clifford_check(rep, ops))
         worst_cliff = max(
             worst_cliff,
-            trace_metric_morph_check(rep, ops, pairs=100, seed=600 + sig.p).value,
+            trace_metric_morph_check(rep, ops, pairs=100, seed=600 + sig.p),
         )
         if sig.q == 0:
             # Euclidean collapse: s_ab = 1 and the plain relations reappear
@@ -275,7 +275,7 @@ def test_criterion_6_geometry():
         for _ in range(5):
             x = lo + (hi - lo) * rng.uniform(size=m.dim)
             worst_fd = max(worst_fd, christoffel(m, False, x, H).symmetry_residual())
-            worst_fd = max(worst_fd, christoffel_relation_check(m, x, H).value)
+            worst_fd = max(worst_fd, christoffel_relation_check(m, x, H))
             worst_fd = max(worst_fd, metric_compatibility_residual(m, False, x, H))
             worst_fd = max(worst_fd, metric_compatibility_residual(m, True, x, H))
     lor = metric_family("lorentz4d")
@@ -301,7 +301,7 @@ def test_criterion_6_geometry():
         np.array([0.25, 0.3, 0.2, -0.35]),
     ):
         res, sgn = dirac_decomposition_check(lor, rep, ops, psi, x, H)
-        worst_dirac = max(worst_dirac, res.value)
+        worst_dirac = max(worst_dirac, res)
         signs.add(sgn)
     ratio = fd_convergence_ratio(metric_family("exp2d"), np.array([0.1, -0.2]), H)
     elapsed = time.perf_counter() - t0
@@ -343,13 +343,12 @@ def test_criterion_7_product_triple():
         residual_norm(ft.JF.mat @ np.conj(ft.GammaF), -ft.GammaF @ ft.JF.mat),
     )
     ok_k = all(
-        r.value <= 1e-12
+        r <= 1e-12
         for r in constraint_check_O(ops.K, ops.J, ops.Gamma, tab.eps, tab.eps_prime).values()
     )
     bad_gamma = (
         max(
-            r.value
-            for r in constraint_check_O(
+            constraint_check_O(
                 ops.Gamma, ops.J, ops.Gamma, tab.eps, tab.eps_prime
             ).values()
         )
@@ -358,12 +357,12 @@ def test_criterion_7_product_triple():
     for _ in range(5):
         a1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for a2 in ft.algebra_gens:
-            worst_exact = max(worst_exact, derivation_split_check(pt, a1, a2).value)
+            worst_exact = max(worst_exact, derivation_split_check(pt, a1, a2))
     worst_fluct = 0.0
     for s in sample_spin_plus(rep, 20, seed=900):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
-        worst_fluct = max(worst_fluct, product_fluctuation_check(pt, s.matrix, u).value)
+        worst_fluct = max(worst_fluct, product_fluctuation_check(pt, s.matrix, u))
     for _ in range(50):
         psi1, phi1 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
         psi2, phi2 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))

@@ -127,13 +127,13 @@ def test_structural_residuals_all_signatures(reps):
     for (p, q), (rep, ops) in reps.items():
         res = verify_structural(rep, ops)
         for name, r in res.items():
-            assert r.value <= 1e-12, f"({p},{q}) {name}: {r.value}"
+            assert r <= 1e-12, f"({p},{q}) {name}: {r}"
 
 
 def test_structural_exact_for_euclidean_2d(reps):
     rep, ops = reps[(2, 0)]
     res = verify_structural(rep, ops)
-    assert all(r.value == 0.0 for r in res.values())
+    assert all(r == 0.0 for r in res.values())
 
 
 def test_twist_parity_on_random_vectors(reps):

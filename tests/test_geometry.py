@@ -141,7 +141,7 @@ def test_relat_christos_independent_pipelines():
                             for k in range(m.dim)
                         )
             assert np.max(np.abs(lhs - (gr + corr))) <= 1e-5
-            assert christoffel_relation_check(m, x, H).value <= 1e-5
+            assert christoffel_relation_check(m, x, H) <= 1e-5
 
 
 def test_metric_compatibility():
@@ -301,7 +301,7 @@ def test_dirac_decomposition_flat():
     ops = build_structural(rep)
     psi = trig_spinor(4, 4, seed=5)
     res, sgn = dirac_decomposition_check(m, rep, ops, psi, np.zeros(4), H)
-    assert res.value <= 1e-12
+    assert res <= 1e-12
     assert sgn == -1
 
 
@@ -311,7 +311,7 @@ def test_dirac_decomposition_euclidean():
     ops = build_structural(rep)
     psi = trig_spinor(2, 2, seed=8)
     res, sgn = dirac_decomposition_check(m, rep, ops, psi, np.array([0.1, 0.2]), H)
-    assert res.value <= 1e-5
+    assert res <= 1e-5
     assert sgn == -1
 
 
@@ -328,7 +328,7 @@ def test_dirac_decomposition_curved_lorentz():
     ]
     for x in pts:
         res, sgn = dirac_decomposition_check(m, rep, ops, psi, x, H)
-        assert res.value <= 1e-4
+        assert res <= 1e-4
         signs.add(sgn)
     assert signs == {-1}
 

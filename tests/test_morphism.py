@@ -12,13 +12,13 @@ from kreintwist.linalg import adjoint, residual_norm
 from kreintwist.morphism import (
     MorphismPair,
     apply_k_morphism,
-    commutator_correspondence_check,
-    first_order_correspondence_check,
+    commutator_correspondence_residuals,
+    first_order_correspondence_residuals,
     fluctuation_correspondence_check,
     generalized_clifford_check,
     invert_k_morphism,
     selfadjoint_equivalence_check,
-    symbol_norm_probe,
+    symbol_norm_probes,
     trace_metric_morph_check,
     twisted_clifford_check,
 )
@@ -55,9 +55,8 @@ def test_dk_is_k_selfadjoint(rep13):
 def test_selfadjoint_equivalence_passing(rep13):
     rep, ops = rep13
     pair = _pair(rep, ops)
-    res, gap = selfadjoint_equivalence_check(pair)
-    assert res.passed
-    assert gap <= 1e-12
+    # the larger of the two residuals and their gap
+    assert selfadjoint_equivalence_check(pair) <= 1e-12
 
 
 def test_selfadjoint_equivalence_fails_together(rep13):
@@ -76,34 +75,35 @@ def test_commutator_correspondence(reps):
     rng = np.random.default_rng(3)
     for (p, q), (rep, ops) in reps.items():
         pair = _pair(rep, ops)
-        assert commutator_correspondence_check(pair, np.eye(rep.dim)).value == 0.0
-        assert commutator_correspondence_check(pair, 0.7j * np.eye(rep.dim)).value <= 1e-14
+        eye = np.eye(rep.dim)
+        assert commutator_correspondence_residuals(pair, eye[None])[0] == 0.0
+        assert commutator_correspondence_residuals(pair, 0.7j * eye[None])[0] <= 1e-14
         a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-        assert commutator_correspondence_check(pair, a).value <= 1e-12
+        assert commutator_correspondence_residuals(pair, a[None])[0] <= 1e-12
 
 
 def test_first_order_correspondence(rep13):
     rep, ops = rep13
     pair = _pair(rep, ops)
     eye = np.eye(4)
-    assert first_order_correspondence_check(pair, eye, eye).value <= 1e-14
+    assert first_order_correspondence_residuals(pair, eye[None], eye[None])[0] <= 1e-14
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert first_order_correspondence_check(pair, a, b).value <= 1e-12
+        assert first_order_correspondence_residuals(pair, a[None], b[None])[0] <= 1e-12
 
 
 def test_fluctuation_correspondence(reps):
     for (p, q) in [(1, 1), (1, 3), (2, 2)]:
         rep, ops = reps[(p, q)]
         pair = _pair(rep, ops)
-        assert fluctuation_correspondence_check(pair, np.eye(rep.dim)).value <= 1e-14
+        assert fluctuation_correspondence_check(pair, np.eye(rep.dim)) <= 1e-14
         # a standard unitary commuting with K
         u = np.cos(0.4) * np.eye(rep.dim) + 1j * np.sin(0.4) * ops.K
-        assert fluctuation_correspondence_check(pair, u).value <= 1e-12
+        assert fluctuation_correspondence_check(pair, u) <= 1e-12
         for s in sample_spin_plus(rep, 20, seed=31 + p):
-            assert fluctuation_correspondence_check(pair, s.matrix).value <= 1e-10
+            assert fluctuation_correspondence_check(pair, s.matrix) <= 1e-10
 
 
 def test_fluctuation_correspondence_rejects_bad_input(rep13):
@@ -119,10 +119,10 @@ def test_twisted_clifford_basis_cases(rep13):
         e = np.zeros(4)
         e[a] = 1.0
         # diagonal case: rho(ct ct) + ct ct = 2 g(e, re) = 2 for every a
-        assert twisted_clifford_check(rep, ops, e, e).value <= 1e-14
+        assert twisted_clifford_check(rep, ops, e, e) <= 1e-14
     e0 = np.array([1.0, 0, 0, 0])
     e1 = np.array([0, 1.0, 0, 0])
-    assert twisted_clifford_check(rep, ops, e0, e1).value <= 1e-14
+    assert twisted_clifford_check(rep, ops, e0, e1) <= 1e-14
 
 
 def test_twisted_clifford_random_vs_metric_oracle(reps):
@@ -137,12 +137,12 @@ def test_twisted_clifford_random_vs_metric_oracle(reps):
             lhs = cu @ rcv + rcv @ cu
             target = 2.0 * metric_pairing(rep, u, reflect(rep, v)) * np.eye(rep.dim)
             assert residual_norm(lhs, target) <= 1e-11
-            assert twisted_clifford_check(rep, ops, u, v).value <= 1e-11
+            assert twisted_clifford_check(rep, ops, u, v) <= 1e-11
 
 
 def test_generalized_clifford(reps):
     for (p, q), (rep, ops) in reps.items():
-        assert generalized_clifford_check(rep, ops).value <= 1e-11
+        assert generalized_clifford_check(rep, ops) <= 1e-11
 
 
 def test_generalized_clifford_mixed_pair_is_commutator(rep13):
@@ -161,13 +161,13 @@ def test_euclidean_collapse_to_plain_clifford(reps):
         rep, ops = reps[(n, 0)]
         assert residual_norm(ops.K, np.eye(rep.dim)) == 0.0
         assert all(rep.signs[a] * rep.signs[b] == 1.0 for a in range(n) for b in range(n))
-        assert generalized_clifford_check(rep, ops).value <= 1e-12
+        assert generalized_clifford_check(rep, ops) <= 1e-12
 
 
 def test_trace_metric_morph(reps):
     for key in [(2, 2), (1, 3), (3, 3)]:
         rep, ops = reps[key]
-        assert trace_metric_morph_check(rep, ops, pairs=100, seed=17).value <= 1e-11
+        assert trace_metric_morph_check(rep, ops, pairs=100, seed=17) <= 1e-11
     # twisted diagonal value: (1/2^m) Tr(ct(e_a) ct(e_a)) = 1 for every a
     rep, ops = reps[(2, 2)]
     for a in range(4):
@@ -179,13 +179,14 @@ def test_trace_metric_morph(reps):
 
 def test_symbol_norm_probe_cases(rep11, reps):
     rep, ops = rep11
-    axis = symbol_norm_probe(rep, ops, [1.0, 0.0])
-    assert axis["match"] and axis["norm"] == pytest.approx(1.0)
+    axis = symbol_norm_probes(rep, ops, np.array([1.0, 0.0])[None])
+    assert abs(axis["norm"][0] - axis["gR_norm"][0]) <= 1e-10
+    assert axis["norm"][0] == pytest.approx(1.0)
     # mixed-direction discrepancy: norm 2 vs sqrt(2), recorded not asserted
-    mixed = symbol_norm_probe(rep, ops, [1.0, 1.0])
-    assert mixed["norm"] == pytest.approx(2.0, abs=1e-12)
-    assert mixed["gR_norm"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert not mixed["match"]
+    mixed = symbol_norm_probes(rep, ops, np.array([1.0, 1.0])[None])
+    assert mixed["norm"][0] == pytest.approx(2.0, abs=1e-12)
+    assert mixed["gR_norm"][0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert not abs(mixed["norm"][0] - mixed["gR_norm"][0]) <= 1e-10
     # oracle for the mixed case: eigenvalues of c(rk)^dag-free product
     cv = represent(rep, [1.0, 1.0])
     crv = represent(rep, reflect(rep, np.array([1.0, 1.0])))
@@ -194,8 +195,9 @@ def test_symbol_norm_probe_cases(rep11, reps):
     # pure positive block in a mixed signature
     rep22, ops22 = reps[(2, 2)]
     k = np.array([0.3, -1.2, 0.0, 0.0])
-    probe = symbol_norm_probe(rep22, ops22, k)
-    assert probe["pure_block"] and probe["match"]
+    probe = symbol_norm_probes(rep22, ops22, k[None])
+    assert probe["pure_block"][0]
+    assert abs(probe["norm"][0] - probe["gR_norm"][0]) <= 1e-10
 
 
 def test_twisted_grading_relation(reps):

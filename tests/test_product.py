@@ -87,20 +87,20 @@ def test_o_constraint_k_passes(rep13, pair13):
     rep, ops = rep13
     tab = sign_table(rep, ops, pair13.twisted.D)
     res = constraint_check_O(ops.K, ops.J, ops.Gamma, tab.eps, tab.eps_prime)
-    assert all(r.value <= 1e-12 for r in res.values())
+    assert all(r <= 1e-12 for r in res.values())
 
 
 def test_o_constraint_identity_trivial(rep13):
     rep, ops = rep13
     res = constraint_check_O(np.eye(4), ops.J, ops.Gamma, 1, 1)
-    assert all(r.value <= 1e-12 for r in res.values())
+    assert all(r <= 1e-12 for r in res.values())
 
 
 def test_o_constraint_gamma_control_fails(rep13, pair13):
     rep, ops = rep13
     tab = sign_table(rep, ops, pair13.twisted.D)
     res = constraint_check_O(ops.Gamma, ops.J, ops.Gamma, tab.eps, tab.eps_prime)
-    assert max(r.value for r in res.values()) > 0.5
+    assert max(res.values()) > 0.5
 
 
 # ------------------------------------------------------------- product data
@@ -159,7 +159,7 @@ def test_product_sign_row(product13):
 
 def test_derivation_split_trivials(product13):
     eye4 = np.eye(4)
-    assert derivation_split_check(product13, eye4, eye4).value <= 1e-14
+    assert derivation_split_check(product13, eye4, eye4) <= 1e-14
 
 
 def test_derivation_split_finite_only(product13, finite_ko6):
@@ -171,7 +171,7 @@ def test_derivation_split_finite_only(product13, finite_ko6):
             product13.manifold.K, finite_ko6.DF @ a2 - a2 @ finite_ko6.DF
         )
         assert residual_norm(lhs, want) <= 1e-14
-        assert derivation_split_check(product13, eye4, a2).value <= 1e-14
+        assert derivation_split_check(product13, eye4, a2) <= 1e-14
 
 
 def test_derivation_split_full_expansion(product13, finite_ko6):
@@ -189,7 +189,7 @@ def test_derivation_split_full_expansion(product13, finite_ko6):
                 - kron(m.K @ a1, a2 @ finite_ko6.DF)
             )
             assert residual_norm(lhs, oracle) <= 1e-13
-            assert derivation_split_check(product13, a1, a2).value <= 1e-12
+            assert derivation_split_check(product13, a1, a2) <= 1e-12
 
 
 def test_product_first_order(product13, finite_ko6):
@@ -203,20 +203,20 @@ def test_product_first_order(product13, finite_ko6):
                 product13.Jp,
                 product13.Kp,
             )
-            assert r.value <= 1e-12
+            assert r <= 1e-12
 
 
 def test_product_fluctuation(product13, rep13):
     rep, _ = rep13
     rng = np.random.default_rng(2)
-    assert product_fluctuation_check(product13, np.eye(4), np.eye(4)).value <= 1e-14
+    assert product_fluctuation_check(product13, np.eye(4), np.eye(4)) <= 1e-14
     # finite-only fluctuation with an algebra phase
     u_phase = finite_algebra_unitary(product13.finite, 0.8, -0.4)
-    assert product_fluctuation_check(product13, np.eye(4), u_phase).value <= 1e-12
+    assert product_fluctuation_check(product13, np.eye(4), u_phase) <= 1e-12
     for s in sample_spin_plus(rep, 10, seed=41):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
-        assert product_fluctuation_check(product13, s.matrix, u).value <= 1e-10
+        assert product_fluctuation_check(product13, s.matrix, u) <= 1e-10
 
 
 def test_product_fluctuation_rejects_nonunitary(product13):
@@ -270,10 +270,10 @@ def test_fermionic_action_mass_term_survival(pair13, finite_ko6):
 
 
 def test_dirac_mass_shape(product13):
-    assert dirac_mass_shape_check(product13).value <= 1e-12
+    assert dirac_mass_shape_check(product13) <= 1e-12
     ft0 = build_finite_triple_ko6(0.0)
     pt0 = assemble_product(product13.manifold, ft0)
-    assert dirac_mass_shape_check(pt0).value == 0.0
+    assert dirac_mass_shape_check(pt0) == 0.0
 
 
 # ----------------------------------------------------------- gauge vs form

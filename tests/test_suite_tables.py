@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from kreintwist import clifford as cl
 from kreintwist import suites as su
 from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
@@ -74,3 +75,23 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     su._add_rows(r, [row], su.SignatureContext(Signature(1, 3), 0, 0))
     (rec,) = r.records
     assert math.isnan(rec.residual) and not rec.passed
+
+    # a NaN at the second of a family's five points fails that family's row
+    calls = []
+
+    def nan_at_second_point(metric, x):
+        calls.append(metric.name)
+        return math.nan if calls.count(metric.name) == 2 else 0.0
+
+    monkeypatch.setattr(su.geo, "reflection_isometry_residual", nan_at_second_point)
+    recs = [rec for rec in run(SuiteConfig(suites=("geometry",), seed=0)).records
+            if rec.check_id.endswith(".reflection_isometry")]
+    assert len(recs) == 4
+    assert all(math.isnan(rec.residual) and not rec.passed for rec in recs)
+
+    # a NaN from the second of three gaps is the largest gap of a gamma table
+    rep = cl.build_gammas(Signature(1, 3))
+    norms = iter([0.0, math.nan, 0.0])
+    monkeypatch.setattr(cl, "table_norm", lambda *args: next(norms))
+    gap = lambda g, s: g
+    assert math.isnan(rep.gamma_table_norm(gap, gap, gap))
