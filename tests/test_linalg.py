@@ -17,6 +17,8 @@ from kreintwist.linalg import (
     sign_of_pair,
     table_norm,
 )
+from kreintwist.report import SuiteConfig
+from kreintwist.suites import _Runner
 
 from conftest import SIGMA1, SIGMA2, SIGMA3
 
@@ -162,6 +164,15 @@ def test_antilinear_requires_square():
 def test_as_cmat_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_cmat(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_residual_pass_contract():
+    # A residual passes at or below its row's tolerance; NaN never passes.
+    r = _Runner(SuiteConfig(tolerances={"build": 1e-12}), "linalg")
+    for value in (1e-13, 1e-12, 2e-12, np.nan):
+        r.add("x", "", "build", lambda v=value: v)
+    assert [rec.passed for rec in r.records] == [True, True, False, False]
+    assert all(rec.tolerance == 1e-12 for rec in r.records)
 
 
 def test_sign_of_pair():
