@@ -30,7 +30,7 @@ def main() -> None:
     for sig in all_signatures(args.dims):
         rep = build_gammas(sig)
         ops = build_structural(rep)
-        d, _ = canonical_dirac_pair(rep)
+        d, _ = canonical_dirac_pair(rep, ops.K)
         tab = sign_table(rep, ops, d)
         print(
             f"{str(sig):>7} {tab.eps:>+4d} {tab.eps_prime:>+9d}   "

@@ -365,9 +365,9 @@ def build_structural(rep: CliffordRep) -> StructuralOps:
 def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
     """Residuals for every defining relation of the structural operators.
 
-    Keys: twist_parity, grading_flip, charge_conjugation, c_equals_k_chat,
-    kappa_factorization, automorphism_commutation.  Each relation quantified
-    over the generators is one stacked table (``CliffordRep.gamma_table_norm``).
+    Keys: charge_conjugation, c_equals_k_chat, kappa_factorization,
+    automorphism_commutation.  Each relation quantified over the generators
+    is one stacked table (``CliffordRep.gamma_table_norm``).
     """
     c_inv, chat_inv = np.linalg.inv(ops.C), np.linalg.inv(ops.Chat)
 
@@ -386,8 +386,6 @@ def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
 
     table = rep.gamma_table_norm
     return {
-        "twist_parity": table(lambda g, s: rho(g) - s * g),
-        "grading_flip": table(lambda g, s: chi(g) + g),
         "charge_conjugation": table(lambda g, s: kap(g) + np.conj(g)),
         "c_equals_k_chat": residual_norm(ops.C, ops.K @ ops.Chat),
         "kappa_factorization": table(  # including the conjugated branch
@@ -413,8 +411,9 @@ class SignTable:
     """Measured unit signs of a twisted / Krein-side operator family.
 
     eps, eps_prime come from K J = eps J K and K Gamma = eps' Gamma K;
-    eps0..eps3 are the twisted-side real-structure signs, the K-suffixed
-    ones their Krein-side counterparts.  Entries are None when no Dirac
+    eps0..eps3 are the twisted-side real-structure signs, eps1K and eps3K
+    their Krein-side counterparts (J and Gamma are the same on both sides,
+    so eps0 and eps2 are too).  The Dirac rows are None when no Dirac
     operator was supplied.
     """
 
@@ -422,15 +421,13 @@ class SignTable:
     eps_prime: int
     eps0: int
     eps2: int
-    eps0K: int
-    eps2K: int
     eps1: Optional[int] = None
     eps3: Optional[int] = None
     eps1K: Optional[int] = None
     eps3K: Optional[int] = None
 
     def pseudo_row(self) -> tuple:
-        return (self.eps0K, self.eps1K, self.eps2K, self.eps3K)
+        return (self.eps0, self.eps1K, self.eps2, self.eps3K)
 
     def twisted_row(self) -> tuple:
         return (self.eps0, self.eps1, self.eps2, self.eps3)
@@ -473,8 +470,6 @@ def sign_table(
         eps_prime=eps_prime,
         eps0=eps0,
         eps2=eps2,
-        eps0K=eps0,   # same J on both sides
-        eps2K=eps2,   # same J and Gamma on both sides
         eps1=eps1,
         eps3=eps3,
         eps1K=eps1K,
@@ -482,8 +477,9 @@ def sign_table(
     )
 
 
-def canonical_dirac_pair(rep: CliffordRep) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic test Dirac pair (D twisted-Hermitian, DK = K D Krein-self-adjoint).
+def canonical_dirac_pair(rep: CliffordRep, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic test Dirac pair (D twisted-Hermitian, DK = K D Krein-self-adjoint)
+    for the twist ``K`` of ``build_structural(rep)``.
 
     DK is taken odd so it anticommutes with the grading: a real grade-1
     combination in total dimension 2, an imaginary grade-3 combination in
@@ -501,7 +497,7 @@ def canonical_dirac_pair(rep: CliffordRep) -> tuple[np.ndarray, np.ndarray]:
         dk = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
         for w, (a, b, c) in zip(weights, triples):
             dk += 1j * w * (rep.gammas[a] @ rep.gammas[b] @ rep.gammas[c])
-    d = twist_operator(rep) @ dk
+    d = K @ dk
     if residual_norm(d, adjoint(d)) > 1e-11:
         raise ConstructionError("canonical Dirac matrix failed to be Hermitian")
     return d, dk

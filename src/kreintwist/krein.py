@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import CliffordRep, represent_stack
+from .clifford import CliffordRep, involution_residuals, represent_stack
 from .clifford import metric_pairing  # unused here; perfbench/tracer.py wraps krein.metric_pairing
 from .linalg import (
     AntilinearOp,
@@ -42,9 +42,11 @@ __all__ = [
     "sample_spin_plus",
     "twisted_commutator",
     "twisted_one_form",
+    "first_order_brackets",
     "twisted_first_order_residual",
     "fluctuate",
     "gauge_transform",
+    "gauge_form_residual",
     "canonical_twisted_triple",
 ]
 
@@ -68,8 +70,7 @@ class KreinSpace:
         k = as_cmat(self.K)
         if k.shape != (self.dim, self.dim):
             raise ShapeError("K must be dim x dim")
-        eye = np.eye(self.dim)
-        if residual_norm(k, adjoint(k)) > 1e-12 or residual_norm(k @ k, eye) > 1e-12:
+        if max(involution_residuals(k)) > 1e-12:
             raise ValueError("K must be a Hermitian unitary involution")
         object.__setattr__(self, "K", k)
 
@@ -163,10 +164,10 @@ def _draw_unit_vector(
 def sample_spin_plus(
     rep: CliffordRep,
     count: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     max_pairs: int = 3,
 ) -> list[SpinElement]:
-    """Deterministic sample of orthochronous spin-group elements.
+    """Orthochronous spin-group elements drawn from ``rng``.
 
     Each element is a product of 2k unit vectors (k cycling through
     1..max_pairs) with an even number of negative-norm factors, so that
@@ -183,7 +184,6 @@ def sample_spin_plus(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
     lengths = 2 * (np.arange(count) % max_pairs + 1)
     starts = np.cumsum(lengths) - lengths
     negative = rng.uniform(size=int(lengths.sum())) < rep.sig.q / rep.sig.dim
@@ -225,17 +225,21 @@ def opposite_action(b, j: AntilinearOp) -> np.ndarray:
     return j.sandwich(adjoint(as_cstack(b)))
 
 
-def twisted_first_order_residual(d, a, b, j: AntilinearOp, K) -> float:
-    """Largest norm of [[D, a]_rho, b^o]_{rho^o} over paired a, b: two
-    matrices, or two stacks of them paired entry by entry.
+def first_order_brackets(d, a, b, j: AntilinearOp, K) -> np.ndarray:
+    """[[D, a]_rho, b^o]_{rho^o} for paired a, b: two matrices, or two stacks
+    of them paired entry by entry.
 
     The opposite twist acts by rho^o(b^o) = (rho^-1(b))^o = J (K b K)^dagger J^-1.
     """
     K = as_cmat(K)
     x = twisted_commutator(d, a, K)
-    b_op = opposite_action(b, j)
     rho_b_op = j.sandwich(adjoint(K @ as_cstack(b) @ K))
-    return float(np.max(op_norms(x @ b_op - rho_b_op @ x)))
+    return x @ opposite_action(b, j) - rho_b_op @ x
+
+
+def twisted_first_order_residual(d, a, b, j: AntilinearOp, K) -> float:
+    """Largest norm of the first-order brackets of paired a, b."""
+    return float(np.max(op_norms(first_order_brackets(d, a, b, j, K))))
 
 
 def fluctuate(d, a_rho, j: AntilinearOp, eps1: int) -> np.ndarray:
@@ -260,6 +264,14 @@ def gauge_transform(d, u_k, j: AntilinearOp, space: KreinSpace) -> np.ndarray:
         raise NotKUnitaryError(f"gauge element is not K-unitary ({r:.3e})")
     ad = u_k @ j.sandwich(u_k)
     return ad @ d @ adjoint(ad)
+
+
+def gauge_form_residual(d, u, j: AntilinearOp, space: KreinSpace, eps1: int) -> float:
+    """|Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1)| with the one-form
+    A = u [D, u^+]_rho; zero for a K-unitary gauge element u of an algebra
+    that meets the order-zero and first-order conditions."""
+    a_form = as_cmat(u) @ twisted_commutator(d, k_adjoint(space, u), space.K)
+    return residual_norm(gauge_transform(d, u, j, space), fluctuate(d, a_form, j, eps1))
 
 
 @dataclass(frozen=True)

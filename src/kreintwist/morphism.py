@@ -23,6 +23,7 @@ from .krein import (
     KreinSpace,
     NotKUnitaryError,
     TwistedTripleData,
+    first_order_brackets,
     k_adjoint,
     k_unitarity_residuals,
     opposite_action,
@@ -132,14 +133,10 @@ def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
 def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray:
     """Gap of [[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for paired a, b of two stacks."""
     t = pair.twisted
-    K = t.K
     a = as_cstack(a)
     b = as_cstack(b)
-    x = twisted_commutator(t.D, a, K)
-    b_op = opposite_action(b, t.J)
-    rho_b_op = t.J.sandwich(adjoint(K @ b @ K))
-    lhs = x @ b_op - rho_b_op @ x
-    rhs = K @ commutator(commutator(pair.pseudo.Dk, a), b_op)
+    lhs = first_order_brackets(t.D, a, b, t.J, t.K)
+    rhs = t.K @ commutator(commutator(pair.pseudo.Dk, a), opposite_action(b, t.J))
     return op_norms(lhs - rhs)
 
 
@@ -209,9 +206,10 @@ def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps) -> float:
 
 
 def trace_metric_morph_check(
-    rep: CliffordRep, ops: StructuralOps, pairs: int = 100, seed: int = 11
+    rep: CliffordRep, ops: StructuralOps, pairs: int, rng: np.random.Generator
 ) -> float:
-    """Normalized traces reproduce g on the plain side, g(r., .) on the twisted one."""
+    """Normalized traces reproduce g on the plain side, g(r., .) on the twisted
+    one, on ``pairs`` Gaussian coefficient pairs drawn from ``rng``."""
     n = rep.n_gen
 
     def residuals(us, vs):
@@ -221,7 +219,7 @@ def trace_metric_morph_check(
         twisted_gap = np.abs(twisted - metric_pairings(rep, rep.signs * us, vs))
         return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
 
-    stacks = gaussian_stacks(np.random.default_rng(seed), pairs, rep.dim, [(n,), (n,)])
+    stacks = gaussian_stacks(rng, pairs, rep.dim, [(n,), (n,)])
     return max_residual(stacks, residuals)
 
 

@@ -26,6 +26,7 @@ from .clifford import (
     CliffordRep,
     StructuralOps,
     antilinear_sign,
+    involution_residuals,
     measure_sign,
     phase_normalize,
     gamma_product,
@@ -34,6 +35,7 @@ from .krein import (
     K_UNITARY_TOL,
     KreinSpace,
     TwistedTripleData,
+    gauge_form_residual,
     k_adjoint,
     k_unitarity_residuals,
     twisted_commutator,
@@ -129,10 +131,7 @@ def finite_ko6_residuals(t: FiniteTriple) -> dict:
     eye = np.eye(t.dimF)
     return {
         "DF self-adjoint": residual_norm(t.DF, adjoint(t.DF)),
-        "GammaF involution": _worst((
-            residual_norm(t.GammaF @ t.GammaF, eye),
-            residual_norm(t.GammaF, adjoint(t.GammaF)),
-        )),
+        "GammaF involution": _worst(involution_residuals(t.GammaF)),
         "JF^2 = +1": residual_norm(t.JF.square(), eye),
         "JF DF = DF JF": residual_norm(t.JF.mat @ np.conj(t.DF), t.DF @ t.JF.mat),
         "JF GammaF = -GammaF JF": residual_norm(
@@ -324,21 +323,14 @@ def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:
     For gauge elements of the product algebra (scalar phase on the manifold
     factor, unitary on the finite one) the order-zero and first-order
     conditions hold, so Ad(w) Dp Ad(w)^dag = Dp + A + eps1 J A J^-1 with
-    A = w [Dp, w^+]_rho exactly; w^+ is the twisted adjoint of w.
+    A = w [Dp, w^+]_rho exactly (``krein.gauge_form_residual`` with w = u_k (x) u).
     """
     eps1p = pt.sign_row[1]
     if eps1p == 0:
         raise ConstraintViolationError(
             "fluctuation formula needs a definite product J-D sign (manifold eps1 = eps)"
         )
-    w = kron(as_cmat(u_k), as_cmat(u))
-    space = pt.space
-    ad = w @ pt.Jp.sandwich(w)
-    gauge = ad @ pt.Dp @ adjoint(ad)
-    w_plus = k_adjoint(space, w)
-    a_form = w @ twisted_commutator(pt.Dp, w_plus, pt.Kp)
-    formula = pt.Dp + a_form + eps1p * pt.Jp.sandwich(a_form)
-    return residual_norm(gauge, formula)
+    return gauge_form_residual(pt.Dp, kron(as_cmat(u_k), as_cmat(u)), pt.Jp, pt.space, eps1p)
 
 
 def finite_algebra_unitary(t: FiniteTriple, theta1: float, theta2: float) -> np.ndarray:
@@ -460,17 +452,16 @@ def check_emergence_table(rows: Sequence[EmergenceRow]) -> dict:
     return out
 
 
-def dirac_mass_shape_check(pt: ProductTripleData, seed: int = 23) -> float:
+def dirac_mass_shape_check(pt: ProductTripleData, rng: np.random.Generator) -> float:
     """Mass block shape of the product Dirac operator.
 
     Checks Dp - D (x) 1 = K (x) DF exactly, and that the finite part of the
-    pairing on random product states is <psi1, phi1>_K times the pure mass
-    pairing <psi2, DF phi2>.
+    pairing on ten product states drawn from ``rng`` is <psi1, phi1>_K times
+    the pure mass pairing <psi2, DF phi2>.
     """
     m = pt.manifold
     eye_f = np.eye(pt.finite.dimF)
     r = residual_norm(pt.Dp - kron(m.D, eye_f), kron(m.K, pt.finite.DF))
-    rng = np.random.default_rng(seed)
     dim_m = m.D.shape[0]
     gaps = []
     for _ in range(10):

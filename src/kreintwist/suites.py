@@ -1,15 +1,17 @@
 """Check suites: every verified identity becomes one deterministic record.
 
 A suite is a table of ``Check`` rows (check id, anchor, tolerance class,
-residual function) over a shared context: one signature's operators
-(``SignatureContext``, shared by all suites of a run), a curved metric
-family, the geometry oracles or the emergence table.  One runner walks the
-configured signatures for the clifford, krein and morphism tables.
+residual function, random stream) over a shared context: one signature's
+operators (``SignatureContext``, shared by all suites of a run), a curved
+metric family, the geometry oracles or the emergence table.  One runner
+walks the configured signatures for the clifford, krein and morphism tables.
 
-Each check is a residual computation executed under a seed derived from the
-run configuration, so re-running with the same config reproduces bit-equal
-residual values.  Check failures never raise; they become failed records
-(an exception inside a check is recorded as an infinite residual).
+Every random generator of a run comes from ``_stream``, keyed by the entropy
+sequence (seed, suite number, stream key); kernels draw from the generator
+a row hands them and seed nothing, so a config reproduces bit-equal
+residuals and two seeds share no sample.  Check failures never raise; they
+become failed records (an exception inside a check, a construction error
+included, is an infinite residual).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import morphism as mo
 from . import product as pr
 from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_residual, op_norms, residual_norm
 from .linalg import _worst  # the one NaN-propagating maximum
-from .report import CHECKED_FAMILIES, CheckRecord, ConfigError, Report, SuiteConfig
+from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
 
 __all__ = ["run", "SUITE_BUILDERS", "SignatureContext"]
 
@@ -79,8 +81,11 @@ def _add_rows(r: _Runner, table, ctx, prefix: str = "", streams=None) -> None:
             r.add(prefix + row.id, row.anchor, row.tol_class, partial(row.fn, *args))
 
 
-def _rng(cfg: SuiteConfig, *key: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, *key])
+def _stream(seed: int, suite: int, *key: int) -> np.random.Generator:
+    """Random stream ``key`` of suite number ``suite`` (clifford 0, krein 1,
+    morphism 2, geometry 3, product 4) in the run of ``seed``: every
+    generator of a run comes from here, keyed by an entropy sequence."""
+    return np.random.default_rng([seed, suite, *key])
 
 
 def _flag(ok) -> float:
@@ -92,24 +97,30 @@ class SignatureContext:
     """The operators of one signature, built once per run and shared by every
     suite that reads the signature.
 
-    Gammas and structural operators are built on construction, the rest on
+    Every operator, gammas and structural operators included, is built on
     first use, inside a check, and kept once built; a construction error
     becomes that check's failed record, and the next reader tries again.
     ``seed`` and ``index`` (the position in the configured signatures) key
-    the random streams, spin samples included; a signature read only by the
-    geometry, product or emergence suite may have no index.
+    the signature suites' random streams, spin samples included; a signature
+    read only by the geometry, product or emergence suite may have no index.
     """
 
     def __init__(self, sig: cl.Signature, seed: int = 0, index: Optional[int] = None):
         self.sig = sig
         self.seed = seed
         self.index = index
-        self.rep = cl.build_gammas(sig)
-        self.ops = cl.build_structural(self.rep)
 
     def rng(self, suite: int, stream: int) -> np.random.Generator:
         """Random stream ``stream`` of suite number ``suite`` on this signature."""
-        return np.random.default_rng([self.seed, suite, self.index, stream])
+        return _stream(self.seed, suite, self.index, stream)
+
+    @cached_property
+    def rep(self) -> cl.CliffordRep:
+        return cl.build_gammas(self.sig)
+
+    @cached_property
+    def ops(self) -> cl.StructuralOps:
+        return cl.build_structural(self.rep)
 
     @cached_property
     def structural(self) -> dict:
@@ -117,7 +128,7 @@ class SignatureContext:
 
     @cached_property
     def dirac(self) -> tuple[np.ndarray, np.ndarray]:
-        return cl.canonical_dirac_pair(self.rep)
+        return cl.canonical_dirac_pair(self.rep, self.ops.K)
 
     @cached_property
     def triple(self) -> kr.TwistedTripleData:
@@ -347,8 +358,7 @@ def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> f
 
 def _sign_cross_relations(c: SignatureContext) -> float:
     tab = c.sign_table
-    return (abs(tab.eps0 - tab.eps0K) + abs(tab.eps2 - tab.eps2K)
-            + abs(tab.eps1K - tab.eps * tab.eps1) + abs(tab.eps3 - tab.eps_prime * tab.eps3K))
+    return abs(tab.eps1K - tab.eps * tab.eps1) + abs(tab.eps3 - tab.eps_prime * tab.eps3K)
 
 
 CLIFFORD = (
@@ -424,15 +434,9 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
     if c.sig.dim >= 4:
         return _gauge_vs_form(c, rng)
     ft = c.finite
-    eye_f = np.eye(ft.dimF)
-    space_f = kr.KreinSpace(ft.dimF, eye_f)
-
-    def residual(u):
-        gauge = kr.gauge_transform(ft.DF, u, ft.JF, space_f)
-        a_form = u @ kr.twisted_commutator(ft.DF, adjoint(u), eye_f)
-        return residual_norm(gauge, kr.fluctuate(ft.DF, a_form, ft.JF, +1))
-
-    return _worst(residual(pr.finite_algebra_unitary(ft, th1, th2))
+    space_f = kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
+    return _worst(kr.gauge_form_residual(ft.DF, pr.finite_algebra_unitary(ft, th1, th2), ft.JF,
+                                         space_f, +1)
                   for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2)))
 
 
@@ -494,8 +498,7 @@ MORPHISM = (
     Check("euclidean_collapse", "Sec3:s_ab=1-collapse", "build", _euclidean_collapse,
           when=lambda c: c.sig.q == 0),
     Check("trace_metric_morph", "EqMetTrace", "chain",
-          lambda c: mo.trace_metric_morph_check(c.rep, c.ops, pairs=100,
-                                                seed=c.seed + 71 * c.index)),
+          lambda c, rng: mo.trace_metric_morph_check(c.rep, c.ops, 100, rng), stream=5),
     Check("twisted_grading", "Sec3:twisted-grading", "build", _twisted_grading),
     Check("symbol_norm_pure_block", "Sec3:Prop4-distance", "sampled", symbol_norm_pure_block,
           stream=4),
@@ -563,8 +566,8 @@ def _frame_connection_relation(f: _FamilyContext) -> float:
 
 FAMILY = (
     Check("christoffel_symmetry", "Sec3:LeviCivita", "fd",
-          lambda f: _worst(geo.christoffel(f.metric, False, x, f.h).symmetry_residual()
-                           for x in f.pts)),
+          lambda f: _worst(float(np.max(np.abs(g - np.swapaxes(g, 1, 2))))
+                           for g in (geo.christoffel(f.metric, False, x, f.h) for x in f.pts))),
     Check("relat_christos", "RelatChristos", "fd",
           lambda f: _worst(geo.christoffel_relation_check(f.metric, x, f.h) for x in f.pts)),
     Check("metric_compatibility", "Sec3:metric-compatibility", "fd",
@@ -579,18 +582,18 @@ FAMILY = (
 
 
 class _Oracles(NamedTuple):
-    """The FD step, default metrics and (1,3) gammas the oracles read."""
+    """The FD step, default metrics and signature contexts the oracles read."""
 
     h: float
     exp2d: geo.MetricField
     conf: geo.MetricField
     flat: geo.MetricField
-    rep13: cl.CliffordRep
+    contexts: _Contexts
 
 
 def _conformal_closed_form(o: _Oracles) -> float:
     x = np.array([0.15, -0.1])
-    got = geo.christoffel(o.conf, False, x, o.h).values
+    got = geo.christoffel(o.conf, False, x, o.h)
     amp = 0.1
     dphi = np.array([amp * np.cos(x[0] + 2 * x[1]), 2 * amp * np.cos(x[0] + 2 * x[1])])
     # Gamma^l_mn = delta_lm dphi_n + delta_ln dphi_m - delta_mn dphi_l
@@ -605,8 +608,9 @@ def _plane_wave_dirac(o: _Oracles) -> float:
     k = np.array([0.3, -0.2, 0.5, 0.1])
     psi = geo.plane_wave_spinor(k, np.array([1.0, 0.5j, -0.25, 0.125 + 0.3j]))
     x = np.array([0.05, 0.1, -0.1, 0.2])
-    got = geo.dirac_apply_pseudo(o.flat, o.rep13, psi, x, o.h)
-    want = -sum(k[a] * o.rep13.gammas[a] for a in range(4)) @ psi(x)
+    rep13 = o.contexts[(1, 3)].rep
+    got = geo.dirac_apply_pseudo(o.flat, rep13, psi, x, o.h)
+    want = -sum(k[a] * rep13.gammas[a] for a in range(4)) @ psi(x)
     return float(np.linalg.norm(got - want))
 
 
@@ -614,46 +618,48 @@ X0_EXP2D = np.array([0.1, -0.2])
 
 ORACLES = (
     Check("exp2d.closed_form_gamma", "Sec3:LeviCivita", "fd_fine",
-          lambda o: abs(geo.christoffel(o.exp2d, False, X0_EXP2D, o.h).values[0, 0, 0] - 1.0)),
+          lambda o: abs(geo.christoffel(o.exp2d, False, X0_EXP2D, o.h)[0, 0, 0] - 1.0)),
     Check("exp2d.fd_convergence_ratio", "Sec3:LeviCivita", "ratio",
           lambda o: abs(geo.fd_convergence_ratio(o.exp2d, X0_EXP2D, o.h) - 4.0)),
     Check("conformal2d.closed_form_gamma", "Sec3:LeviCivita", "fd_fine", _conformal_closed_form),
     Check("flat4d.plane_wave_dirac", "Sec2:DK=i.gamma.nabla", "fd_fine", _plane_wave_dirac),
 )
 
-# K (i gamma nabla) psi against the reflected-frame assembly on default
-# metrics: (family, signature, spinor seed offset, points, sign must stay
-# constant between the points)
-DECOMPOSITIONS = (
-    ("lorentz4d", (1, 3), 17, 3, True),
-    ("lorentz2d", (1, 1), 19, 3, True),
-    ("conformal2d", (2, 0), 23, 2, False),  # Euclidean reduction: trivial twist
-)
-
-
-def _dirac_decomposition(metric, ctx: SignatureContext, spinor, pts, constant_sign, h) -> float:
-    checks = [geo.dirac_decomposition_check(metric, ctx.rep, ctx.ops, spinor, x, h) for x in pts]
+def _dirac_decomposition(name: str, sig: tuple, count: int, constant_sign: bool,
+                         o: _Oracles, rng: np.random.Generator) -> float:
+    """K (i gamma nabla) psi against the reflected-frame assembly on the default
+    metric ``name``, for a spinor and ``count`` points drawn from ``rng``; with
+    ``constant_sign`` the measured unit sign must agree between the points."""
+    metric, ctx = geo.metric_family(name), o.contexts[sig]
+    spinor = geo.trig_spinor(ctx.rep.dim, metric.dim, rng)
+    checks = [geo.dirac_decomposition_check(metric, ctx.rep, ctx.ops, spinor, x, o.h)
+              for x in _family_points(metric, count, rng, o.h)]
     if constant_sign and len({sgn for _, sgn in checks}) != 1:
         return float("inf")
     return _worst(res for res, _ in checks)
 
 
+# geometry streams 0-3 hold the sample points of the CHECKED_FAMILIES, in order
+DECOMPOSITIONS = (
+    Check("lorentz4d.dirac_decomposition", "EqDefDir", "fd_coarse",
+          partial(_dirac_decomposition, "lorentz4d", (1, 3), 3, True), stream=4),
+    Check("lorentz2d.dirac_decomposition", "EqDefDir", "fd_coarse",
+          partial(_dirac_decomposition, "lorentz2d", (1, 1), 3, True), stream=5),
+    # Euclidean reduction: trivial twist, no sign to hold constant
+    Check("conformal2d.dirac_decomposition", "EqDefDir", "fd_coarse",
+          partial(_dirac_decomposition, "conformal2d", (2, 0), 2, False), stream=6),
+)
+
+
 def run_geometry(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "geometry")
-    h = cfg.fd_step
+    h, streams = cfg.fd_step, partial(_stream, cfg.seed, 3)
     for fi, name in enumerate(CHECKED_FAMILIES):
         metric = geo.metric_family(name, cfg.metric_params if name == cfg.metric_family else None)
-        family = _FamilyContext(metric, _family_points(metric, 5, _rng(cfg, 3, fi), h), h)
+        family = _FamilyContext(metric, _family_points(metric, 5, streams(fi), h), h)
         _add_rows(r, FAMILY, family, f"{name}.")
     exp2d, conf, flat = (geo.metric_family(name) for name in ("exp2d", "conformal2d", "flat4d"))
-    _add_rows(r, ORACLES, _Oracles(h, exp2d, conf, flat, contexts[(1, 3)].rep))
-    rng = _rng(cfg, 3, 99)  # the decomposition points share one stream, drawn in table order
-    for name, sig, salt, count, constant_sign in DECOMPOSITIONS:
-        metric, ctx = geo.metric_family(name), contexts[sig]
-        spinor = geo.trig_spinor(ctx.rep.dim, metric.dim, seed=cfg.seed + salt)
-        pts = _family_points(metric, count, rng, h)
-        fn = partial(_dirac_decomposition, metric, ctx, spinor, pts, constant_sign, h)
-        r.add(f"{name}.dirac_decomposition", "EqDefDir", "fd_coarse", fn)
+    _add_rows(r, ORACLES + DECOMPOSITIONS, _Oracles(h, exp2d, conf, flat, contexts), streams=streams)
     return r.records
 
 
@@ -727,7 +733,7 @@ PRODUCT = (
     Check("fermionic_action_split", "EqEval", "build", _fermionic_action_split, stream=3),
     Check("gauge_vs_form", "Sec1:twisted-fluctuation", "sampled", _gauge_vs_form, stream=4),
     Check("dirac_mass_shape", "Sec4:Dirac-mass-shape", "build",
-          lambda c: pr.dirac_mass_shape_check(c.product, seed=c.seed + 7)),
+          lambda c, rng: pr.dirac_mass_shape_check(c.product, rng), stream=5),
     Check("product_sign_row_definite", "Sec4:product-signs", "build",
           lambda c: _flag(all(s in (-1, 1) for s in c.product.sign_row))),
 )
@@ -735,7 +741,7 @@ PRODUCT = (
 
 def run_product(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "product")
-    _add_rows(r, PRODUCT, contexts[(1, 3)], streams=partial(_rng, cfg, 4))
+    _add_rows(r, PRODUCT, contexts[(1, 3)], streams=partial(_stream, cfg.seed, 4))
     return r.records
 
 
@@ -813,8 +819,5 @@ def run(cfg: SuiteConfig) -> Report:
     records: list[CheckRecord] = []
     contexts = _Contexts(cfg)
     for suite in cfg.resolved_suites():
-        builder = SUITE_BUILDERS.get(suite)
-        if builder is None:
-            raise ConfigError(f"unknown suite '{suite}'")
-        records.extend(builder(cfg, contexts))
+        records.extend(SUITE_BUILDERS[suite](cfg, contexts))
     return Report.from_records(cfg, records)

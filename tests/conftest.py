@@ -39,7 +39,7 @@ def rep11(reps):
 @pytest.fixture(scope="session")
 def pair13(rep13):
     rep, ops = rep13
-    d, _ = canonical_dirac_pair(rep)
+    d, _ = canonical_dirac_pair(rep, ops.K)
     t = canonical_twisted_triple(rep, ops, d)
     return MorphismPair(t, apply_k_morphism(t))
 

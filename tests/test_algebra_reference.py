@@ -87,9 +87,6 @@ def ref_verify_structural(rep, ops):
     k_inv, g_inv = ops.K, ops.Gamma
     c_inv, chat_inv = np.linalg.inv(ops.C), np.linalg.inv(ops.Chat)
     out = {
-        "twist_parity": max(_rn(ops.K @ g @ k_inv, rep.signs[a] * g)
-                            for a, g in enumerate(rep.gammas)),
-        "grading_flip": max(_rn(ops.Gamma @ g @ g_inv, -g) for g in rep.gammas),
         "charge_conjugation": max(_rn(ops.C @ g @ c_inv, -np.conj(g)) for g in rep.gammas),
         "c_equals_k_chat": _rn(ops.C, ops.K @ ops.Chat),
     }

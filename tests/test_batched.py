@@ -269,7 +269,7 @@ def _agree(got, want, tol_class):
 
 
 def _spins(ctx):
-    return sample_spin_plus(ctx.rep, 20, seed=0)
+    return sample_spin_plus(ctx.rep, 20, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------- tests
@@ -301,7 +301,7 @@ def test_spin_checks_match_per_sample_loops(contexts, sig):
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"p{s[0]}q{s[1]}")
 def test_trace_metric_morph_matches_per_sample_loop(contexts, sig):
     ctx = contexts[sig]
-    got = trace_metric_morph_check(ctx.rep, ctx.ops, pairs=100, seed=5)
+    got = trace_metric_morph_check(ctx.rep, ctx.ops, 100, np.random.default_rng(5))
     want = ref_trace_metric_morph(ctx, np.random.default_rng(5))
     assert got == want
 

@@ -117,8 +117,8 @@ def test_k_unitarity_trivial_cases(rep13):
 
 def test_spin_sampler_deterministic(rep13):
     rep, _ = rep13
-    a = sample_spin_plus(rep, 6, seed=99)
-    b = sample_spin_plus(rep, 6, seed=99)
+    a = sample_spin_plus(rep, 6, np.random.default_rng(99))
+    b = sample_spin_plus(rep, 6, np.random.default_rng(99))
     for x, y in zip(a, b):
         assert np.array_equal(x.matrix, y.matrix)
     assert all(len(s.factors) % 2 == 0 for s in a)
@@ -135,7 +135,7 @@ def test_spin_identity_element(rep13):
 def test_spin_rotation_is_unitary(reps):
     # two distinct positive-norm unit vectors give a standard unitary
     rep, ops = reps[(2, 0)]
-    els = sample_spin_plus(rep, 8, seed=3)
+    els = sample_spin_plus(rep, 8, np.random.default_rng(3))
     for s in els:
         assert op_norm(s.matrix) == pytest.approx(1.0, abs=1e-12)
         assert residual_norm(s.matrix @ adjoint(s.matrix), np.eye(2)) <= 1e-13
@@ -144,7 +144,7 @@ def test_spin_rotation_is_unitary(reps):
 def test_spin_boost_nonunitary_but_k_unitary(rep11):
     rep, ops = rep11
     space = _space(rep, ops)
-    els = sample_spin_plus(rep, 12, seed=5)
+    els = sample_spin_plus(rep, 12, np.random.default_rng(5))
     norms = [op_norm(s.matrix) for s in els]
     assert max(norms) > 1.0 + 1e-6  # a genuine boost appeared
     for s in els:
@@ -156,7 +156,7 @@ def test_spin_boost_nonunitary_but_k_unitary(rep11):
 
 def test_spin_even_negative_norm_count(rep13):
     rep, _ = rep13
-    for s in sample_spin_plus(rep, 10, seed=7):
+    for s in sample_spin_plus(rep, 10, np.random.default_rng(7)):
         neg = sum(
             1
             for v in s.factors
@@ -177,7 +177,7 @@ def test_spin_sampler_degenerate_request(reps):
 
 def test_spin_sampler_negative_definite(reps):
     rep, ops = reps[(0, 2)]
-    els = sample_spin_plus(rep, 6, seed=2)
+    els = sample_spin_plus(rep, 6, np.random.default_rng(2))
     space = _space(rep, ops)
     for s in els:
         assert k_unitarity_residuals(space, s.matrix[None])[0] <= 1e-10
@@ -187,7 +187,7 @@ def test_spin_invariance_of_k_product(rep13):
     rep, ops = rep13
     space = _space(rep, ops)
     rng = np.random.default_rng(8)
-    for s in sample_spin_plus(rep, 20, seed=13):
+    for s in sample_spin_plus(rep, 20, np.random.default_rng(13)):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
         d = k_product(space, s.matrix @ psi, s.matrix @ phi) - k_product(space, psi, phi)
@@ -269,7 +269,7 @@ def test_gauge_transform_identity(pair13):
 def test_gauge_transform_spin_elements_stay_selfadjoint(pair13, rep13):
     rep, ops = rep13
     t = pair13.twisted
-    for s in sample_spin_plus(rep, 10, seed=21):
+    for s in sample_spin_plus(rep, 10, np.random.default_rng(21)):
         out = gauge_transform(t.D, s.matrix, t.J, t.space)
         assert residual_norm(out, adjoint(out)) <= 1e-11
 

@@ -25,7 +25,7 @@ from kreintwist.morphism import (
 
 
 def _pair(rep, ops):
-    d, _ = canonical_dirac_pair(rep)
+    d, _ = canonical_dirac_pair(rep, ops.K)
     t = canonical_twisted_triple(rep, ops, d)
     return MorphismPair(t, apply_k_morphism(t))
 
@@ -102,7 +102,7 @@ def test_fluctuation_correspondence(reps):
         # a standard unitary commuting with K
         u = np.cos(0.4) * np.eye(rep.dim) + 1j * np.sin(0.4) * ops.K
         assert fluctuation_correspondence_check(pair, u) <= 1e-12
-        for s in sample_spin_plus(rep, 20, seed=31 + p):
+        for s in sample_spin_plus(rep, 20, np.random.default_rng(31 + p)):
             assert fluctuation_correspondence_check(pair, s.matrix) <= 1e-10
 
 
@@ -167,7 +167,7 @@ def test_euclidean_collapse_to_plain_clifford(reps):
 def test_trace_metric_morph(reps):
     for key in [(2, 2), (1, 3), (3, 3)]:
         rep, ops = reps[key]
-        assert trace_metric_morph_check(rep, ops, pairs=100, seed=17) <= 1e-11
+        assert trace_metric_morph_check(rep, ops, 100, np.random.default_rng(17)) <= 1e-11
     # twisted diagonal value: (1/2^m) Tr(ct(e_a) ct(e_a)) = 1 for every a
     rep, ops = reps[(2, 2)]
     for a in range(4):
@@ -206,7 +206,7 @@ def test_twisted_grading_relation(reps):
     from kreintwist.clifford import sign_table
 
     for (p, q), (rep, ops) in reps.items():
-        d, dk = canonical_dirac_pair(rep)
+        d, dk = canonical_dirac_pair(rep, ops.K)
         tab = sign_table(rep, ops, d)
         assert tab.eps3K == -1
         assert residual_norm(d @ ops.Gamma + tab.eps_prime * ops.Gamma @ d) <= 1e-12

@@ -213,7 +213,7 @@ def test_product_fluctuation(product13, rep13):
     # finite-only fluctuation with an algebra phase
     u_phase = finite_algebra_unitary(product13.finite, 0.8, -0.4)
     assert product_fluctuation_check(product13, np.eye(4), u_phase) <= 1e-12
-    for s in sample_spin_plus(rep, 10, seed=41):
+    for s in sample_spin_plus(rep, 10, np.random.default_rng(41)):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
         assert product_fluctuation_check(product13, s.matrix, u) <= 1e-10
@@ -270,10 +270,10 @@ def test_fermionic_action_mass_term_survival(pair13, finite_ko6):
 
 
 def test_dirac_mass_shape(product13):
-    assert dirac_mass_shape_check(product13) <= 1e-12
+    assert dirac_mass_shape_check(product13, np.random.default_rng(23)) <= 1e-12
     ft0 = build_finite_triple_ko6(0.0)
     pt0 = assemble_product(product13.manifold, ft0)
-    assert dirac_mass_shape_check(pt0) == 0.0
+    assert dirac_mass_shape_check(pt0, np.random.default_rng(23)) == 0.0
 
 
 # ----------------------------------------------------------- gauge vs form
@@ -292,9 +292,9 @@ def test_gauge_vs_form_fails_off_axioms(product13, rep13):
     # condition does not protect the one-form formula and the two
     # constructions genuinely differ
     rep, _ = rep13
-    boost = sample_spin_plus(rep, 3, seed=77)[1].matrix
+    boost = sample_spin_plus(rep, 3, np.random.default_rng(77))[1].matrix
     if residual_norm(boost @ adjoint(boost), np.eye(4)) < 1e-9:
-        boost = sample_spin_plus(rep, 6, seed=91)[4].matrix
+        boost = sample_spin_plus(rep, 6, np.random.default_rng(91))[4].matrix
     r = gauge_vs_form_residual(product13, boost, np.eye(4))
     assert r > 1e-8
 

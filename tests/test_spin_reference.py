@@ -27,7 +27,7 @@ SHAPES = [(20, 3), (1, 3), (5, 3), (20, 1), (1, 1), (5, 1)]
 def _samples(rep):
     for seed in SEEDS:
         count, max_pairs = SHAPES[seed % len(SHAPES)]
-        yield seed, count, max_pairs, sample_spin_plus(rep, count, seed, max_pairs)
+        yield seed, count, max_pairs, sample_spin_plus(rep, count, np.random.default_rng(seed), max_pairs)
 
 
 def _same_elements(a, b):
@@ -68,10 +68,15 @@ def test_stacked_products_match_the_loop(sig):
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=str)
-def test_an_int_seed_draws_as_its_generator(sig):
+def test_the_sampler_draws_from_the_callers_generator(sig):
+    # the same generator state gives the same elements, and the generator
+    # moves past the draws: a second sample from it is a new one
     rep = build_gammas(sig)
     for seed, count, max_pairs, elements in _samples(rep):
-        _same_elements(elements, sample_spin_plus(rep, count, np.random.default_rng(seed), max_pairs))
+        rng = np.random.default_rng(seed)
+        _same_elements(elements, sample_spin_plus(rep, count, rng, max_pairs))
+        again = sample_spin_plus(rep, count, rng, max_pairs)
+        assert again[0].factors[0].tobytes() != elements[0].factors[0].tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 5, 11])
@@ -85,8 +90,8 @@ def test_a_perturbed_dirac_matrix_gives_failed_records(monkeypatch):
     ids = [r.check_id for r in run(cfg).records]
     canonical = cl.canonical_dirac_pair
 
-    def perturbed(rep):
-        d, dk = canonical(rep)
+    def perturbed(rep, K):
+        d, dk = canonical(rep, K)
         if (rep.sig.p, rep.sig.q) == (1, 3):
             h = np.random.default_rng(0).normal(size=(2, *d.shape))
             h = h[0] + 1j * h[1]

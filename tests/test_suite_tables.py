@@ -95,3 +95,46 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     monkeypatch.setattr(cl, "table_norm", lambda *args: next(norms))
     gap = lambda g, s: g
     assert math.isnan(rep.gamma_table_norm(gap, gap, gap))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 71])
+def test_every_generator_is_keyed_by_the_run_seed(seed, monkeypatch):
+    # one keying rule: every generator of a run is built from an entropy
+    # sequence that starts with the run's seed, so runs of two seeds share none
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recorded(*args, **kwargs):
+        keys.append(args[0] if args else kwargs.get("seed"))
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    run(SuiteConfig(seed=seed))
+    assert keys
+    assert all(isinstance(key, (list, tuple)) and key[0] == seed for key in keys), keys
+
+
+def _reads_13(check_id: str) -> bool:
+    """Whether a default-config record reads an operator of signature (1,3)."""
+    return ("p1q3." in check_id
+            or (check_id.startswith("product.") and check_id != "product.finite_ko6_invariants")
+            or check_id in ("geometry.flat4d.plane_wave_dirac", "geometry.lorentz4d.dirac_decomposition"))
+
+
+@pytest.mark.parametrize("builder", ["build_gammas", "build_structural"])
+def test_a_construction_error_on_1_3_gives_failed_records(builder, monkeypatch):
+    ids = [rec.check_id for rec in run(SuiteConfig(seed=0)).records]
+    original = getattr(cl, builder)
+
+    def broken(arg):  # a Signature for build_gammas, a CliffordRep for build_structural
+        sig = getattr(arg, "sig", arg)
+        if (sig.p, sig.q) == (1, 3):
+            raise cl.ConstructionError(f"{builder} fails on (1,3)")
+        return original(arg)
+
+    monkeypatch.setattr(cl, builder, broken)
+    records = run(SuiteConfig(seed=0)).records
+    assert [rec.check_id for rec in records] == ids
+    failed = [rec for rec in records if not rec.passed]
+    assert failed and all(math.isinf(rec.residual) for rec in failed)
+    assert all(_reads_13(rec.check_id) for rec in failed)
