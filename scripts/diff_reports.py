@@ -5,8 +5,10 @@
 ``runtime_ms`` is ignored.  Prints, per check, max |residual_B - residual_A|
 divided by the tolerance, largest first, and exits 1 if the check ids,
 anchors, tolerances or pass flags differ, or if any residual moved by more
-than ``MAX_SHIFT`` times its tolerance (a residual that is infinite in one
-report must be infinite in the other); exits 0 otherwise.
+than ``MAX_SHIFT`` times its tolerance (a residual that is inf, -inf or nan
+in one report must be the same in the other); exits 0 otherwise.  Reports
+write non-finite residuals as the strings "inf", "-inf" and "nan"; bare
+JSON constants of older reports are read too.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], list[tuple[float, 
         for key in ("anchor", "tolerance", "passed"):
             if ra[key] != rb[key]:
                 problems.append(f"{cid}: {key} {ra[key]!r} -> {rb[key]!r}")
-        va, vb = float(ra["residual"]), float(rb["residual"])
+        va, vb = float(ra["residual"]), float(rb["residual"])  # float("inf") and float("nan") parse
         if math.isfinite(va) and math.isfinite(vb):
             shifts.append((abs(vb - va) / float(ra["tolerance"]), cid))
-        elif va != vb:
+        elif repr(va) != repr(vb):  # nan matches nan
             problems.append(f"{cid}: residual {va!r} -> {vb!r}")
             shifts.append((math.inf, cid))
         else:

@@ -41,6 +41,7 @@ from .linalg import (
     ShapeError,
     adjoint,
     as_cmat,
+    norm_within,
     op_norms,
     residual_norm,
     sign_of_pair,
@@ -68,6 +69,7 @@ __all__ = [
     "phase_normalize",
     "twist_operator",
     "involution_residuals",
+    "is_hermitian_involution",
     "build_structural",
     "verify_structural",
     "measure_sign",
@@ -221,15 +223,17 @@ def represent(rep: CliffordRep, v) -> np.ndarray:
 def represent_stack(rep: CliffordRep, vs) -> np.ndarray:
     """c(v) for every row v of a (k, n_gen) coefficient stack, shape (k, dim, dim).
 
-    Every gamma is a monomial matrix with entries in {0, +-1, +-i}, so each
-    product v^a gamma_a is exact and each entry sums at most two nonzero
-    terms (the sigma1 and sigma2 slots share their support): the result is
-    independent of the summation order, bit for bit.
+    One matrix product of the stack with the flattened gammas.  Every gamma
+    is a monomial matrix with entries in {0, +-1, +-i}, so each product
+    v^a gamma_a is exact and each entry sums at most two nonzero terms (the
+    sigma1 and sigma2 slots share their support): the result is independent
+    of the summation order, bit for bit.
     """
     vs = np.asarray(vs, dtype=np.complex128)
     if vs.ndim != 2 or vs.shape[1] != rep.n_gen:
         raise ShapeError(f"coefficient vector must have length {rep.n_gen}, got shape {vs.shape[1:]}")
-    return np.einsum("ka,aij->kij", vs, rep.gamma_stack)
+    flat = vs @ rep.gamma_stack.reshape(rep.n_gen, rep.dim * rep.dim)
+    return flat.reshape(len(vs), rep.dim, rep.dim)
 
 
 def metric_pairing(rep: CliffordRep, u, v) -> complex:
@@ -284,7 +288,7 @@ def phase_normalize(p: np.ndarray, tol: float = BUILD_TOL) -> np.ndarray:
     """
     for k in range(4):
         cand = (1j ** k) * p
-        if residual_norm(cand, adjoint(cand)) <= tol:
+        if norm_within(cand - adjoint(cand), tol):
             d = np.real(np.diag(cand))
             for x in d:
                 if abs(x) > tol:
@@ -317,13 +321,16 @@ def _euclidean_charge_conjugation(rep: CliffordRep) -> np.ndarray:
 
     For odd m the product of the imaginary-type (sigma2 slot, odd index)
     gammas works, for even m the product of the real-type (even index) ones;
-    verified on every hat_g, as one stacked table, before use.
+    verified on every hat_g, as one stack, before use.
     """
     chat = gamma_product(rep, range(rep.m % 2, rep.n_gen, 2), euclidean=True)
     chat_inv, hats = np.linalg.inv(chat), np.array(rep.hat_gammas)
-    worst = table_norm(lambda i: chat @ hats[i] @ chat_inv + np.conj(hats[i]),
-                       (rep.n_gen,), rep.dim)
-    if worst > BUILD_TOL:
+
+    def gaps(i):
+        return chat @ hats[i] @ chat_inv + np.conj(hats[i])
+
+    if not np.all(norm_within(gaps(slice(None)), BUILD_TOL)):
+        worst = table_norm(gaps, (rep.n_gen,), rep.dim)
         raise ConstructionError(
             f"charge conjugation closed form failed its defining relation ({worst:.3e})"
         )
@@ -343,12 +350,18 @@ def involution_residuals(op: np.ndarray) -> tuple[float, float]:
     return residual_norm(op, adjoint(op)), residual_norm(op @ op, np.eye(len(op)))
 
 
+def is_hermitian_involution(op: np.ndarray) -> bool:
+    """Whether both ``involution_residuals`` of op are at most ``BUILD_TOL``."""
+    return (norm_within(op - adjoint(op), BUILD_TOL)
+            and norm_within(op @ op - np.eye(len(op)), BUILD_TOL))
+
+
 def build_structural(rep: CliffordRep) -> StructuralOps:
     """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat."""
     K = twist_operator(rep)
     Gamma = phase_normalize(gamma_product(rep, range(rep.n_gen)))
     for name, op in (("K", K), ("Gamma", Gamma)):
-        if max(involution_residuals(op)) > BUILD_TOL:
+        if not is_hermitian_involution(op):
             raise ConstructionError(f"{name} is not a Hermitian involution")
     Chat = _euclidean_charge_conjugation(rep)
     C = K @ Chat
@@ -452,7 +465,7 @@ def sign_table(
     eps1 = eps3 = eps1K = eps3K = None
     if d is not None:
         d = as_cmat(d)
-        if residual_norm(d, adjoint(d)) > 1e-10:
+        if not norm_within(d - adjoint(d), 1e-10):
             raise ValueError("sign table needs a self-adjoint Dirac matrix")
         dk = ops.K @ d
         # J D = eps1 D J reads C conj(D) = eps1 D C on matrices.
@@ -498,6 +511,6 @@ def canonical_dirac_pair(rep: CliffordRep, K: np.ndarray) -> tuple[np.ndarray, n
         for w, (a, b, c) in zip(weights, triples):
             dk += 1j * w * (rep.gammas[a] @ rep.gammas[b] @ rep.gammas[c])
     d = K @ dk
-    if residual_norm(d, adjoint(d)) > 1e-11:
+    if not norm_within(d - adjoint(d), 1e-11):
         raise ConstructionError("canonical Dirac matrix failed to be Hermitian")
     return d, dk

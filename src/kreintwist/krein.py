@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clifford import CliffordRep, involution_residuals, represent_stack
+from .clifford import CliffordRep, is_hermitian_involution, represent_stack
 from .clifford import metric_pairing  # unused here; perfbench/tracer.py wraps krein.metric_pairing
 from .linalg import (
     AntilinearOp,
@@ -24,8 +24,10 @@ from .linalg import (
     as_cmat,
     as_cstack,
     chunk_sizes,
+    norm_within,
     op_norms,
     residual_norm,
+    sign_of_pair,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "k_adjoint",
     "K_UNITARY_TOL",
     "k_unitarity_residuals",
+    "is_k_unitary",
     "sample_spin_plus",
     "twisted_commutator",
     "twisted_one_form",
@@ -70,7 +73,7 @@ class KreinSpace:
         k = as_cmat(self.K)
         if k.shape != (self.dim, self.dim):
             raise ShapeError("K must be dim x dim")
-        if max(involution_residuals(k)) > 1e-12:
+        if not is_hermitian_involution(k):
             raise ValueError("K must be a Hermitian unitary involution")
         object.__setattr__(self, "K", k)
 
@@ -104,12 +107,27 @@ def k_adjoint(space: KreinSpace, o) -> np.ndarray:
 K_UNITARY_TOL = 1e-9
 
 
-def k_unitarity_residuals(space: KreinSpace, us) -> np.ndarray:
-    """max(|U U^+ - 1|, |U^+ U - 1|) for every matrix of a stack."""
+def _unitarity_gaps(space: Optional[KreinSpace], us) -> tuple[np.ndarray, np.ndarray]:
+    """U U^+ - 1 and U^+ U - 1 for a matrix or each matrix of a stack, with
+    U^+ = K U^dagger K, or U^dagger when ``space`` is None."""
     us = as_cstack(us)
-    plus = k_adjoint(space, us)
-    eye = np.eye(space.dim)
-    return np.maximum(op_norms(us @ plus - eye), op_norms(plus @ us - eye))
+    plus = adjoint(us) if space is None else k_adjoint(space, us)
+    eye = np.eye(us.shape[-1])
+    return us @ plus - eye, plus @ us - eye
+
+
+def k_unitarity_residuals(space: Optional[KreinSpace], us) -> np.ndarray:
+    """max(|U U^+ - 1|, |U^+ U - 1|) for every matrix of a stack; plain
+    unitarity (U^+ = U^dagger) when ``space`` is None."""
+    left, right = _unitarity_gaps(space, us)
+    return np.maximum(op_norms(left), op_norms(right))
+
+
+def is_k_unitary(space: Optional[KreinSpace], us):
+    """Whether ``k_unitarity_residuals(space, us)`` is at most ``K_UNITARY_TOL``,
+    decided by ``norm_within``: a bool for a matrix, a bool array for a stack."""
+    left, right = _unitarity_gaps(space, us)
+    return norm_within(left, K_UNITARY_TOL) & norm_within(right, K_UNITARY_TOL)
 
 
 @dataclass(frozen=True)
@@ -259,8 +277,8 @@ def gauge_transform(d, u_k, j: AntilinearOp, space: KreinSpace) -> np.ndarray:
     """
     d = as_cmat(d)
     u_k = as_cmat(u_k)
-    r = k_unitarity_residuals(space, u_k[None])[0]
-    if not r <= K_UNITARY_TOL:
+    if not is_k_unitary(space, u_k):
+        r = k_unitarity_residuals(space, u_k[None])[0]
         raise NotKUnitaryError(f"gauge element is not K-unitary ({r:.3e})")
     ad = u_k @ j.sandwich(u_k)
     return ad @ d @ adjoint(ad)
@@ -290,10 +308,8 @@ class TwistedTripleData:
     K: np.ndarray
 
     def __post_init__(self):
-        from .linalg import sign_of_pair  # local to avoid import clutter
-
         d = as_cmat(self.D)
-        if residual_norm(d, adjoint(d)) > 1e-12:
+        if not norm_within(d - adjoint(d), 1e-12):
             raise ValueError("twisted Dirac matrix must be self-adjoint")
         object.__setattr__(self, "D", d)
         object.__setattr__(self, "Gamma", as_cmat(self.Gamma))

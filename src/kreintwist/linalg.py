@@ -8,10 +8,13 @@ Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
 ``adjoint``, ``op_norms`` and ``AntilinearOp.sandwich`` act on each matrix
 of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
 Identities over generator tables are normed the same way (``table_norm``).
+A norm that only meets a threshold is decided by ``norm_within``, which
+needs an SVD only for matrices near the threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +31,8 @@ __all__ = [
     "kron",
     "op_norm",
     "op_norms",
+    "norm_within",
+    "FROBENIUS_TOL_FLOOR",
     "chunk_sizes",
     "gaussian_stacks",
     "max_residual",
@@ -178,6 +183,43 @@ def op_norms(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
+# Smallest tolerance ``norm_within`` decides from the Frobenius norm: squares of
+# entries below 1e-154 underflow, which cannot move |A|_F by a factor 2 above it.
+FROBENIUS_TOL_FLOOR = 1e-150
+
+
+def norm_within(a, tol: float):
+    """The verdict ``op_norm(a) <= tol``: a bool for a matrix, a bool array for
+    a stack (..., n, n).
+
+    |A|_2 <= |A|_F <= sqrt(n) |A|_2 (Golub & Van Loan, Matrix Computations,
+    section 2.3) decides most matrices from the Frobenius norm, one dot
+    product each: yes when |A|_F <= tol/2, no when |A|_F is finite and
+    exceeds 2 tol sqrt(n).  The factor 2 dwarfs the roundoff of both norms,
+    so the verdict is the SVD's.  The matrices in between, every one with a
+    NaN or inf entry among them, go to ``op_norms`` and compare (or raise)
+    exactly as it does; so do all matrices when tol is below
+    ``FROBENIUS_TOL_FLOOR``.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
+    decides = tol >= FROBENIUS_TOL_FLOOR
+    bound = 2.0 * tol * math.sqrt(m.shape[-1])
+    if m.ndim == 2:
+        fro = math.sqrt(np.vdot(m, m).real)
+        if decides and math.isfinite(fro) and (fro <= tol / 2 or fro > bound):
+            return fro <= tol / 2
+        return bool(op_norms(m) <= tol)
+    parts = np.ascontiguousarray(m.reshape(*m.shape[:-2], -1)).view(np.float64)
+    fro = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+    verdict = fro <= tol / 2
+    open_ = ~(decides & np.isfinite(fro) & (verdict | (fro > bound)))
+    if open_.any():
+        verdict[open_] = op_norms(m[open_]) <= tol
+    return verdict
+
+
 def residual_norm(a, b=None) -> float:
     """Operator norm of A - B (of A itself when B is omitted)."""
     m = np.asarray(a, dtype=np.complex128)
@@ -248,9 +290,9 @@ def sign_of_pair(x, y, tol: float = 1e-12) -> int:
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    if residual_norm(x, y) <= tol:
+    if norm_within(x - y, tol):
         return +1
-    if residual_norm(x, -y) <= tol:
+    if norm_within(x + y, tol):
         return -1
     raise NotASignError(
         f"no unit sign relates the operators: |X-Y|={residual_norm(x, y):.3e}, "

@@ -24,6 +24,7 @@ from .krein import (
     NotKUnitaryError,
     TwistedTripleData,
     first_order_brackets,
+    is_k_unitary,
     k_adjoint,
     k_unitarity_residuals,
     opposite_action,
@@ -38,6 +39,7 @@ from .linalg import (
     commutator,
     gaussian_stacks,
     max_residual,
+    norm_within,
     op_norms,
     residual_norm,
     table_norm,
@@ -74,7 +76,7 @@ class PseudoTripleData:
 
     def __post_init__(self):
         dk = as_cmat(self.Dk)
-        if residual_norm(dk, k_adjoint(self.space, dk)) > 1e-11:
+        if not norm_within(dk - k_adjoint(self.space, dk), 1e-11):
             raise ValueError("Dirac matrix must be K-self-adjoint")
         object.__setattr__(self, "Dk", dk)
 
@@ -85,7 +87,7 @@ class MorphismPair:
     pseudo: PseudoTripleData
 
     def __post_init__(self):
-        if residual_norm(self.pseudo.Dk, self.twisted.K @ self.twisted.D) > 1e-13:
+        if not norm_within(self.pseudo.Dk - self.twisted.K @ self.twisted.D, 1e-13):
             raise ValueError("pair is not related by Dk = K D")
 
 
@@ -158,9 +160,9 @@ def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
     K = t.K
     space = pair.pseudo.space
     u_k = as_cstack(u_k)
-    unitarity = k_unitarity_residuals(space, u_k)
-    bad = ~(unitarity <= K_UNITARY_TOL)
-    if np.any(bad):
+    if not np.all(is_k_unitary(space, u_k)):
+        unitarity = k_unitarity_residuals(space, u_k)
+        bad = ~(unitarity <= K_UNITARY_TOL)
         raise NotKUnitaryError(f"fluctuation element is not K-unitary ({unitarity[bad][0]:.3e})")
     big_u = u_k @ t.J.sandwich(u_k)
     v_k = K @ big_u @ K

@@ -32,10 +32,10 @@ from .clifford import (
     gamma_product,
 )
 from .krein import (
-    K_UNITARY_TOL,
     KreinSpace,
     TwistedTripleData,
     gauge_form_residual,
+    is_k_unitary,
     k_adjoint,
     k_unitarity_residuals,
     twisted_commutator,
@@ -47,6 +47,7 @@ from .linalg import (
     as_cmat,
     commutator,
     kron,
+    norm_within,
     op_norms,
     residual_norm,
     sign_of_pair,
@@ -207,10 +208,9 @@ def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> Produ
     gp = kron(manifold.Gamma, finite.GammaF)
     kp = kron(manifold.K, eye_f)
 
-    grading = twisted_grading_residual(dp, gp, kp)
-    if grading > 1e-11:
+    if not norm_within(_twisted_grading_gap(dp, gp, kp), 1e-11):
         raise ConstraintViolationError(
-            f"twisted grading anticommutation failed ({grading:.3e})"
+            f"twisted grading anticommutation failed ({twisted_grading_residual(dp, gp, kp):.3e})"
         )
 
     dim = dp.shape[0]
@@ -237,9 +237,13 @@ def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> Produ
     )
 
 
+def _twisted_grading_gap(dp, gp, kp) -> np.ndarray:
+    return dp @ gp + kp @ gp @ kp @ dp
+
+
 def twisted_grading_residual(dp, gp, kp) -> float:
     """|Dp Gp + (Kp Gp Kp) Dp|: the product's twisted grading relation."""
-    return residual_norm(dp @ gp + kp @ gp @ kp @ dp)
+    return residual_norm(_twisted_grading_gap(dp, gp, kp))
 
 
 def derivation_split_check(pt: ProductTripleData, a1, a2) -> float:
@@ -266,11 +270,11 @@ def product_fluctuation_check(pt: ProductTripleData, u_k, u) -> float:
     space = m.space
     u_k = as_cmat(u_k)
     u = as_cmat(u)
-    ok, res = _unitary_residual(u)
-    if not ok:
+    if not is_k_unitary(None, u):
+        res = float(k_unitarity_residuals(None, u))
         raise ConstraintViolationError(f"finite gauge element not unitary ({res:.3e})")
-    kres = k_unitarity_residuals(space, u_k[None])[0]
-    if not kres <= K_UNITARY_TOL:
+    if not is_k_unitary(space, u_k):
+        kres = k_unitarity_residuals(space, u_k[None])[0]
         raise ConstraintViolationError(f"manifold gauge element not K-unitary ({kres:.3e})")
 
     big_u_k = u_k @ m.J.sandwich(u_k)
@@ -286,12 +290,6 @@ def product_fluctuation_check(pt: ProductTripleData, u_k, u) -> float:
     df_fluct = big_u @ pt.finite.DF @ adjoint(big_u)
     rhs = pt.Kp @ (kron(dk_fluct, eye_f) + kron(eye_m, df_fluct))
     return residual_norm(lhs, rhs)
-
-
-def _unitary_residual(u: np.ndarray) -> tuple[bool, float]:
-    eye = np.eye(u.shape[0])
-    r = max(residual_norm(u @ adjoint(u), eye), residual_norm(adjoint(u) @ u, eye))
-    return r <= 1e-9, r
 
 
 def fermionic_action(pt: ProductTripleData, psi1, psi2, phi1, phi2) -> dict:

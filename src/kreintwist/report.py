@@ -61,6 +61,12 @@ def _finite(value) -> bool:
     return isinstance(value, Real) and math.isfinite(value)
 
 
+def _json_number(value: float):
+    """A finite float as itself; inf, -inf and nan, which strict JSON cannot
+    write, as the strings "inf", "-inf" and "nan" (``float`` reads them back)."""
+    return value if math.isfinite(value) else repr(float(value))
+
+
 @dataclass
 class SuiteConfig:
     suites: tuple = ("all",)
@@ -185,7 +191,7 @@ class Report:
         return {
             "tool_version": self.tool_version,
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
+            "records": [{**asdict(r), "residual": _json_number(r.residual)} for r in self.records],
             "summary": dict(self.summary),
         }
 
@@ -268,7 +274,7 @@ def _text_lines(report: Report) -> list:
 def emit(report: Report, fmt: str, path: Optional[str] = None) -> None:
     """Write the report as an aligned text table or a stable-keyed json object."""
     if fmt == "json":
-        payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=False)
+        payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=False, allow_nan=False)
         payload += "\n"
     elif fmt == "text":
         payload = "\n".join(_text_lines(report)) + "\n"

@@ -232,12 +232,15 @@ def test_generator_tables_match_loops(sig, perturbed, monkeypatch):
     for key, value in ref_gamma_rows(rep, ops).items():
         assert bits(rows[key](ctx)) == bits(value), key
 
+    # the closed form's table is normed only to report a failure
     seen = _captured_table_norm(monkeypatch)
     try:
         cl._euclidean_charge_conjugation(rep)
     except cl.ConstructionError:
         assert perturbed
-    assert bits(seen) == bits([ref_charge_conjugation(rep)])
+        assert bits(seen) == bits([ref_charge_conjugation(rep)])
+    else:
+        assert seen == [] and ref_charge_conjugation(rep) <= cl.BUILD_TOL
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=str)

@@ -344,6 +344,20 @@ def test_represent_stack_is_bit_identical_to_the_sum(dim):
         assert np.array_equal(represent(rep, vs[0]), stack[0])
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+def test_represent_stack_matches_the_einsum_byte_for_byte(dim):
+    # the matrix product gives the einsum's bytes, signed zeros included
+    rng = np.random.default_rng(dim + 100)
+    for p in range(dim, -1, -1):
+        rep = build_gammas(Signature(p, dim - p))
+        shape = (30, rep.n_gen)
+        special = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -1e300], size=shape)
+        for vs in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   special + 1j * rng.choice([0.0, -0.0, 2.0], size=shape)):
+            want = np.einsum("ka,aij->kij", vs.astype(np.complex128), rep.gamma_stack)
+            assert represent_stack(rep, vs).tobytes() == want.tobytes()
+
+
 def test_batched_fluctuation_rejects_a_stack_with_one_bad_element(contexts):
     ctx = contexts[(1, 3)]
     stack = np.array([s.matrix for s in _spins(ctx)])

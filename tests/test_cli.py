@@ -2,8 +2,10 @@ import json
 import re
 import subprocess
 
+import numpy as np
 import pytest
 
+from kreintwist import krein
 from kreintwist.report import (
     ConfigError,
     SuiteConfig,
@@ -73,6 +75,37 @@ def test_json_round_trip(tmp_path):
     assert parsed["records"] == direct["records"]
     assert parsed["summary"] == direct["summary"]
     assert parsed["config"] == direct["config"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("outcome", ["raise", "nan"])
+def test_json_is_strict_when_a_kernel_fails(outcome, tmp_path, monkeypatch):
+    def broken(space, us):
+        if outcome == "raise":
+            raise RuntimeError("broken kernel")
+        return np.full(len(us), np.nan)
+
+    monkeypatch.setattr(krein, "k_unitarity_residuals", broken)
+    report = run(SuiteConfig(suites=("krein",), signatures=((1, 3),), seed=0))
+    path = tmp_path / "r.json"
+    emit(report, "json", str(path))
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    failed = [r for r in doc["records"] if not r["passed"]]
+    assert [r["check_id"] for r in failed] == ["krein.p1q3.spin_k_unitarity"]
+    assert failed[0]["residual"] == ("inf" if outcome == "raise" else "nan")
+
+
+def test_json_of_finite_residuals_is_the_plain_encoding(tmp_path):
+    # strict encoding changes nothing while every residual is finite
+    report = run(SuiteConfig(seed=1234))
+    path = tmp_path / "r.json"
+    emit(report, "json", str(path))
+    plain = {"tool_version": report.tool_version, "config": report.config,
+             "records": [vars(r) for r in report.records], "summary": report.summary}
+    assert path.read_text() == json.dumps(plain, indent=2) + "\n"
 
 
 def test_empty_suite_list_gives_empty_report():

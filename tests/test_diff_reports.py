@@ -58,3 +58,14 @@ def test_changed_reports_exit_one(tmp_path, capsys, change):
     change(records)
     assert main([_write(tmp_path, "a.json", _records()), _write(tmp_path, "b.json", records)]) == 1
     assert "DIFF" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_string_encoded_nonfinite_residuals_compare_as_floats(tmp_path, capsys, value):
+    written, legacy = _records(), _records()
+    written[0]["residual"], legacy[0]["residual"] = value, float(value)
+    a = _write(tmp_path, "a.json", written)
+    assert main([a, _write(tmp_path, "b.json", written)]) == 0
+    assert main([a, _write(tmp_path, "c.json", legacy)]) == 0
+    assert main([a, _write(tmp_path, "d.json", _records())]) == 1
+    assert "DIFF clifford.p2q0.twist_parity: residual" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from kreintwist.krein import (
     canonical_twisted_triple,
     fluctuate,
     gauge_transform,
+    is_k_unitary,
     k_adjoint,
     k_product,
     k_unitarity_residuals,
@@ -113,6 +114,23 @@ def test_k_unitarity_trivial_cases(rep13):
     # a standard unitary commuting with K stays K-unitary
     u = np.cos(0.3) * np.eye(4) + 1j * np.sin(0.3) * ops.K
     assert k_unitarity_residuals(space, u[None])[0] <= 1e-10
+
+
+def test_is_k_unitary_is_the_residual_verdict(rep13):
+    # K-unitary and plain-unitary (space None) verdicts against the residuals,
+    # with residuals of about 2 delta on both sides of the tolerance 1e-9
+    rep, ops = rep13
+    space = _space(rep, ops)
+    spins = [s.matrix for s in sample_spin_plus(rep, 6, np.random.default_rng(3))]
+    boost = spins[np.argmax([op_norm(s) for s in spins])]
+    assert op_norm(boost) > 1.0 + 1e-6  # K-unitary, not unitary
+    mats = [f * m for m in (np.eye(4), boost) for f in (1.0, 1 + 4e-10, 1 + 6e-10, 2.0)]
+    for where in (space, None):
+        want = k_unitarity_residuals(where, np.array(mats)) <= 1e-9
+        assert is_k_unitary(where, np.array(mats)).tolist() == want.tolist()
+        assert [is_k_unitary(where, m) for m in mats] == want.tolist()
+        assert want[:3].tolist() == [True, True, False]
+    assert is_k_unitary(space, boost) and not is_k_unitary(None, boost)
 
 
 def test_spin_sampler_deterministic(rep13):

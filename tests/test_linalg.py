@@ -1,9 +1,13 @@
+import timeit
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kreintwist import linalg
 from kreintwist.linalg import (
+    FROBENIUS_TOL_FLOOR,
     AntilinearOp,
     NotASignError,
     ShapeError,
@@ -11,6 +15,7 @@ from kreintwist.linalg import (
     as_cmat,
     kron,
     max_residual,
+    norm_within,
     op_norm,
     op_norms,
     residual_norm,
@@ -192,3 +197,155 @@ def test_table_norm_of_an_inf_entry_is_nan():
     stack = np.array([np.eye(2), np.eye(2), np.eye(2)], dtype=np.complex128)
     stack[1, 0, 0] = np.inf
     assert np.isnan(table_norm(lambda i: stack[i], (3,), 2))
+
+
+# ---------------------------------------------------------------- norm_within
+
+def _unitary(seed, n):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _rank_one(seed, n):
+    """A rank-one matrix of Frobenius (and operator) norm 1."""
+    rng = np.random.default_rng(seed)
+    x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    a = np.outer(x, y.conj())
+    return a / np.sqrt(np.vdot(a, a).real)
+
+
+def _agrees(a, tol):
+    got = norm_within(a, tol)
+    want = op_norms(a) <= tol
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want), (got, want)
+    return got
+
+
+# multipliers around a threshold: the threshold itself and a few ulps and ppm either side
+AROUND = [1 - 1e-6, 1 - 4e-16, 1.0, 1 + 4e-16, 1 + 1e-6]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+@pytest.mark.parametrize("tol", [1e-13, 1e-9, 0.5, 3.0])
+def test_norm_within_at_the_thresholds(n, tol):
+    # rank one: |A|_2 = |A|_F, placed at tol/2, tol and 2 tol sqrt(n)
+    r = _rank_one(n, n)
+    for edge in (tol / 2, tol, 2 * tol * np.sqrt(n)):
+        for f in AROUND:
+            _agrees(edge * f * r, tol)
+    # scaled unitary: |A|_2 = |A|_F / sqrt(n), Frobenius norm placed at the same edges
+    u = _unitary(n, n) / np.sqrt(n)
+    for edge in (tol / 2, tol, 2 * tol * np.sqrt(n)):
+        for f in AROUND:
+            _agrees(edge * f * u, tol)
+    # the operator norm itself at tol
+    for f in AROUND:
+        _agrees(tol * f * _unitary(n + 1, n), tol)
+    assert _agrees(np.zeros((n, n)), tol)
+
+
+def test_norm_within_decides_clear_cases_without_an_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("decided by the Frobenius norm")
+
+    u = _unitary(0, 4)
+    for tol in (1e-12, 1.0):
+        decided = [np.zeros((4, 4)), 0.2 * tol * u, 5.0 * tol * u, 0.5 * tol * _rank_one(0, 4)]
+        want = [op_norm(a) <= tol for a in decided]
+        monkeypatch.setattr(linalg, "op_norms", no_svd)
+        assert [norm_within(a, tol) for a in decided] == want == [True, True, False, True]
+        assert norm_within(np.array(decided), tol).tolist() == want
+        monkeypatch.undo()
+
+
+def test_norm_within_sends_only_the_undecided_entries_to_the_svd(monkeypatch):
+    tol, r, u = 1e-10, _rank_one(3, 4), _unitary(3, 4)
+    stack = np.array([np.zeros((4, 4)), 0.8 * tol * r, 10 * tol * u, 1.2 * tol * r, 0.1 * tol * u, 0.9 * tol * u])
+    normed = []
+    original = linalg.op_norms
+
+    def recording(m):
+        normed.append(np.asarray(m).shape)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "op_norms", recording)
+    got = norm_within(stack, tol)
+    monkeypatch.undo()
+    assert got.tolist() == (op_norms(stack) <= tol).tolist() == [True, True, False, False, True, True]
+    assert normed == [(3, 4, 4)]
+    # a stack of stacks keeps its leading shape
+    assert norm_within(stack.reshape(2, 3, 4, 4), tol).tolist() == [[True, True, False], [False, True, True]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_norm_within_of_nonfinite_entries_compares_or_raises_as_the_svd(bad):
+    for tol in (1e-12, np.inf):
+        m = np.zeros((3, 4, 4), dtype=np.complex128)
+        m[1, 2, 0] = bad
+        if np.isnan(bad):
+            for a in (m, m[1]):
+                with pytest.raises(np.linalg.LinAlgError):
+                    op_norms(a)
+                with pytest.raises(np.linalg.LinAlgError):
+                    norm_within(a, tol)
+            continue
+        assert _agrees(m, tol).tolist() == [True, False, True]
+        assert norm_within(m[1], tol) is False
+    # entries whose squares overflow are decided by the SVD too
+    big = np.full((2, 2), 1e200)
+    assert norm_within(big, 1e300) is True and norm_within(big, 1e199) is False
+
+
+def test_norm_within_below_the_tolerance_floor_asks_the_svd():
+    tiny = np.full((3, 3), 1e-170)  # squares underflow: |A|_F reads 0
+    assert np.vdot(tiny, tiny).real == 0.0
+    for tol in (0.0, 1e-300, FROBENIUS_TOL_FLOOR / 2):
+        assert _agrees(tiny, tol) == (op_norm(tiny) <= tol)
+        assert _agrees(np.zeros((3, 3)), tol)
+    assert not _agrees(np.eye(2), -1.0) and not _agrees(np.eye(2), np.nan)
+
+
+def test_norm_within_rejects_nonsquare():
+    with pytest.raises(ShapeError):
+        norm_within(np.ones((2, 3)), 1.0)
+    with pytest.raises(ShapeError):
+        norm_within(np.ones(3), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1, 2, 3, 4, 8, 16]),
+    st.sampled_from([1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6, 1.0]),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(["gaussian", "rank_one", "unitary", "diagonal"]),
+)
+def test_norm_within_agrees_with_the_svd(seed, n, tol, log_ratio, kind):
+    # norms spread over tol/10 .. 10 tol around the threshold
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    elif kind == "rank_one":
+        a = _rank_one(seed, n)
+    elif kind == "unitary":
+        a = _unitary(seed, n)
+    else:
+        a = np.diag(rng.normal(size=n) * (rng.random(n) < 0.5) + 0j)
+    norm = op_norm(a)
+    if norm > 0:
+        a = a * (tol * 10.0 ** log_ratio / norm)
+    _agrees(a, tol)
+    stack = np.array([a, 0.5 * a, 2 * a, np.zeros_like(a)])
+    _agrees(stack, tol)
+
+
+def test_norm_within_is_no_slower_than_the_svd_at_dimension_2():
+    a = SIGMA1 + 0.5 * SIGMA3
+
+    def best(fn):
+        return min(timeit.repeat(fn, number=500, repeat=5))
+
+    for tol in (1e-12, 10.0):  # decided no, decided yes
+        assert best(lambda: norm_within(a, tol)) <= best(lambda: op_norm(a) <= tol)
