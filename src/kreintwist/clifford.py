@@ -37,10 +37,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
+    BUILD_TOL,
     AntilinearOp,
     ShapeError,
     adjoint,
-    as_cmat,
     norm_within,
     op_norms,
     residual_norm,
@@ -82,8 +82,6 @@ __all__ = [
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-BUILD_TOL = 1e-12
 
 
 class ConstructionError(RuntimeError):
@@ -208,8 +206,8 @@ def build_gammas(sig: Signature) -> CliffordRep:
         signs=signs,
         hat_gammas=tuple(hats),
     )
-    worst = max(rep.relation_residuals)
-    if worst > BUILD_TOL:
+    worst = _worst(rep.relation_residuals)
+    if not worst <= BUILD_TOL:
         raise ConstructionError(f"Clifford relations violated, residual {worst:.3e}")
     return rep
 
@@ -279,7 +277,7 @@ def gamma_product(rep: CliffordRep, indices: Sequence[int], euclidean: bool = Fa
     return out
 
 
-def phase_normalize(p: np.ndarray, tol: float = BUILD_TOL) -> np.ndarray:
+def phase_normalize(p: np.ndarray) -> np.ndarray:
     """Multiply by i^k (smallest k) to reach Hermiticity, then fix the sign.
 
     The sign is chosen so the first diagonal entry with nonvanishing real
@@ -288,14 +286,10 @@ def phase_normalize(p: np.ndarray, tol: float = BUILD_TOL) -> np.ndarray:
     """
     for k in range(4):
         cand = (1j ** k) * p
-        if norm_within(cand - adjoint(cand), tol):
+        if norm_within(cand - adjoint(cand), BUILD_TOL):
             d = np.real(np.diag(cand))
-            for x in d:
-                if abs(x) > tol:
-                    if x < 0:
-                        cand = -cand
-                    break
-            return cand
+            d = d[np.abs(d) > BUILD_TOL]
+            return -cand if d.size and d[0] < 0 else cand
     raise ConstructionError("no unit phase makes the product Hermitian")
 
 
@@ -409,14 +403,14 @@ def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
     }
 
 
-def antilinear_sign(op: np.ndarray, j: AntilinearOp, tol: float = BUILD_TOL) -> int:
+def antilinear_sign(op: np.ndarray, j: AntilinearOp) -> int:
     """Measured s with (op o J) = s (J o op) for a linear op and antilinear J."""
-    return sign_of_pair(op @ j.mat, j.mat @ np.conj(op), tol)
+    return sign_of_pair(op @ j.mat, j.mat @ np.conj(op))
 
 
-def measure_sign(x: np.ndarray, y: np.ndarray, tol: float = BUILD_TOL) -> int:
+def measure_sign(x: np.ndarray, y: np.ndarray) -> int:
     """Measured s with X Y = s Y X."""
-    return sign_of_pair(x @ y, y @ x, tol)
+    return sign_of_pair(x @ y, y @ x)
 
 
 @dataclass(frozen=True)
@@ -446,33 +440,27 @@ class SignTable:
         return (self.eps0, self.eps1, self.eps2, self.eps3)
 
 
-def sign_table(
-    rep: CliffordRep,
-    ops: StructuralOps,
-    d: Optional[np.ndarray] = None,
-    tol: float = BUILD_TOL,
-) -> SignTable:
+def sign_table(rep: CliffordRep, ops: StructuralOps, d: Optional[np.ndarray] = None) -> SignTable:
     """Measure every unit sign and assert the twisted/Krein cross-relations.
 
     ``d`` is the self-adjoint twisted-side Dirac matrix; the Krein side uses
     K d.  Omitting it skips the eps1/eps3 rows.
     """
-    eps = antilinear_sign(ops.K, ops.J, tol)
-    eps_prime = measure_sign(ops.K, ops.Gamma, tol)
-    eps0 = sign_of_pair(ops.J.square(), np.eye(rep.dim), tol)
-    eps2 = antilinear_sign(ops.Gamma, ops.J, tol)
+    eps = antilinear_sign(ops.K, ops.J)
+    eps_prime = measure_sign(ops.K, ops.Gamma)
+    eps0 = sign_of_pair(ops.J.square(), np.eye(rep.dim))
+    eps2 = antilinear_sign(ops.Gamma, ops.J)
 
     eps1 = eps3 = eps1K = eps3K = None
     if d is not None:
-        d = as_cmat(d)
         if not norm_within(d - adjoint(d), 1e-10):
             raise ValueError("sign table needs a self-adjoint Dirac matrix")
         dk = ops.K @ d
         # J D = eps1 D J reads C conj(D) = eps1 D C on matrices.
-        eps1 = sign_of_pair(ops.C @ np.conj(d), d @ ops.C, tol)
-        eps1K = sign_of_pair(ops.C @ np.conj(dk), dk @ ops.C, tol)
-        eps3 = measure_sign(d, ops.Gamma, tol)
-        eps3K = measure_sign(dk, ops.Gamma, tol)
+        eps1 = sign_of_pair(ops.C @ np.conj(d), d @ ops.C)
+        eps1K = sign_of_pair(ops.C @ np.conj(dk), dk @ ops.C)
+        eps3 = measure_sign(d, ops.Gamma)
+        eps3K = measure_sign(dk, ops.Gamma)
         if eps1K != eps * eps1:
             raise ConstructionError("cross-relation eps1K = eps * eps1 violated")
         if eps3 != eps_prime * eps3K:

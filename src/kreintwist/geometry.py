@@ -27,6 +27,7 @@ import numpy as np
 
 from .clifford import CliffordRep
 from .linalg import residual_norm
+from .linalg import _worst  # the one NaN-propagating maximum
 
 __all__ = [
     "OutOfDomainError",
@@ -264,7 +265,7 @@ def metric_compatibility_residual(metric: MetricField, use_gR: bool, x, h: float
 def reflection_isometry_residual(metric: MetricField, x) -> float:
     """r g r = g and r gR r = gR (exact for diagonal families)."""
     r = np.diag(metric.r_signs)
-    return max(float(np.max(np.abs(r @ m @ r - m))) for m in (metric.g_at(x), metric.gR_at(x)))
+    return _worst(float(np.max(np.abs(r @ m @ r - m))) for m in (metric.g_at(x), metric.gR_at(x)))
 
 
 def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

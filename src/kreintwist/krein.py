@@ -22,7 +22,6 @@ from .linalg import (
     ShapeError,
     adjoint,
     as_cmat,
-    as_cstack,
     chunk_sizes,
     norm_within,
     op_norms,
@@ -97,8 +96,7 @@ def k_products(space: KreinSpace, psis, phis) -> np.ndarray:
 
 def k_adjoint(space: KreinSpace, o) -> np.ndarray:
     """Twisted adjoint O^+ = K O^dagger K (of each matrix, for a stack)."""
-    o = as_cstack(o)
-    if o.shape[-2:] != (space.dim, space.dim):
+    if np.shape(o)[-2:] != (space.dim, space.dim):
         raise ShapeError("operator must be dim x dim")
     return space.K @ adjoint(o) @ space.K
 
@@ -110,7 +108,6 @@ K_UNITARY_TOL = 1e-9
 def _unitarity_gaps(space: Optional[KreinSpace], us) -> tuple[np.ndarray, np.ndarray]:
     """U U^+ - 1 and U^+ U - 1 for a matrix or each matrix of a stack, with
     U^+ = K U^dagger K, or U^dagger when ``space`` is None."""
-    us = as_cstack(us)
     plus = adjoint(us) if space is None else k_adjoint(space, us)
     eye = np.eye(us.shape[-1])
     return us @ plus - eye, plus @ us - eye
@@ -223,24 +220,20 @@ def sample_spin_plus(
 
 def twisted_commutator(d, a, K) -> np.ndarray:
     """[D, a]_rho = D a - (K a K) D (for each a of a stack)."""
-    d = as_cmat(d)
-    a = as_cstack(a)
-    K = as_cmat(K)
     return d @ a - K @ a @ K @ d
 
 
 def twisted_one_form(pairs: Sequence[tuple], d, K) -> np.ndarray:
     """sum_i a_i [D, b_i]_rho (zero matrix for an empty list)."""
-    d = as_cmat(d)
     out = np.zeros_like(d)
     for a, b in pairs:
-        out = out + as_cmat(a) @ twisted_commutator(d, b, K)
+        out = out + a @ twisted_commutator(d, b, K)
     return out
 
 
 def opposite_action(b, j: AntilinearOp) -> np.ndarray:
     """b^o = J b^dagger J^-1 (for each b of a stack)."""
-    return j.sandwich(adjoint(as_cstack(b)))
+    return j.sandwich(adjoint(b))
 
 
 def first_order_brackets(d, a, b, j: AntilinearOp, K) -> np.ndarray:
@@ -249,9 +242,8 @@ def first_order_brackets(d, a, b, j: AntilinearOp, K) -> np.ndarray:
 
     The opposite twist acts by rho^o(b^o) = (rho^-1(b))^o = J (K b K)^dagger J^-1.
     """
-    K = as_cmat(K)
     x = twisted_commutator(d, a, K)
-    rho_b_op = j.sandwich(adjoint(K @ as_cstack(b) @ K))
+    rho_b_op = j.sandwich(adjoint(K @ b @ K))
     return x @ opposite_action(b, j) - rho_b_op @ x
 
 
@@ -262,8 +254,6 @@ def twisted_first_order_residual(d, a, b, j: AntilinearOp, K) -> float:
 
 def fluctuate(d, a_rho, j: AntilinearOp, eps1: int) -> np.ndarray:
     """Twisted fluctuation D + A_rho + eps1 J A_rho J^-1."""
-    d = as_cmat(d)
-    a_rho = as_cmat(a_rho)
     return d + a_rho + eps1 * j.sandwich(a_rho)
 
 
@@ -275,8 +265,6 @@ def gauge_transform(d, u_k, j: AntilinearOp, space: KreinSpace) -> np.ndarray:
     K-unitaries, is measured by the krein suite's ``gauge_selfadjointness``
     check, not here.
     """
-    d = as_cmat(d)
-    u_k = as_cmat(u_k)
     if not is_k_unitary(space, u_k):
         r = k_unitarity_residuals(space, u_k[None])[0]
         raise NotKUnitaryError(f"gauge element is not K-unitary ({r:.3e})")
@@ -288,7 +276,7 @@ def gauge_form_residual(d, u, j: AntilinearOp, space: KreinSpace, eps1: int) -> 
     """|Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1)| with the one-form
     A = u [D, u^+]_rho; zero for a K-unitary gauge element u of an algebra
     that meets the order-zero and first-order conditions."""
-    a_form = as_cmat(u) @ twisted_commutator(d, k_adjoint(space, u), space.K)
+    a_form = u @ twisted_commutator(d, k_adjoint(space, u), space.K)
     return residual_norm(gauge_transform(d, u, j, space), fluctuate(d, a_form, j, eps1))
 
 

@@ -10,6 +10,12 @@ of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
 Identities over generator tables are normed the same way (``table_norm``).
 A norm that only meets a threshold is decided by ``norm_within``, which
 needs an SVD only for matrices near the threshold.
+
+Operands are validated where data enters: the constructors of the triple
+data and of ``AntilinearOp`` coerce them to finite complex128 matrices and
+reject NaN and inf.  Kernels trust their operands.  A non-finite entry that arises
+inside one gets norm NaN from ``op_norms``, so its residual fails its check
+(``nan <= tol`` is false) and every threshold guard rejects it.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "NotASignError",
+    "BUILD_TOL",
     "STACK_ENTRIES",
     "TABLE_ENTRIES",
     "as_cmat",
-    "as_cstack",
     "adjoint",
     "kron",
     "op_norm",
@@ -66,26 +72,22 @@ STACK_ENTRIES = 1 << 14
 TABLE_ENTRIES = 1 << 12
 
 
-def _require_finite(m: np.ndarray) -> np.ndarray:
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix contains NaN/Inf entries")
-    return m
+# the tolerance of construction guards and unit-sign measurements
+BUILD_TOL = 1e-12
 
 
 def as_cmat(a) -> np.ndarray:
-    """Coerce to a finite complex128 matrix."""
+    """Coerce an operand entering a constructor to a finite complex128 matrix.
+
+    Raises ShapeError unless it is a matrix and ValueError on a NaN or inf
+    entry; kernels downstream do not check again.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    return _require_finite(m)
-
-
-def as_cstack(a) -> np.ndarray:
-    """Coerce to a finite complex128 matrix or stack of matrices (..., n, m)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2:
-        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    return _require_finite(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    return m
 
 
 def chunk_sizes(count: int, dim: int) -> list[int]:
@@ -173,14 +175,21 @@ def op_norms(a) -> np.ndarray:
     One batched SVD; each matrix goes through the same LAPACK routine as a
     single ``op_norm`` call, so the values agree bit for bit.  A stack with
     no nonzero entry (empty ones included) skips the SVD: its norms are the
-    SVD's exact +0.0.  NaN and inf entries count as nonzero and reach the SVD.
+    SVD's exact +0.0.  A matrix with a NaN or inf entry has norm NaN without
+    an SVD: LAPACK raises on NaN and, given infs, may print an error line to
+    a standard stream.  Only a stack with such an entry is checked per matrix.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
     if not m.any():
         return np.zeros(m.shape[:-2])
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
+    if np.isfinite(m).all():
+        return np.linalg.svd(m, compute_uv=False)[..., 0]
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    norms = np.full(m.shape[:-2], np.nan)
+    norms[finite] = op_norms(m[finite])
+    return norms
 
 
 # Smallest tolerance ``norm_within`` decides from the Frobenius norm: squares of
@@ -197,8 +206,8 @@ def norm_within(a, tol: float):
     product each: yes when |A|_F <= tol/2, no when |A|_F is finite and
     exceeds 2 tol sqrt(n).  The factor 2 dwarfs the roundoff of both norms,
     so the verdict is the SVD's.  The matrices in between, every one with a
-    NaN or inf entry among them, go to ``op_norms`` and compare (or raise)
-    exactly as it does; so do all matrices when tol is below
+    NaN or inf entry among them, go to ``op_norms`` and compare exactly as
+    it does (NaN: never within); so do all matrices when tol is below
     ``FROBENIUS_TOL_FLOOR``.
     """
     m = np.asarray(a, dtype=np.complex128)
@@ -279,20 +288,19 @@ class AntilinearOp:
 
         ``a`` may be a stack of matrices; inv(mat) is computed on first use.
         """
-        m = as_cstack(a)
-        return self.mat @ np.conj(m) @ self._mat_inv
+        return self.mat @ np.conj(a) @ self._mat_inv
 
 
-def sign_of_pair(x, y, tol: float = 1e-12) -> int:
-    """Return s in {+1,-1} with X = s Y, or raise NotASignError.
+def sign_of_pair(x, y) -> int:
+    """Return s in {+1,-1} with |X - s Y| <= BUILD_TOL, or raise NotASignError.
 
     Prefers +1 in the degenerate case X = Y = 0.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    if norm_within(x - y, tol):
+    if norm_within(x - y, BUILD_TOL):
         return +1
-    if norm_within(x + y, tol):
+    if norm_within(x + y, BUILD_TOL):
         return -1
     raise NotASignError(
         f"no unit sign relates the operators: |X-Y|={residual_norm(x, y):.3e}, "

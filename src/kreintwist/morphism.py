@@ -34,7 +34,6 @@ from .linalg import (
     AntilinearOp,
     adjoint,
     as_cmat,
-    as_cstack,
     chunk_sizes,
     commutator,
     gaussian_stacks,
@@ -127,7 +126,6 @@ def selfadjoint_equivalence_check(pair: MorphismPair) -> float:
 
 def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
     """|K [D, a]_rho - [D^K, a]| for every a of a stack."""
-    a = as_cstack(a)
     lhs = pair.twisted.K @ twisted_commutator(pair.twisted.D, a, pair.twisted.K)
     return op_norms(lhs - commutator(pair.pseudo.Dk, a))
 
@@ -135,8 +133,6 @@ def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
 def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray:
     """Gap of [[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for paired a, b of two stacks."""
     t = pair.twisted
-    a = as_cstack(a)
-    b = as_cstack(b)
     lhs = first_order_brackets(t.D, a, b, t.J, t.K)
     rhs = t.K @ commutator(commutator(pair.pseudo.Dk, a), opposite_action(b, t.J))
     return op_norms(lhs - rhs)
@@ -148,7 +144,7 @@ def fluctuation_correspondence_check(pair: MorphismPair, u_k) -> float:
     Also folds in the identity rho(U_K) = rho(u_K) J rho(u_K) J^-1, so both
     constructions of the twisted-side conjugator are compared.
     """
-    return float(fluctuation_correspondence_residuals(pair, as_cmat(u_k)[None])[0])
+    return float(fluctuation_correspondence_residuals(pair, u_k[None])[0])
 
 
 def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
@@ -159,7 +155,6 @@ def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
     t = pair.twisted
     K = t.K
     space = pair.pseudo.space
-    u_k = as_cstack(u_k)
     if not np.all(is_k_unitary(space, u_k)):
         unitarity = k_unitarity_residuals(space, u_k)
         bad = ~(unitarity <= K_UNITARY_TOL)

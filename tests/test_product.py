@@ -56,6 +56,14 @@ def test_finite_first_order_with_nonzero_commutator():
     assert finite_first_order_residual(ft) <= 1e-14
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mass", [complex(np.inf, 0.0), complex(np.nan, 0.0)])
+def test_finite_triple_with_a_nonfinite_mass_is_rejected(mass):
+    # the KO-6 residuals of such a DF are NaN, which no threshold guard accepts
+    with pytest.raises(ConstraintViolationError):
+        build_finite_triple_ko6(mass)
+
+
 def test_two_dim_mass_block_violates_first_order():
     # the single 2x2 mass block with a faithfully acting two-point algebra
     # breaks the first-order condition; this is why the finite model needs

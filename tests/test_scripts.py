@@ -24,3 +24,4 @@ def test_study_script_runs(script, line):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+    assert proc.stderr == ""

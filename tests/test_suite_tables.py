@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kreintwist import clifford as cl
+from kreintwist import krein as kr
 from kreintwist import suites as su
 from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
@@ -95,6 +96,25 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     monkeypatch.setattr(cl, "table_norm", lambda *args: next(norms))
     gap = lambda g, s: g
     assert math.isnan(rep.gamma_table_norm(gap, gap, gap))
+
+
+def test_inf_entries_in_a_kernel_fail_its_row_silently(monkeypatch, capfd):
+    # kernels trust their operands: infs that arise inside one reach op_norms,
+    # which norms them NaN without the SVD; LAPACK, given two infs in a matrix,
+    # prints "On entry to DLASCL ..." to a standard stream of the process
+    fluctuate = kr.fluctuate
+
+    def with_inf(*args):
+        out = fluctuate(*args).copy()
+        out[0, 0] = out[1, 1] = np.inf
+        return out
+
+    monkeypatch.setattr(kr, "fluctuate", with_inf)
+    report = run(SuiteConfig(suites=("krein",), signatures=((1, 3),), seed=0))
+    failed = [rec for rec in report.records if not rec.passed]
+    assert [rec.check_id for rec in failed] == ["krein.p1q3.gauge_equals_form"]
+    assert math.isnan(failed[0].residual)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("seed", [0, 4, 71])
