@@ -2,12 +2,15 @@
 
 Metrics are diagonal component functions on an axis-aligned box, together
 with a constant diagonal spacelike reflection r making g_R = g(., r .)
-positive definite.  Each kernel reads one metric jet at its point: g and
-g_R with their inverses and one second-order central-difference sweep of
-g (default step 1e-3), from which the g_R sweep follows exactly.
-Christoffel symbols, frame connection coefficients and the first-order
-Dirac operator are array contractions over the jet, so every identity
-check inherits an O(h^2) error floor.
+positive definite.  Every kernel reads one metric jet per point (``_jet``):
+g and g_R with their inverses, one second-order central-difference sweep
+of g (default step 1e-3), from which the g_R sweep follows exactly, and the
+Levi-Civita coefficients of both.  Its arrays are read-only, so a suite's
+family context builds one jet per sample point and every row shares it;
+the public ``(metric, x, h)`` kernels build their own.  Christoffel
+symbols, frame connection coefficients and the first-order Dirac operator
+are array contractions over the jet, so every identity check inherits an
+O(h^2) error floor.
 
 Index conventions (0-based):
     christoffel()[l, m, n]      Gamma^l_{mn}
@@ -172,12 +175,16 @@ METRIC_FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 class _Jet(NamedTuple):
-    """g and g_R = g r at a checked, validated point, their inverses and one
-    central-difference sweep: up[k] and down[k] are g at x + h e_k and
-    x - h e_k, dg[k, m, n] = d_k g_{mn} and dgR[k, m, n] = d_k gR_{mn}."""
+    """g and g_R = g r at a checked, validated point, their inverses, one
+    central-difference sweep (up[k] and down[k] are g at x + h e_k and
+    x - h e_k, dg[k, m, n] = d_k g_{mn}, dgR[k, m, n] = d_k gR_{mn}), the
+    Levi-Civita coefficients gamma of g and gammaR of g_R, and the
+    reflection signs s.  Every array is read-only, so the rows that share
+    a jet cannot change each other's operands."""
 
     x: np.ndarray
     h: float
+    s: np.ndarray
     g: np.ndarray
     gR: np.ndarray
     ginv: np.ndarray
@@ -186,14 +193,23 @@ class _Jet(NamedTuple):
     down: np.ndarray
     dg: np.ndarray
     dgR: np.ndarray
+    gamma: np.ndarray
+    gammaR: np.ndarray
 
     def side(self, use_gR: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(metric, inverse, derivatives) of g, or of g_R."""
-        return (self.gR, self.gRinv, self.dgR) if use_gR else (self.g, self.ginv, self.dg)
+        """(metric, derivatives, Levi-Civita coefficients) of g, or of g_R."""
+        return (self.gR, self.dgR, self.gammaR) if use_gR else (self.g, self.dg, self.gamma)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the caller's own array stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _jet(metric: MetricField, x, h: float) -> _Jet:
-    x = metric.check_point(x, h)
+    x = metric.check_point(x, h).copy()
     g = metric.validate_at(x)
     s = metric.r_signs
     gR = g * s[None, :]
@@ -204,8 +220,13 @@ def _jet(metric: MetricField, x, h: float) -> _Jet:
     steps = h * np.eye(metric.dim)
     up = np.array([metric.g_at(x + e) for e in steps])
     down = np.array([metric.g_at(x - e) for e in steps])
+    if not (np.isfinite(up).all() and np.isfinite(down).all()):
+        raise SingularMetricError("metric components not finite at a stencil point")
+    dg = (up - down) / (2.0 * h)
     dgR = (up * s - down * s) / (2.0 * h)  # differences of gR_at readings, signed zeros too
-    return _Jet(x, h, g, gR, ginv, gRinv, up, down, (up - down) / (2.0 * h), dgR)
+    x, s, *arrays = map(_read_only, (x, s, g, gR, ginv, gRinv, up, down, dg, dgR,
+                                     _levi_civita(ginv, dg), _levi_civita(gRinv, dgR)))
+    return _Jet(x, h, s, *arrays)
 
 
 def _raise_last(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -225,37 +246,40 @@ def _reflect(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 def christoffel(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> np.ndarray:
     """Levi-Civita coefficients [l, m, n] = Gamma^l_{mn} of g (or g_R) from
-    second-order stencils."""
-    jet = _jet(metric, x, h)
-    _, ginv, dg = jet.side(use_gR)
-    return _levi_civita(ginv, dg)
+    second-order stencils, as a read-only array."""
+    return _jet(metric, x, h).side(use_gR)[2]
 
 
 def reflected_christoffel(metric: MetricField, x, h: float = 1e-3) -> np.ndarray:
     """Gamma^{rl}_{m rn} = s_l s_n Gamma^l_{mn} for the constant diagonal r."""
-    jet = _jet(metric, x, h)
-    return _reflect(metric.r_signs, _levi_civita(jet.ginv, jet.dg))
+    return _reflect(metric.r_signs, _jet(metric, x, h).gamma)
 
 
 def christoffel_relation_check(metric: MetricField, x, h: float = 1e-3) -> float:
+    """``_relation_residual`` of the jet at x."""
+    return _relation_residual(_jet(metric, x, h))
+
+
+def _relation_residual(jet: _Jet) -> float:
     """Reflected coefficients against the g_R ones plus the FD correction term.
 
     Gamma^{rl}_{m rn} = Gamma_R^l_{mn} + 1/2 gR^{lk} (d_{rn} g_{mk} - d_n gR_{mk})
     with d_{rn} = s_n d_n.
     """
-    jet = _jet(metric, x, h)
-    s = metric.r_signs
-    lhs = _reflect(s, _levi_civita(jet.ginv, jet.dg))
-    gr = _levi_civita(jet.gRinv, jet.dgR)
+    s = jet.s
     bracket = s[None, :, None] * jet.dg.transpose(1, 0, 2) - jet.dgR.transpose(1, 0, 2)
     corr = 0.5 * _raise_last(jet.gRinv, bracket)
-    return float(np.max(np.abs(lhs - (gr + corr))))
+    return float(np.max(np.abs(_reflect(s, jet.gamma) - (jet.gammaR + corr))))
 
 
 def metric_compatibility_residual(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> float:
+    """``_compatibility_residual`` of the jet at x."""
+    return _compatibility_residual(_jet(metric, x, h), use_gR)
+
+
+def _compatibility_residual(jet: _Jet, use_gR: bool) -> float:
     """max |d_n g_{mk} - Gamma^l_{nm} g_{lk} - Gamma^l_{nk} g_{ml}| (should be O(h^2))."""
-    g, ginv, dg = _jet(metric, x, h).side(use_gR)
-    gamma = _levi_civita(ginv, dg)
+    g, dg, gamma = jet.side(use_gR)
     # Gamma^l_{nm} g_{lk} and Gamma^l_{nk} g_{ml} at [n, m, k]: one dot over l each
     lowered = np.vecdot(gamma[..., None], g[:, None, None, :], axis=0)
     lowered_other = np.vecdot(gamma[:, :, None, :], g.T[:, None, :, None], axis=0)
@@ -270,6 +294,8 @@ def reflection_isometry_residual(metric: MetricField, x) -> float:
 
 def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, Einv) of a diagonal metric, or of each metric of a stack."""
+    if not np.isfinite(g).all():
+        raise SingularMetricError("metric components not finite")
     d = np.diagonal(g, axis1=-2, axis2=-1)
     eye = np.eye(g.shape[-1])
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
@@ -297,6 +323,11 @@ def _vielbein_derivatives(jet: _Jet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
+    """``_connection`` of the jet at x."""
+    return _connection(_jet(metric, x, h))
+
+
+def _connection(jet: _Jet) -> dict:
     """Frame connection coefficients for g, g_R, the reflected frame and the
     twist correction.
 
@@ -310,11 +341,9 @@ def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     with d_a = e_a^nu d_nu, d_{ra} = g_a d_a, and d_mu g_a = 0 for the
     constant reflection, so that last term drops.
     """
-    jet = _jet(metric, x, h)
     e, einv = _frames(jet.g)
     de, dei = _vielbein_derivatives(jet)
-    s = metric.r_signs  # diagonal alignment: frame sign a = r sign a
-    gamma = _levi_civita(jet.ginv, jet.dg)
+    s, gamma = jet.s, jet.gamma  # diagonal alignment: frame sign a = r sign a
     # the frames are diagonal, so every sum below has at most one nonzero term
     d_frame = np.einsum("bl,mal->bma", einv, de)
 
@@ -327,7 +356,7 @@ def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     k_term = 0.5 * np.einsum("bk,amk->bma", einv @ jet.ginv, d_ra_g - d_a_gr)
     return {
         "Gamma_b_mu_a": to_frame(gamma),
-        "GammaR_b_mu_a": to_frame(_levi_civita(jet.gRinv, jet.dgR)),
+        "GammaR_b_mu_a": to_frame(jet.gammaR),
         "K_b_mu_a": s[:, None, None] * k_term,
         "refl_frame_b_mu_a": refl - np.einsum("an,mbn->bma", e, dei),
     }

@@ -44,7 +44,9 @@ from .krein import (
 from .linalg import (
     AntilinearOp,
     NotASignError,
+    ShapeError,
     adjoint,
+    as_cmat,
     commutator,
     kron,
     norm_within,
@@ -82,13 +84,26 @@ class ConstraintViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteTriple:
-    """Finite even real triple of KO-dimension 6 (signs +, +, -)."""
+    """Finite even real triple of KO-dimension 6 (signs +, +, -).
+
+    ``DF``, ``GammaF`` and each generator are coerced to finite complex
+    dimF x dimF matrices here; ``build_finite_triple_ko6`` checks the KO-6
+    invariants."""
 
     algebra_gens: tuple
     dimF: int
     DF: np.ndarray
     JF: AntilinearOp
     GammaF: np.ndarray
+
+    def __post_init__(self):
+        df, gamma_f = as_cmat(self.DF), as_cmat(self.GammaF)
+        gens = tuple(as_cmat(a) for a in self.algebra_gens)
+        if any(m.shape != (self.dimF, self.dimF) for m in (df, gamma_f, *gens)):
+            raise ShapeError("finite triple operands must be dimF x dimF")
+        object.__setattr__(self, "DF", df)
+        object.__setattr__(self, "GammaF", gamma_f)
+        object.__setattr__(self, "algebra_gens", gens)
 
 
 def build_finite_triple_ko6(mass: complex) -> FiniteTriple:
@@ -100,6 +115,8 @@ def build_finite_triple_ko6(mass: complex) -> FiniteTriple:
     and f3<->f4 with conjugate weights fixed by J D = D J.
     """
     m = complex(mass)
+    if not np.isfinite(m):
+        raise ConstraintViolationError(f"finite triple mass not finite ({m})")
     df = np.array(
         [
             [0, np.conj(m), 0, 0],

@@ -79,6 +79,18 @@ def test_singular_metric_rejected():
         christoffel(bad_r, False, np.array([0.0, 0.0]), H)
 
 
+def _nan_beyond_x0(base: MetricField, cut: float) -> MetricField:
+    """``base`` with a NaN g_00 wherever x0 > cut: finite at a point below the
+    cut, NaN at the stencil point one step above it."""
+    def g(x):
+        m = base.g(x)
+        if x[0] > cut:
+            m[0, 0] = np.nan
+        return m
+
+    return MetricField(base.dim, g, base.r_signs, base.domain, "nan_beyond_x0")
+
+
 @pytest.mark.parametrize("kernel", [
     lambda m, x: christoffel(m, False, x, H),
     lambda m, x: christoffel_relation_check(m, x, H),
@@ -88,8 +100,37 @@ def test_singular_metric_rejected():
 def test_non_finite_metric_rejected(kernel):
     from kreintwist.geometry import SingularMetricError
 
+    # NaN at the point itself, and NaN only at its stencil point x + h e_0
+    for metric in (metric_family("lorentz4d", {"amp": float("nan")}),
+                   _nan_beyond_x0(metric_family("lorentz4d"), 0.1 + H / 2)):
+        with pytest.raises(SingularMetricError, match="not finite"):
+            kernel(metric, np.full(4, 0.1))
+
+
+def test_vielbein_rejects_a_non_finite_metric():
+    from kreintwist.geometry import SingularMetricError
+
+    # both frame guards are false for NaN, so without a finiteness check the
+    # frames themselves would come back NaN
     with pytest.raises(SingularMetricError, match="not finite"):
-        kernel(metric_family("lorentz4d", {"amp": float("nan")}), np.full(4, 0.1))
+        vielbein(metric_family("lorentz4d", {"amp": float("nan")}), np.full(4, 0.1))
+
+
+def test_jet_arrays_are_read_only():
+    from kreintwist.geometry import _jet
+
+    x = np.array([0.1, -0.2, 0.3, 0.15])
+    jet = _jet(metric_family("lorentz4d"), x, H)
+    arrays = [value for value in jet if isinstance(value, np.ndarray)]
+    assert len(arrays) == 12
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        christoffel(metric_family("lorentz4d"), False, x, H)[0, 0, 0] = 1.0
+    # the caller's point is not frozen with the jet's view of it
+    x[0] = 0.0
+    assert jet.x[0] == 0.1
 
 
 def test_reflected_christoffel_sign_bookkeeping():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from kreintwist.krein import (
     twisted_commutator,
     twisted_first_order_residual,
 )
-from kreintwist.linalg import AntilinearOp, adjoint, kron, residual_norm
+from kreintwist.linalg import AntilinearOp, ShapeError, adjoint, kron, residual_norm
 from kreintwist.product import (
     ConstraintViolationError,
     assemble_product,
@@ -62,6 +64,24 @@ def test_finite_triple_with_a_nonfinite_mass_is_rejected(mass):
     # the KO-6 residuals of such a DF are NaN, which no threshold guard accepts
     with pytest.raises(ConstraintViolationError):
         build_finite_triple_ko6(mass)
+
+
+def test_finite_triple_checks_its_operands_at_entry():
+    ko6 = build_finite_triple_ko6(1.0 + 2.0j)
+    nan_df = ko6.DF.copy()
+    nan_df[0, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        dataclasses.replace(ko6, DF=nan_df)
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        dataclasses.replace(ko6, algebra_gens=(ko6.algebra_gens[0], np.full((4, 4), np.inf)))
+    with pytest.raises(ShapeError):
+        dataclasses.replace(ko6, dimF=3)
+    with pytest.raises(ShapeError):
+        dataclasses.replace(ko6, GammaF=np.ones(4))
+    # a list DF is coerced to the complex matrix the kernels expect
+    listed = dataclasses.replace(ko6, DF=ko6.DF.tolist())
+    assert listed.DF.dtype == np.complex128 and np.array_equal(listed.DF, ko6.DF)
+    assert finite_first_order_residual(listed) == finite_first_order_residual(ko6)
 
 
 def test_two_dim_mass_block_violates_first_order():

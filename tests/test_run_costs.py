@@ -7,14 +7,16 @@ norms or represents.  The zero fast path of ``op_norms`` keeps all-zero
 stacks out of the SVD, and ``norm_within`` decides threshold-only norms
 without one; the call count of a default run shows both.  Operands are
 coerced and checked for NaN and inf where they enter the constructors, not in
-every kernel; the ``as_cmat`` count of a default run shows that too.
+every kernel; the ``as_cmat`` count of a default run shows that too.  A
+geometry family builds one metric jet per sample point and every family row
+reads it; the ``geometry._jet`` count of a geometry run shows that.
 """
 
 import sys
 
 import numpy as np
 
-from kreintwist import clifford, linalg
+from kreintwist import clifford, geometry, linalg
 from kreintwist.linalg import STACK_ENTRIES
 from kreintwist.report import SuiteConfig
 from kreintwist.suites import run
@@ -65,3 +67,12 @@ def test_default_run_checks_operands_only_where_they_enter(monkeypatch):
     # 284 when written; 1,516, next to 2,817 finite scans of stacks and matrices
     # together, while every kernel coerced its own operands
     assert len(calls) <= 312
+
+
+def test_geometry_run_builds_one_jet_per_point(monkeypatch):
+    calls = []
+    _wrap_everywhere(monkeypatch, geometry._jet, lambda args, out: calls.append(1))
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 4 families x 5 points, 5 jets for the oracles and 8 for the three Dirac
+    # decompositions; 113 while each family row built its own jets
+    assert len(calls) <= 33

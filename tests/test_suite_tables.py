@@ -98,6 +98,31 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     assert math.isnan(rep.gamma_table_norm(gap, gap, gap))
 
 
+def test_a_bad_family_point_fails_exactly_the_rows_that_read_its_jet(monkeypatch):
+    # one family's jets are built once and shared: a point that fails
+    # validation fails every row that reads the jets or the connection, and
+    # only those; rows that read the metric directly keep their values
+    cfg = SuiteConfig(suites=("geometry",), seed=0)
+    family = "lorentz2d"
+    fi = su.CHECKED_FAMILIES.index(family)
+    third = su._family_points(su.geo.metric_family(family), 5, su._stream(cfg.seed, 3, fi), cfg.fd_step)[2]
+    validate_at = su.geo.MetricField.validate_at
+
+    def raise_at_third(metric, x):
+        if metric.name == family and np.array_equal(x, third):
+            raise su.geo.SingularMetricError("injected at the third sample point")
+        return validate_at(metric, x)
+
+    want = {rec.check_id: rec.residual for rec in run(cfg).records}
+    monkeypatch.setattr(su.geo.MetricField, "validate_at", raise_at_third)
+    got = {rec.check_id: rec.residual for rec in run(cfg).records}
+    changed = {check_id for check_id in want if got[check_id] != want[check_id]}
+    rows = ("christoffel_symmetry", "relat_christos", "metric_compatibility",
+            "rewrit_tgamma", "frame_connection_relation")
+    assert changed == {f"geometry.{family}.{row}" for row in rows}
+    assert all(got[check_id] == math.inf for check_id in changed)
+
+
 def test_inf_entries_in_a_kernel_fail_its_row_silently(monkeypatch, capfd):
     # kernels trust their operands: infs that arise inside one reach op_norms,
     # which norms them NaN without the SVD; LAPACK, given two infs in a matrix,
