@@ -5,6 +5,9 @@ at four seeds (``scripts/pin_parent_records.py``).  The records outside the
 spin-dependent checks were pinned from the hand-written suites, before they
 became tables; the tables must reproduce them exactly, and a seed that
 aborted the run must abort it with the same exception type.
+``tests/data/parent_records_high_dim.json`` pins the clifford, krein,
+morphism and product records on five signatures of dimension 8 and 10, where
+the residual kernels multiply and norm 16x16 to 128x128 matrices.
 """
 
 import json
@@ -21,12 +24,15 @@ from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
 from kreintwist.suites import run
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "parent_records_all.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
-with open(FIXTURE, encoding="utf-8") as _fh:
+with open(os.path.join(DATA, "parent_records_all.json"), encoding="utf-8") as _fh:
     _DOC = json.load(_fh)
 SUITES = tuple(_DOC["suites"])
 PINNED = {entry["seed"]: entry for entry in _DOC["seeds"]}
+
+with open(os.path.join(DATA, "parent_records_high_dim.json"), encoding="utf-8") as _fh:
+    _HIGH_DIM = json.load(_fh)
 
 
 def _pinned_form(rec) -> dict:
@@ -51,6 +57,17 @@ def test_records_equal_the_pinned_run(seed):
     got = [_pinned_form(rec) for rec in run(cfg).records]
     assert [g["check_id"] for g in got] == [p["check_id"] for p in pinned["records"]]
     for g, p in zip(got, pinned["records"]):
+        assert g == p, g["check_id"]
+
+
+@pytest.mark.parametrize("entry", _HIGH_DIM["seeds"], ids=lambda e: f"seed{e['seed']}")
+def test_high_dimensional_records_equal_the_pinned_run(entry):
+    sigs = tuple(tuple(sig) for sig in _HIGH_DIM["signatures"])
+    cfg = SuiteConfig(suites=tuple(_HIGH_DIM["suites"]), signatures=sigs, seed=entry["seed"])
+    got = [_pinned_form(rec) for rec in run(cfg).records]
+    assert len(entry["records"]) == 188
+    assert [g["check_id"] for g in got] == [p["check_id"] for p in entry["records"]]
+    for g, p in zip(got, entry["records"]):
         assert g == p, g["check_id"]
 
 
