@@ -40,11 +40,12 @@ from .linalg import (
     BUILD_TOL,
     AntilinearOp,
     ShapeError,
+    SignedPermutation,
     adjoint,
     norm_within,
-    op_norms,
     residual_norm,
     sign_of_pair,
+    signed_permutation,
     table_norm,
 )
 from .linalg import _worst  # the one NaN-propagating maximum
@@ -61,9 +62,10 @@ __all__ = [
     "build_gammas",
     "represent",
     "represent_stack",
+    "twisted_represent_stack",
     "metric_pairing",
     "metric_pairings",
-    "twist_parity_residuals",
+    "twist_parity_gaps",
     "trace_metric_residuals",
     "gamma_product",
     "phase_normalize",
@@ -227,10 +229,34 @@ def represent_stack(rep: CliffordRep, vs) -> np.ndarray:
     sigma1 and sigma2 slots share their support): the result is independent
     of the summation order, bit for bit.
     """
+    return _combine(rep, vs, rep.gamma_stack)
+
+
+def twisted_represent_stack(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
+    """K c(v) for every row v of a (k, n_gen) coefficient stack, byte for byte
+    ``ops.K @ represent_stack(rep, vs)``.
+
+    When K is a ``SignedPermutation``, one matrix product of the stack with
+    the K-premultiplied gammas replaces the gather of every c(v): each
+    K gamma_a is again a monomial matrix with entries in {0, +-1, +-i}, and
+    the rounding of each entry's sum commutes with the unit phase, so the
+    entries equal the gather's; zero entries are made +0.0, as the gather
+    makes them.  A dense K (a small one) multiplies c(v) as before, whose
+    zero entries BLAS may sign either way.
+    """
+    if not isinstance(ops.K, SignedPermutation):
+        return ops.K @ represent_stack(rep, vs)
+    out = _combine(rep, vs, ops.K @ rep.gamma_stack)
+    out += 0.0  # -0.0 -> +0.0
+    return out
+
+
+def _combine(rep: CliffordRep, vs, stack: np.ndarray) -> np.ndarray:
+    """sum_a v^a stack[a] for every row v of a (k, n_gen) coefficient stack."""
     vs = np.asarray(vs, dtype=np.complex128)
     if vs.ndim != 2 or vs.shape[1] != rep.n_gen:
         raise ShapeError(f"coefficient vector must have length {rep.n_gen}, got shape {vs.shape[1:]}")
-    flat = vs @ rep.gamma_stack.reshape(rep.n_gen, rep.dim * rep.dim)
+    flat = vs @ stack.reshape(rep.n_gen, rep.dim * rep.dim)
     return flat.reshape(len(vs), rep.dim, rep.dim)
 
 
@@ -248,11 +274,10 @@ def metric_pairings(rep: CliffordRep, us, vs) -> np.ndarray:
     return np.sum(rep.signs * us * vs, axis=-1)
 
 
-def twist_parity_residuals(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
-    """|K c(v) K - c(rv)| for every row v of a coefficient stack."""
+def twist_parity_gaps(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
+    """K c(v) K - c(rv) for every row v of a coefficient stack."""
     vs = np.asarray(vs)
-    lhs = ops.K @ represent_stack(rep, vs) @ ops.K
-    return op_norms(lhs - represent_stack(rep, rep.signs * vs))
+    return twisted_represent_stack(rep, ops, vs) @ ops.K - represent_stack(rep, rep.signs * vs)
 
 
 def trace_metric_residuals(rep: CliffordRep, us, vs) -> np.ndarray:
@@ -351,22 +376,18 @@ def is_hermitian_involution(op: np.ndarray) -> bool:
 
 
 def build_structural(rep: CliffordRep) -> StructuralOps:
-    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat."""
-    K = twist_operator(rep)
-    Gamma = phase_normalize(gamma_product(rep, range(rep.n_gen)))
+    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat.
+
+    Each is a phase times a Pauli string, so each is classified as a
+    ``linalg.SignedPermutation`` (C and Chat through J and Jhat)."""
+    K = signed_permutation(twist_operator(rep))
+    Gamma = signed_permutation(phase_normalize(gamma_product(rep, range(rep.n_gen))))
     for name, op in (("K", K), ("Gamma", Gamma)):
         if not is_hermitian_involution(op):
             raise ConstructionError(f"{name} is not a Hermitian involution")
-    Chat = _euclidean_charge_conjugation(rep)
-    C = K @ Chat
-    return StructuralOps(
-        K=K,
-        Gamma=Gamma,
-        C=C,
-        Chat=Chat,
-        J=AntilinearOp(C),
-        Jhat=AntilinearOp(Chat),
-    )
+    Jhat = AntilinearOp(_euclidean_charge_conjugation(rep))
+    J = AntilinearOp(K @ Jhat.mat)
+    return StructuralOps(K=K, Gamma=Gamma, C=J.mat, Chat=Jhat.mat, J=J, Jhat=Jhat)
 
 
 def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:

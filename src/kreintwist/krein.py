@@ -23,11 +23,13 @@ from .linalg import (
     adjoint,
     as_cmat,
     chunk_sizes,
+    max_norm,
     norm_within,
     op_norms,
-    residual_norm,
     sign_of_pair,
+    signed_permutation,
 )
+from .linalg import residual_norm  # unused here; perfbench/test_perfbench.py reads krein.residual_norm
 
 __all__ = [
     "NotKUnitaryError",
@@ -69,7 +71,7 @@ class KreinSpace:
     K: np.ndarray
 
     def __post_init__(self):
-        k = as_cmat(self.K)
+        k = signed_permutation(as_cmat(self.K))
         if k.shape != (self.dim, self.dim):
             raise ShapeError("K must be dim x dim")
         if not is_hermitian_involution(k):
@@ -248,8 +250,8 @@ def first_order_brackets(d, a, b, j: AntilinearOp, K) -> np.ndarray:
 
 
 def twisted_first_order_residual(d, a, b, j: AntilinearOp, K) -> float:
-    """Largest norm of the first-order brackets of paired a, b."""
-    return float(np.max(op_norms(first_order_brackets(d, a, b, j, K))))
+    """Largest norm of the first-order brackets of paired a, b (``max_norm``)."""
+    return max_norm(first_order_brackets(d, a, b, j, K))
 
 
 def fluctuate(d, a_rho, j: AntilinearOp, eps1: int) -> np.ndarray:
@@ -272,12 +274,15 @@ def gauge_transform(d, u_k, j: AntilinearOp, space: KreinSpace) -> np.ndarray:
     return ad @ d @ adjoint(ad)
 
 
-def gauge_form_residual(d, u, j: AntilinearOp, space: KreinSpace, eps1: int) -> float:
-    """|Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1)| with the one-form
-    A = u [D, u^+]_rho; zero for a K-unitary gauge element u of an algebra
-    that meets the order-zero and first-order conditions."""
+def gauge_form_residual(d, u, j: AntilinearOp, space: KreinSpace, eps1: int,
+                        floor: float = 0.0) -> float:
+    """max(floor, |Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1)|) with the
+    one-form A = u [D, u^+]_rho; the norm is zero for a K-unitary gauge
+    element u of an algebra that meets the order-zero and first-order
+    conditions.  A caller passes the largest residual of its earlier samples
+    as ``floor``, so ``max_norm`` skips the SVD when this one cannot exceed it."""
     a_form = u @ twisted_commutator(d, k_adjoint(space, u), space.K)
-    return residual_norm(gauge_transform(d, u, j, space), fluctuate(d, a_form, j, eps1))
+    return max_norm(gauge_transform(d, u, j, space) - fluctuate(d, a_form, j, eps1), floor=floor)
 
 
 @dataclass(frozen=True)
@@ -300,8 +305,8 @@ class TwistedTripleData:
         if not norm_within(d - adjoint(d), 1e-12):
             raise ValueError("twisted Dirac matrix must be self-adjoint")
         object.__setattr__(self, "D", d)
-        object.__setattr__(self, "Gamma", as_cmat(self.Gamma))
-        object.__setattr__(self, "K", as_cmat(self.K))
+        object.__setattr__(self, "Gamma", signed_permutation(as_cmat(self.Gamma)))
+        object.__setattr__(self, "K", signed_permutation(as_cmat(self.K)))
         object.__setattr__(self, "algebra_gens", tuple(as_cmat(a) for a in self.algebra_gens))
         # real-structure relations must carry definite unit signs
         sign_of_pair(self.J.square(), np.eye(d.shape[0]))

@@ -15,8 +15,8 @@ from .clifford import (
     CliffordRep,
     StructuralOps,
     metric_pairings,
-    represent_stack,
     trace_metric_residuals,
+    twisted_represent_stack,
 )
 from .krein import (
     K_UNITARY_TOL,
@@ -39,6 +39,7 @@ from .linalg import (
     gaussian_stacks,
     max_residual,
     norm_within,
+    op_norm,
     op_norms,
     residual_norm,
     table_norm,
@@ -51,12 +52,13 @@ __all__ = [
     "apply_k_morphism",
     "invert_k_morphism",
     "selfadjoint_equivalence_check",
-    "commutator_correspondence_residuals",
-    "first_order_correspondence_residuals",
+    "commutator_correspondence_gaps",
+    "first_order_correspondence_gaps",
     "fluctuation_correspondence_check",
+    "fluctuation_correspondence_gaps",
     "fluctuation_correspondence_residuals",
     "twisted_clifford_check",
-    "twisted_clifford_residuals",
+    "twisted_clifford_gaps",
     "generalized_clifford_check",
     "trace_metric_morph_check",
     "symbol_norm_probes",
@@ -124,18 +126,17 @@ def selfadjoint_equivalence_check(pair: MorphismPair) -> float:
     return _worst((r1, r2, abs(r1 - r2)))
 
 
-def commutator_correspondence_residuals(pair: MorphismPair, a) -> np.ndarray:
-    """|K [D, a]_rho - [D^K, a]| for every a of a stack."""
+def commutator_correspondence_gaps(pair: MorphismPair, a) -> np.ndarray:
+    """K [D, a]_rho - [D^K, a] for every a of a stack."""
     lhs = pair.twisted.K @ twisted_commutator(pair.twisted.D, a, pair.twisted.K)
-    return op_norms(lhs - commutator(pair.pseudo.Dk, a))
+    return lhs - commutator(pair.pseudo.Dk, a)
 
 
-def first_order_correspondence_residuals(pair: MorphismPair, a, b) -> np.ndarray:
-    """Gap of [[D, a]_rho, b^o]_{rho^o} = K [[D^K, a], b^o] for paired a, b of two stacks."""
+def first_order_correspondence_gaps(pair: MorphismPair, a, b) -> np.ndarray:
+    """[[D, a]_rho, b^o]_{rho^o} - K [[D^K, a], b^o] for paired a, b of two stacks."""
     t = pair.twisted
     lhs = first_order_brackets(t.D, a, b, t.J, t.K)
-    rhs = t.K @ commutator(commutator(pair.pseudo.Dk, a), opposite_action(b, t.J))
-    return op_norms(lhs - rhs)
+    return lhs - t.K @ commutator(commutator(pair.pseudo.Dk, a), opposite_action(b, t.J))
 
 
 def fluctuation_correspondence_check(pair: MorphismPair, u_k) -> float:
@@ -148,7 +149,15 @@ def fluctuation_correspondence_check(pair: MorphismPair, u_k) -> float:
 
 
 def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
-    """Fluctuation-correspondence gap for every u_K of a stack.
+    """Fluctuation-correspondence residual for every u_K of a stack: the larger
+    norm of its two ``fluctuation_correspondence_gaps``."""
+    left, right = fluctuation_correspondence_gaps(pair, u_k)
+    return np.maximum(op_norms(left), op_norms(right))
+
+
+def fluctuation_correspondence_gaps(pair: MorphismPair, u_k) -> tuple[np.ndarray, np.ndarray]:
+    """U_K D^K U_K^+ - K (V_K D V_K^dagger) and V_K - rho(u_K) J rho(u_K) J^-1
+    for every u_K of a stack.
 
     Raises NotKUnitaryError if any element of the stack is not K-unitary.
     """
@@ -164,7 +173,7 @@ def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
     lhs = big_u @ pair.pseudo.Dk @ k_adjoint(space, big_u)
     rhs = K @ (v_k @ t.D @ adjoint(v_k))
     rho_u = K @ u_k @ K
-    return np.maximum(op_norms(lhs - rhs), op_norms(v_k - rho_u @ t.J.sandwich(rho_u)))
+    return lhs - rhs, v_k - rho_u @ t.J.sandwich(rho_u)
 
 
 def twisted_clifford_check(rep: CliffordRep, ops: StructuralOps, u, v) -> float:
@@ -174,17 +183,17 @@ def twisted_clifford_check(rep: CliffordRep, ops: StructuralOps, u, v) -> float:
     """
     u = np.asarray(u, dtype=np.complex128).ravel()
     v = np.asarray(v, dtype=np.complex128).ravel()
-    return float(twisted_clifford_residuals(rep, ops, u[None], v[None])[0])
+    return op_norm(twisted_clifford_gaps(rep, ops, u[None], v[None])[0])
 
 
-def twisted_clifford_residuals(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:
+def twisted_clifford_gaps(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:
     """Twisted Clifford gap for paired rows of two coefficient stacks."""
     vs = np.asarray(vs)
-    cu = ops.K @ represent_stack(rep, us)
-    cv = ops.K @ represent_stack(rep, vs)
+    cu = twisted_represent_stack(rep, ops, us)
+    cv = twisted_represent_stack(rep, ops, vs)
     lhs = ops.K @ (cu @ cv) @ ops.K + cv @ cu
     g = 2.0 * metric_pairings(rep, us, rep.signs * vs)
-    return op_norms(lhs - g[:, None, None] * np.eye(rep.dim))
+    return lhs - g[:, None, None] * np.eye(rep.dim)
 
 
 def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps) -> float:
@@ -210,8 +219,8 @@ def trace_metric_morph_check(
     n = rep.n_gen
 
     def residuals(us, vs):
-        cu = ops.K @ represent_stack(rep, us)
-        cv = ops.K @ represent_stack(rep, vs)
+        cu = twisted_represent_stack(rep, ops, us)
+        cv = twisted_represent_stack(rep, ops, vs)
         twisted = np.trace(cu @ cv, axis1=-2, axis2=-1) / rep.dim
         twisted_gap = np.abs(twisted - metric_pairings(rep, rep.signs * us, vs))
         return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
@@ -231,7 +240,7 @@ def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
     """
     ks = np.asarray(ks, dtype=float)
     chunks = np.split(ks, np.cumsum(chunk_sizes(len(ks), rep.dim))[:-1])
-    norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, k)) for k in chunks])
+    norm = np.concatenate([op_norms(twisted_represent_stack(rep, ops, k)) for k in chunks])
     g_r = np.real(metric_pairings(rep, ks, rep.signs * ks))
     g_r_norm = np.sqrt(np.maximum(g_r, 0.0))
     plus_weight = np.sum(np.abs(ks[:, rep.signs > 0]) ** 2, axis=1)

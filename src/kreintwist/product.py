@@ -49,10 +49,12 @@ from .linalg import (
     as_cmat,
     commutator,
     kron,
+    max_norm,
     norm_within,
     op_norms,
     residual_norm,
     sign_of_pair,
+    signed_permutation,
     table_norm,
 )
 from .linalg import _worst  # the one NaN-propagating maximum
@@ -218,8 +220,8 @@ def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> Produ
     eye_f = np.eye(finite.dimF)
     dp = kron(manifold.D, eye_f) + kron(manifold.K, finite.DF)
     jp = AntilinearOp(kron(manifold.J.mat, finite.JF.mat))
-    gp = kron(manifold.Gamma, finite.GammaF)
-    kp = kron(manifold.K, eye_f)
+    gp = signed_permutation(kron(manifold.Gamma, finite.GammaF))
+    kp = signed_permutation(kron(manifold.K, eye_f))
 
     if not norm_within(_twisted_grading_gap(dp, gp, kp), 1e-11):
         raise ConstraintViolationError(
@@ -269,8 +271,9 @@ def derivation_split_check(pt: ProductTripleData, a1, a2) -> float:
     return residual_norm(lhs, rhs)
 
 
-def product_fluctuation_check(pt: ProductTripleData, u_k, u) -> float:
-    """(U_K (x) U) Dp (U_K^dag (x) U^dag) = Kp (D^K_fluct (x) 1 + 1 (x) DF_fluct).
+def product_fluctuation_check(pt: ProductTripleData, u_k, u, floor: float = 0.0) -> float:
+    """(U_K (x) U) Dp (U_K^dag (x) U^dag) = Kp (D^K_fluct (x) 1 + 1 (x) DF_fluct):
+    max(floor, the norm of the difference), as ``krein.gauge_form_residual``.
 
     U_K = u_k J u_k J^-1 and U = u JF u JF^-1.  The Krein-side fluctuation
     on the right uses the twist image rho(U_K) = K U_K K, whose own
@@ -298,7 +301,7 @@ def product_fluctuation_check(pt: ProductTripleData, u_k, u) -> float:
     dk_fluct = v_k @ dk @ k_adjoint(space, v_k)
     df_fluct = big_u @ pt.finite.DF @ adjoint(big_u)
     rhs = pt.Kp @ (kron(dk_fluct, eye_f) + kron(eye_m, df_fluct))
-    return residual_norm(lhs, rhs)
+    return max_norm(lhs - rhs, floor=floor)
 
 
 def fermionic_action(pt: ProductTripleData, psi1, psi2, phi1, phi2) -> dict:
@@ -324,8 +327,8 @@ def fermionic_action(pt: ProductTripleData, psi1, psi2, phi1, phi2) -> dict:
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:
-    """Gauge-generated fluctuation against the one-form formula.
+def gauge_vs_form_residual(pt: ProductTripleData, u_k, u, floor: float = 0.0) -> float:
+    """Gauge-generated fluctuation against the one-form formula: max(floor, residual).
 
     For gauge elements of the product algebra (scalar phase on the manifold
     factor, unitary on the finite one) the order-zero and first-order
@@ -337,7 +340,7 @@ def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:
         raise ConstraintViolationError(
             "fluctuation formula needs a definite product J-D sign (manifold eps1 = eps)"
         )
-    return gauge_form_residual(pt.Dp, kron(u_k, u), pt.Jp, pt.space, eps1p)
+    return gauge_form_residual(pt.Dp, kron(u_k, u), pt.Jp, pt.space, eps1p, floor)
 
 
 def finite_algebra_unitary(t: FiniteTriple, theta1: float, theta2: float) -> np.ndarray:

@@ -27,7 +27,8 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_residual, op_norms, residual_norm
+from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_residual, residual_norm,
+                     running_max)
 from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
 
@@ -181,7 +182,9 @@ class _Contexts(dict):
 #
 # Each draws all of its samples from ``rng`` in capped stacks
 # (``linalg.gaussian_stacks``) and evaluates one residual per sample with
-# stacked kernels; the check value is the largest residual.
+# stacked kernels; the check value is the largest residual.  A check whose
+# residuals are operator norms passes its gap matrices to ``max_gap_norm``,
+# which takes an SVD only of the matrices that can hold the largest one.
 
 def _spin_stacks(spins, dim: int):
     """Spin-element matrices as 1-tuples of stacks, chunked like ``gaussian_stacks``."""
@@ -194,7 +197,7 @@ def _spin_stacks(spins, dim: int):
 def twist_parity(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """K c(v) K = c(rv) on Gaussian coefficient vectors v."""
     stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(ctx.rep.n_gen,)])
-    return max_residual(stacks, lambda v: cl.twist_parity_residuals(ctx.rep, ctx.ops, v))
+    return max_gap_norm(stacks, lambda v: cl.twist_parity_gaps(ctx.rep, ctx.ops, v))
 
 
 def trace_metric(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -232,10 +235,7 @@ def adjoint_pairing(ctx: SignatureContext, rng: np.random.Generator) -> float:
 def spin_inverse_rule(ctx: SignatureContext, spins) -> float:
     """x^-1 = K x^dagger K on spin elements."""
     K = ctx.ops.K
-    return max_residual(
-        _spin_stacks(spins, ctx.rep.dim),
-        lambda s: op_norms(np.linalg.inv(s) - K @ adjoint(s) @ K),
-    )
+    return max_gap_norm(_spin_stacks(spins, ctx.rep.dim), lambda s: np.linalg.inv(s) - K @ adjoint(s) @ K)
 
 
 def spin_k_unitarity(ctx: SignatureContext, spins) -> float:
@@ -264,10 +264,7 @@ def spin_product_invariance(ctx: SignatureContext, spins, rng: np.random.Generat
 def k_fixed_under_spin(ctx: SignatureContext, spins) -> float:
     """x^dagger K x = K on spin elements."""
     K = ctx.ops.K
-    return max_residual(
-        _spin_stacks(spins, ctx.rep.dim),
-        lambda s: op_norms(adjoint(s) @ K @ s - K),
-    )
+    return max_gap_norm(_spin_stacks(spins, ctx.rep.dim), lambda s: adjoint(s) @ K @ s - K)
 
 
 def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -275,12 +272,12 @@ def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
     t = ctx.triple
     d = ctx.rep.dim
 
-    def residuals(a, b):
+    def gaps(a, b):
         lhs = kr.twisted_commutator(t.D, a @ b, t.K)
-        rhs = kr.twisted_commutator(t.D, a, t.K) @ b + t.K @ a @ t.K @ kr.twisted_commutator(t.D, b, t.K)
-        return op_norms(lhs - rhs)
+        return lhs - (kr.twisted_commutator(t.D, a, t.K) @ b
+                      + t.K @ a @ t.K @ kr.twisted_commutator(t.D, b, t.K))
 
-    return max_residual(gaussian_stacks(rng, 20, d, [(d, d), (d, d)], complex_=True), residuals)
+    return max_gap_norm(gaussian_stacks(rng, 20, d, [(d, d), (d, d)], complex_=True), gaps)
 
 
 def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -292,36 +289,35 @@ def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
     def rho(x):
         return t.K @ x @ t.K
 
-    def residuals(a, b, c):
+    def gaps(a, b, c):
         lhs = rho(a) @ kr.twisted_commutator(t.D, b, t.K) @ c
-        rhs = rho(a) @ (
+        return lhs - rho(a) @ (
             kr.twisted_commutator(t.D, b @ c, t.K) - rho(b) @ kr.twisted_commutator(t.D, c, t.K)
         )
-        return op_norms(lhs - rhs)
 
     stacks = gaussian_stacks(rng, 10, d, [(d, d)] * 3, complex_=True)
-    return max_residual(stacks, residuals)
+    return max_gap_norm(stacks, gaps)
 
 
 def commutator_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """K [D, a]_rho = [D^K, a] on complex Gaussian a."""
     d = ctx.rep.dim
     stacks = gaussian_stacks(rng, 20, d, [(d, d)], complex_=True)
-    return max_residual(stacks, lambda a: mo.commutator_correspondence_residuals(ctx.pair, a))
+    return max_gap_norm(stacks, lambda a: mo.commutator_correspondence_gaps(ctx.pair, a))
 
 
 def first_order_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """The first-order condition corresponds across D -> KD on complex Gaussian a, b."""
     d = ctx.rep.dim
     stacks = gaussian_stacks(rng, 10, d, [(d, d), (d, d)], complex_=True)
-    return max_residual(stacks, lambda a, b: mo.first_order_correspondence_residuals(ctx.pair, a, b))
+    return max_gap_norm(stacks, lambda a, b: mo.first_order_correspondence_gaps(ctx.pair, a, b))
 
 
 def fluctuation_correspondence(ctx: SignatureContext, spins) -> float:
     """Fluctuations by spin elements correspond across D -> KD."""
-    return max_residual(
+    return max_gap_norm(
         _spin_stacks(spins, ctx.rep.dim),
-        lambda s: mo.fluctuation_correspondence_residuals(ctx.pair, s),
+        lambda s: mo.fluctuation_correspondence_gaps(ctx.pair, s),
     )
 
 
@@ -329,7 +325,7 @@ def twisted_clifford(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """The twisted Clifford relation on Gaussian coefficient pairs."""
     n = ctx.rep.n_gen
     stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(n,), (n,)])
-    return max_residual(stacks, lambda u, v: mo.twisted_clifford_residuals(ctx.rep, ctx.ops, u, v))
+    return max_gap_norm(stacks, lambda u, v: mo.twisted_clifford_gaps(ctx.rep, ctx.ops, u, v))
 
 
 def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -415,8 +411,12 @@ def _first_order_scalars(c: SignatureContext) -> float:
 
 def _gauge_selfadjointness(c: SignatureContext) -> float:
     t = c.triple
-    outs = (kr.gauge_transform(t.D, s.matrix, t.J, t.space) for s in c.krein_spins[:5])
-    return _worst(residual_norm(out, adjoint(out)) for out in outs)
+
+    def gap(u):
+        out = kr.gauge_transform(t.D, u, t.J, t.space)
+        return out - adjoint(out)
+
+    return max_gap_norm(((s.matrix,) for s in c.krein_spins[:5]), gap)
 
 
 def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -424,7 +424,7 @@ def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
     pt, eye_m = c.product, np.eye(c.rep.dim)
     unitaries = ((np.exp(1j * lam) * eye_m, pr.finite_algebra_unitary(pt.finite, th1, th2))
                  for th1, th2, lam in rng.uniform(0, 2 * np.pi, size=(5, 3)))
-    return _worst(pr.gauge_vs_form_residual(pt, u_m, u_f) for u_m, u_f in unitaries)
+    return running_max(unitaries, partial(pr.gauge_vs_form_residual, pt))
 
 
 def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -435,9 +435,9 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
         return _gauge_vs_form(c, rng)
     ft = c.finite
     space_f = kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
-    return _worst(kr.gauge_form_residual(ft.DF, pr.finite_algebra_unitary(ft, th1, th2), ft.JF,
-                                         space_f, +1)
-                  for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2)))
+    return running_max(((pr.finite_algebra_unitary(ft, th1, th2),)
+                        for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))),
+                       lambda u, floor: kr.gauge_form_residual(ft.DF, u, ft.JF, space_f, +1, floor))
 
 
 KREIN = (
@@ -709,7 +709,8 @@ def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float
     spins = kr.sample_spin_plus(c.rep, 5, rng)
     z = rng.normal(size=(5, 2, c.finite.dimF, c.finite.dimF))  # real, imaginary part of each draw
     us, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    return _worst(pr.product_fluctuation_check(c.product, s.matrix, u) for s, u in zip(spins, us))
+    return running_max(((s.matrix, u) for s, u in zip(spins, us)),
+                       partial(pr.product_fluctuation_check, c.product))
 
 
 def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:

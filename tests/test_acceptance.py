@@ -42,12 +42,12 @@ from kreintwist.krein import (
     sample_spin_plus,
     twisted_commutator,
 )
-from kreintwist.linalg import adjoint, residual_norm
+from kreintwist.linalg import adjoint, op_norm, residual_norm
 from kreintwist.morphism import (
     MorphismPair,
     apply_k_morphism,
-    commutator_correspondence_residuals,
-    first_order_correspondence_residuals,
+    commutator_correspondence_gaps,
+    first_order_correspondence_gaps,
     fluctuation_correspondence_check,
     generalized_clifford_check,
     invert_k_morphism,
@@ -228,8 +228,8 @@ def test_criterion_5_k_morphism():
         for _ in range(10):
             a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
             b = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-            worst_corr = max(worst_corr, commutator_correspondence_residuals(pair, a[None])[0])
-            worst_corr = max(worst_corr, first_order_correspondence_residuals(pair, a[None], b[None])[0])
+            worst_corr = max(worst_corr, op_norm(commutator_correspondence_gaps(pair, a[None])[0]))
+            worst_corr = max(worst_corr, op_norm(first_order_correspondence_gaps(pair, a[None], b[None])[0]))
         for s in sample_spin_plus(rep, 20, np.random.default_rng(500 + sig.p + 11 * sig.q)):
             worst_corr = max(
                 worst_corr, fluctuation_correspondence_check(pair, s.matrix)

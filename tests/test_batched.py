@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from kreintwist import suites as su
-from kreintwist.clifford import Signature, all_signatures, build_gammas, represent, represent_stack
+from kreintwist.clifford import (Signature, all_signatures, build_gammas, build_structural, represent,
+                                 represent_stack, twisted_represent_stack)
 from kreintwist.krein import NotKUnitaryError, sample_spin_plus
 from kreintwist.linalg import STACK_ENTRIES, AntilinearOp, chunk_sizes, gaussian_stacks
 from kreintwist.morphism import fluctuation_correspondence_residuals, trace_metric_morph_check
@@ -346,16 +347,20 @@ def test_represent_stack_is_bit_identical_to_the_sum(dim):
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
 def test_represent_stack_matches_the_einsum_byte_for_byte(dim):
-    # the matrix product gives the einsum's bytes, signed zeros included
+    # the matrix product gives the einsum's bytes, signed zeros included; the
+    # product with the K-premultiplied gammas gives the bytes of the dense K c(v)
     rng = np.random.default_rng(dim + 100)
     for p in range(dim, -1, -1):
         rep = build_gammas(Signature(p, dim - p))
+        ops = build_structural(rep)
+        dense_k = np.asarray(ops.K)
         shape = (30, rep.n_gen)
         special = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -1e300], size=shape)
         for vs in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape),
                    special + 1j * rng.choice([0.0, -0.0, 2.0], size=shape)):
             want = np.einsum("ka,aij->kij", vs.astype(np.complex128), rep.gamma_stack)
             assert represent_stack(rep, vs).tobytes() == want.tobytes()
+            assert twisted_represent_stack(rep, ops, vs).tobytes() == (dense_k @ want).tobytes()
 
 
 def test_batched_fluctuation_rejects_a_stack_with_one_bad_element(contexts):

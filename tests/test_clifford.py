@@ -6,6 +6,7 @@ from kreintwist.clifford import (
     Signature,
     all_signatures,
     build_gammas,
+    build_structural,
     canonical_dirac_pair,
     gamma_product,
     metric_pairing,
@@ -15,7 +16,10 @@ from kreintwist.clifford import (
     sign_table,
     verify_structural,
 )
-from kreintwist.linalg import ShapeError, adjoint, residual_norm
+from kreintwist import linalg
+from kreintwist.krein import canonical_twisted_triple
+from kreintwist.linalg import ShapeError, SignedPermutation, adjoint, residual_norm
+from kreintwist.product import assemble_product, build_finite_triple_ko6
 
 from conftest import SIGMA1, SIGMA2
 
@@ -228,3 +232,37 @@ def test_phase_normalize_makes_hermitian_products(rep13):
 def test_phase_normalize_rejects_unfixable():
     with pytest.raises(ConstructionError):
         phase_normalize(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def _structural_and_product_operators(sig):
+    """K, Gamma, C, Chat, J and its inverse of a signature, as built and as
+    the twisted triple holds them, and Kp, Gammap, Jp and its inverse of its
+    product with the finite KO-6 triple (dimension >= 4)."""
+    rep = build_gammas(sig)
+    ops = build_structural(rep)
+    t = canonical_twisted_triple(rep, ops, canonical_dirac_pair(rep, ops.K)[0])
+    out = {"K": ops.K, "Gamma": ops.Gamma, "C": ops.C, "Chat": ops.Chat, "J": ops.J.mat,
+           "J^-1": ops.J._mat_inv, "Jhat^-1": ops.Jhat._mat_inv, "triple K": t.K, "triple Gamma": t.Gamma,
+           "space K": t.space.K}
+    if sig.dim >= 4:
+        pt = assemble_product(t, build_finite_triple_ko6(1.0 + 2.0j))
+        out.update({"Kp": pt.Kp, "Gammap": pt.Gammap, "Jp": pt.Jp.mat, "Jp^-1": pt.Jp._mat_inv,
+                    "product space K": pt.space.K})
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+def test_structural_operators_are_signed_permutations(dim, monkeypatch):
+    # every structural and product operator is a phase times a Pauli string;
+    # with the size gate at 1 all of them are classified where they are built
+    monkeypatch.setattr(linalg, "GATHER_MIN_DIM", 1)
+    for p in range(dim, -1, -1):
+        for name, op in _structural_and_product_operators(Signature(p, dim - p)).items():
+            assert isinstance(op, SignedPermutation) and op.cols is not None, (p, name)
+            assert np.count_nonzero(op) == len(op)
+            assert np.array_equal(op[np.arange(len(op)), op.cols], op.phases)
+    # at the default gate, exactly the operators of size 32 and more are
+    monkeypatch.undo()
+    for p in range(dim, -1, -1):
+        for name, op in _structural_and_product_operators(Signature(p, dim - p)).items():
+            assert isinstance(op, SignedPermutation) == (len(op) >= linalg.GATHER_MIN_DIM), (p, name)

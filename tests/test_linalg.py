@@ -1,4 +1,5 @@
 import timeit
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreintwist import linalg
+from kreintwist.clifford import Signature, build_gammas
 from kreintwist.linalg import (
     FROBENIUS_TOL_FLOOR,
     AntilinearOp,
@@ -361,3 +363,207 @@ def test_norm_within_is_no_slower_than_the_svd_at_dimension_2():
 
     for tol in (1e-12, 10.0):  # decided no, decided yes
         assert best(lambda: norm_within(a, tol)) <= best(lambda: op_norm(a) <= tol)
+
+
+# ---------------------------------------------------------------- signed permutations
+
+def _signed_permutation(seed, n):
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[np.arange(n), rng.permutation(n)] = rng.choice(np.array([1, -1, 1j, -1j]), n)
+    return m
+
+
+def _operands(seed, n):
+    """Operands of a product with an n x n matrix: C- and F-ordered matrices,
+    a transposed view, 2-D and 3-D stacks, vectors, a real matrix, a stack
+    with exact +-0 entries and the gammas of a dimension-10 signature, each
+    with exact +-0 entries, as they are and negated."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    signed_zeros = np.empty((4, n, n), dtype=np.complex128)
+    signed_zeros.real = rng.choice([0.0, -0.0, 1.0, -1.0], size=(4, n, n))
+    signed_zeros.imag = rng.choice([0.0, -0.0, 2.0], size=(4, n, n))
+    gammas = {}
+    if n == 32:
+        gammas = {"gammas": build_gammas(Signature(3, 7)).gamma_stack}
+        gammas["negated gammas"] = -gammas["gammas"]
+    return {**gammas,
+        "C": a, "F": np.asfortranarray(a), "transposed": a.T, "stack": stack,
+        "stack of stacks": stack.reshape(3, 1, n, n), "transposed stack": stack.swapaxes(-1, -2),
+        "vector": a[0], "column stack": stack[:, :, :1], "real": a.real.copy(), "signed zeros": signed_zeros,
+    }
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_signed_permutation_products_equal_blas_byte_for_byte(n):
+    dense = _signed_permutation(n, n)
+    p = linalg.signed_permutation(dense)
+    assert isinstance(p, linalg.SignedPermutation) and not p.flags.writeable
+    assert np.array_equal(p, dense) and np.asarray(p).tobytes() == dense.tobytes()
+    for name, x in _operands(n, n).items():
+        products = [(p @ x, dense @ x)] + ([(x @ p, x @ dense)] if x.shape[-1] == n else [])
+        for got, want in products:
+            assert type(got) is np.ndarray and got.flags.c_contiguous, name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    # other operations act on the dense matrix and return plain arrays
+    for got, want in ((p - adjoint(p), dense - adjoint(dense)), (np.conj(p), np.conj(dense)),
+                      (p @ p, dense @ dense), (np.linalg.inv(p), np.linalg.inv(dense))):
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+
+def test_signed_permutation_classifies_only_exact_unit_patterns(monkeypatch):
+    n = linalg.GATHER_MIN_DIM
+    good = _signed_permutation(1, n)
+    assert isinstance(linalg.signed_permutation(good), linalg.SignedPermutation)
+    doubled = good.copy()
+    doubled[0] = good[1]  # two rows share a column
+    near = good * (1 + 1e-16j)
+    extra = np.eye(n, dtype=np.complex128)
+    extra[0, 1] = 1e-300
+    for m in (good[:, :-1], 2 * good, near, doubled, good.real, _signed_permutation(1, n - 1), extra):
+        assert type(linalg.signed_permutation(m)) is np.ndarray
+    # the size gate reads GATHER_MIN_DIM
+    monkeypatch.setattr(linalg, "GATHER_MIN_DIM", 2)
+    small = linalg.signed_permutation(_signed_permutation(2, 4))
+    assert small.cols.tolist() == np.argmax(small != 0, axis=1).tolist()
+    assert np.array_equal(small.phases, small[np.arange(4), small.cols])
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_signed_permutation_products_carry_nonfinite_entries_silently(bad, capfd):
+    p = linalg.signed_permutation(_signed_permutation(3, 32))
+    x = np.ones((32, 32), dtype=np.complex128)
+    x[5, 7] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.isnan(op_norm(p @ x)) and np.isnan(op_norm(x @ p))
+    assert not caught and capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------- max_norm
+
+def _max_norm_cases():
+    rng = np.random.default_rng(7)
+    noise = lambda k, n, s=1.0: s * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+    spread = noise(20, 16, 1e-15) * rng.uniform(0.05, 1, size=(20, 1, 1))
+    single = noise(1, 128, 1e-16)
+    tie = noise(1, 32)
+    return {
+        "spread": (spread,),
+        "spread chunks": (spread[:12], spread[12:]),
+        "one large": (np.concatenate([noise(30, 8, 1e-3), noise(1, 8, 1.0)]),),
+        "single": (single,),
+        "single 2-D": (single[0],),
+        "tie": (np.concatenate([tie, tie, tie]),),
+        "stack of stacks": (noise(24, 8).reshape(4, 6, 8, 8),),
+        "unit scale": (noise(64, 4),),
+        "huge": (noise(40, 8, 1e200),),
+        "tiny": (noise(40, 8, 1e-200),),
+        "mixed zeros": (np.concatenate([np.zeros((10, 16, 16)), noise(5, 16, 1e-9)]),),
+        "small": (noise(3, 2),),
+    }
+
+
+@pytest.mark.parametrize("case", list(_max_norm_cases()))
+def test_max_norm_is_the_max_of_op_norms_bit_for_bit(case):
+    stacks = _max_norm_cases()[case]
+    want = max(float(np.max(op_norms(s))) for s in stacks)
+    got = linalg.max_norm(*stacks)
+    assert type(got) is float and got == want
+    for floor in (0.0, 0.5 * want, want, np.nextafter(want, 0.0), 2.0 * want):
+        assert linalg.max_norm(*stacks, floor=floor) == max(floor, want)
+
+
+def test_max_norm_leaves_out_the_matrices_that_cannot_hold_the_maximum(monkeypatch):
+    stacks = _max_norm_cases()["spread"]
+    seen = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        seen.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    linalg.max_norm(*stacks)
+    assert len(seen) == 1 and seen[0] < len(stacks[0])
+    # a floor above every matrix's bounds leaves no SVD
+    floor = 10.0 * float(np.max(op_norms(stacks[0])))
+    seen.clear()
+    assert linalg.max_norm(*stacks, floor=floor) == floor and not seen
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 4), (40, 8, 8), (4, 0, 0), (0, 3, 3)])
+def test_max_norm_of_zero_stacks_needs_no_svd(shape, monkeypatch):
+    _forbid_svd(monkeypatch)
+    zeros = np.full(shape, complex(-0.0, -0.0))
+    assert linalg.max_norm(zeros) == 0.0 and not np.signbit(linalg.max_norm(zeros))
+    assert linalg.max_norm(zeros, floor=3.0) == 3.0
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("k", [3, 40])
+def test_max_norm_of_a_nonfinite_entry_is_nan_without_the_svd(bad, k, monkeypatch, capfd):
+    m = np.ones((k, 8, 8), dtype=np.complex128)
+    m[1, 2, 0] = bad
+    _forbid_svd(monkeypatch)
+    assert np.isnan(linalg.max_norm(m))
+    assert np.isnan(linalg.max_norm(np.ones((2, 8, 8)), m, floor=1.0))
+    assert np.isnan(linalg.max_norm(np.ones((2, 8, 8)), floor=np.nan))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_max_gap_norm_carries_the_floor_and_stops_at_nan():
+    floors, stacks = [], [(np.full((1, 2, 2), v),) for v in (1.0, 3.0, 2.0)]
+
+    def gaps(m):
+        return m
+
+    original = linalg.max_norm
+    try:
+        def recording(*s, floor):
+            floors.append(floor)
+            return original(*s, floor=floor)
+
+        linalg.max_norm = recording
+        assert linalg.max_gap_norm(stacks, gaps) == op_norm(stacks[1][0][0])
+    finally:
+        linalg.max_norm = original
+    assert floors == [0.0, op_norm(stacks[0][0][0]), op_norm(stacks[1][0][0])]
+    evaluated = []
+
+    def nan_then_raise(m):
+        evaluated.append(1)
+        if len(evaluated) > 1:
+            raise AssertionError("evaluated after a NaN")
+        return np.full((1, 2, 2), np.nan)
+
+    assert np.isnan(linalg.max_gap_norm(stacks, nan_then_raise))
+
+
+@pytest.mark.parametrize("mat, singular", [
+    (0.01 * np.eye(8), False),           # determinant 1e-16, condition number 1
+    (np.diag([1e8, 1e-8]), True),        # determinant 1, condition number 1e16
+    (np.diag([1.0, 0.0]), True),
+])
+def test_antilinear_singularity_does_not_depend_on_scale(mat, singular):
+    j = AntilinearOp(mat)
+    eye = np.eye(len(mat))
+    if singular:
+        with pytest.raises(ValueError, match="singular"):
+            j.sandwich(eye)
+    else:
+        assert residual_norm(j.sandwich(eye), eye) <= 1e-13
+
+
+def test_a_signed_permutation_antilinear_op_inverts_exactly_without_a_test(monkeypatch):
+    mat = _signed_permutation(5, linalg.GATHER_MIN_DIM)
+    j = AntilinearOp(mat)
+    assert isinstance(j.mat, linalg.SignedPermutation)
+    a = _random_matrix(5, len(mat))
+    want = mat @ np.conj(a) @ np.linalg.inv(mat)
+    _forbid_svd(monkeypatch)
+    assert j.sandwich(a).tobytes() == want.tobytes()
+    assert isinstance(j._mat_inv, linalg.SignedPermutation)
+    assert np.asarray(j._mat_inv).tobytes() == np.linalg.inv(mat).tobytes()

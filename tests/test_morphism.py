@@ -8,12 +8,12 @@ from kreintwist.krein import (
     k_adjoint,
     sample_spin_plus,
 )
-from kreintwist.linalg import adjoint, residual_norm
+from kreintwist.linalg import adjoint, op_norm, residual_norm
 from kreintwist.morphism import (
     MorphismPair,
     apply_k_morphism,
-    commutator_correspondence_residuals,
-    first_order_correspondence_residuals,
+    commutator_correspondence_gaps,
+    first_order_correspondence_gaps,
     fluctuation_correspondence_check,
     generalized_clifford_check,
     invert_k_morphism,
@@ -76,22 +76,22 @@ def test_commutator_correspondence(reps):
     for (p, q), (rep, ops) in reps.items():
         pair = _pair(rep, ops)
         eye = np.eye(rep.dim)
-        assert commutator_correspondence_residuals(pair, eye[None])[0] == 0.0
-        assert commutator_correspondence_residuals(pair, 0.7j * eye[None])[0] <= 1e-14
+        assert op_norm(commutator_correspondence_gaps(pair, eye[None])[0]) == 0.0
+        assert op_norm(commutator_correspondence_gaps(pair, 0.7j * eye[None])[0]) <= 1e-14
         a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-        assert commutator_correspondence_residuals(pair, a[None])[0] <= 1e-12
+        assert op_norm(commutator_correspondence_gaps(pair, a[None])[0]) <= 1e-12
 
 
 def test_first_order_correspondence(rep13):
     rep, ops = rep13
     pair = _pair(rep, ops)
     eye = np.eye(4)
-    assert first_order_correspondence_residuals(pair, eye[None], eye[None])[0] <= 1e-14
+    assert op_norm(first_order_correspondence_gaps(pair, eye[None], eye[None])[0]) <= 1e-14
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert first_order_correspondence_residuals(pair, a[None], b[None])[0] <= 1e-12
+        assert op_norm(first_order_correspondence_gaps(pair, a[None], b[None])[0]) <= 1e-12
 
 
 def test_fluctuation_correspondence(reps):

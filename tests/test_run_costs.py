@@ -1,11 +1,13 @@
 """Run-level bounds on the batched kernels: stack sizes and SVD calls.
 
 ``linalg.STACK_ENTRIES`` caps the entries of every operand stack a sampled
-check or the spin sampler builds; wrapping ``op_norms`` and
+check or the spin sampler builds; wrapping ``op_norms``, ``max_norm`` and
 ``represent_stack`` wherever the package binds them shows every stack a run
 norms or represents.  The zero fast path of ``op_norms`` keeps all-zero
 stacks out of the SVD, and ``norm_within`` decides threshold-only norms
-without one; the call count of a default run shows both.  Operands are
+without one; the call count of a default run shows both.  ``max_norm``
+takes the SVD only of the matrices of a row's stacks that can hold its
+largest norm; the count of matrices the SVD sees shows that.  Operands are
 coerced and checked for NaN and inf where they enter the constructors, not in
 every kernel; the ``as_cmat`` count of a default run shows that too.  A
 geometry family builds one metric jet per sample point and every family row
@@ -35,29 +37,43 @@ def _wrap_everywhere(monkeypatch, original, record):
                     monkeypatch.setattr(mod, attr, wrapped)
 
 
+def _count_svd_matrices(monkeypatch) -> list:
+    """One entry per SVD call: the number of matrices it norms."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def test_high_dimensional_runs_stay_within_the_entry_cap(monkeypatch):
     normed, represented = [], []
     _wrap_everywhere(monkeypatch, linalg.op_norms, lambda args, out: normed.append(np.asarray(args[0]).size))
+    _wrap_everywhere(monkeypatch, linalg.max_norm, lambda args, out: normed.extend(np.size(a) for a in args))
     _wrap_everywhere(monkeypatch, clifford.represent_stack, lambda args, out: represented.append(out.size))
+    svd_calls = _count_svd_matrices(monkeypatch)
     cfg = SuiteConfig(suites=("clifford", "krein", "morphism"), signatures=((5, 5), (10, 0), (0, 10)), seed=0)
     assert run(cfg).all_passed
     assert max(normed) <= STACK_ENTRIES
     assert max(represented) == STACK_ENTRIES  # dimension 10 fills whole chunks
+    # 361 when written; 790 while every sampled row took the SVD of every matrix
+    assert sum(svd_calls) <= 361
 
 
 def test_default_run_skips_the_svd_of_zero_stacks(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _count_svd_matrices(monkeypatch)
     assert run(SuiteConfig(seed=1234)).all_passed
-    # 312 when written; 840 while threshold-only norms took an SVD, and 2,239
-    # when every zero stack went through it
+    # 294 when written; 312 while every sampled row took the SVD of every
+    # matrix, 840 while threshold-only norms took an SVD, and 2,239 when every
+    # zero stack went through it
     assert len(calls) <= 343
+    # 2,088 matrices when written; 3,785 while every sampled row took the SVD
+    # of every matrix
+    assert sum(calls) <= 2088
 
 
 def test_default_run_checks_operands_only_where_they_enter(monkeypatch):

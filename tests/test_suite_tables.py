@@ -19,6 +19,7 @@ import pytest
 
 from kreintwist import clifford as cl
 from kreintwist import krein as kr
+from kreintwist import linalg
 from kreintwist import suites as su
 from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
@@ -82,15 +83,16 @@ def test_list_form_signatures_run():
 
 
 def test_a_nan_residual_fails_its_row(monkeypatch):
-    def one_nan(stack):
-        norms = np.zeros(len(stack))
-        norms[-1] = np.nan
-        return norms
+    def one_nan(*stacks, floor=0.0):  # as if the last matrix of a stack normed NaN
+        return math.nan
 
-    monkeypatch.setattr(su, "op_norms", one_nan)
+    ctx = su.SignatureContext(Signature(1, 3), 0, 0)
+    ctx.krein_spins, ctx.ops  # built before the patch: their guards norm too
     r = su._Runner(SuiteConfig(seed=0), "krein")
     row = next(row for row in su.KREIN if row.id == "k_fixed_under_spin")
-    su._add_rows(r, [row], su.SignatureContext(Signature(1, 3), 0, 0))
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "max_norm", one_nan)
+        su._add_rows(r, [row], ctx)
     (rec,) = r.records
     assert math.isnan(rec.residual) and not rec.passed
 
