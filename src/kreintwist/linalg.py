@@ -6,10 +6,11 @@ conjugations stay one-liners.  Everything here is pure and immutable.
 
 The structural operators (K, Gamma, J and its inverse, and their product
 counterparts) have exactly one nonzero entry per row and column, each
-exactly +-1 or +-i.  Their constructors classify them as
-``SignedPermutation``: still the dense matrix, but a product with it is a
-gather of rows or columns times a phase, O(n^2) instead of O(n^3), and
-equal to the BLAS product byte for byte.
+exactly +-1 or +-i.  Their constructors classify those of size
+``GATHER_MIN_DIM`` and more as ``SignedPermutation``: still the dense
+matrix, but a product with it is a gather of rows or columns times a
+phase, O(n^2) instead of O(n^3), and equal to the BLAS product byte for
+byte.
 
 Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
 ``adjoint``, ``op_norms`` and ``AntilinearOp.sandwich`` act on each matrix
@@ -17,14 +18,14 @@ of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
 Identities over generator tables are normed the same way (``table_norm``).
 A norm that only meets a threshold is decided by ``norm_within``, and a
 record that keeps only the largest norm of its stacks by ``max_norm``
-(``max_gap_norm`` over chunks); both take an SVD only of the matrices that
-Frobenius and column-norm bounds cannot decide.
+(``max_gap_norm`` over chunks, ``running_max`` over samples); both take an
+SVD only of the matrices that cheap bounds on the norm cannot decide.
 
 Operands are validated where data enters: the constructors of the triple
 data and of ``AntilinearOp`` coerce them to finite complex128 matrices and
 reject NaN and inf.  Kernels trust their operands.  A non-finite entry that arises
-inside one gets norm NaN from ``op_norms``, so its residual fails its check
-(``nan <= tol`` is false) and every threshold guard rejects it.
+inside one gets norm NaN from ``op_norms`` and ``max_norm``, so its residual
+fails its check (``nan <= tol`` is false) and every threshold guard rejects it.
 """
 
 from __future__ import annotations
@@ -96,8 +97,11 @@ def as_cmat(a) -> np.ndarray:
     """Coerce an operand entering a constructor to a finite complex128 matrix.
 
     Raises ShapeError unless it is a matrix and ValueError on a NaN or inf
-    entry; kernels downstream do not check again.
+    entry; kernels downstream do not check again.  A ``SignedPermutation``
+    is one already and is returned as it is.
     """
+    if isinstance(a, SignedPermutation) and a.cols is not None:
+        return a
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
@@ -191,8 +195,10 @@ def _unit_pattern(m: np.ndarray):
 
 def signed_permutation(m) -> np.ndarray:
     """A read-only ``SignedPermutation`` copy of ``m`` when ``m`` is one (see
-    there) of size at least ``GATHER_MIN_DIM``; otherwise ``m`` as an array,
-    unchanged."""
+    there) of size at least ``GATHER_MIN_DIM``, ``m`` itself when it is one
+    already; otherwise ``m`` as an array, unchanged."""
+    if isinstance(m, SignedPermutation) and m.cols is not None:
+        return m
     m = np.asarray(m)
     pattern = _unit_pattern(m) if m.ndim == 2 and len(m) >= GATHER_MIN_DIM else None
     if pattern is None:
@@ -462,6 +468,8 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
         m = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
+        if not m.any():  # its norms are all +0.0: no bounds, no SVD
+            continue
         fro = None
         if m.size >= MAX_NORM_MIN_ENTRIES and m.shape[-1] <= MAX_NORM_PRUNE_DIM:
             m = np.ascontiguousarray(m)
@@ -482,7 +490,7 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
             if gram.size:
                 keep[gram] = (1.0 + MAX_NORM_MARGIN) * _gram_bound(m[gram], fro[gram]) >= cut
             m = m[keep]
-        if m.any():
+        if len(m):
             kept.append(m)
     if kept:
         top = np.linalg.svd(kept[0] if len(kept) == 1 else np.concatenate(kept), compute_uv=False)
