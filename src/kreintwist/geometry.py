@@ -324,12 +324,13 @@ def _vielbein_derivatives(jet: _Jet) -> tuple[np.ndarray, np.ndarray]:
 
 def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     """``_connection`` of the jet at x."""
-    return _connection(_jet(metric, x, h))
+    jet = _jet(metric, x, h)
+    return _connection(jet, _frames(jet.g))
 
 
-def _connection(jet: _Jet) -> dict:
+def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     """Frame connection coefficients for g, g_R, the reflected frame and the
-    twist correction.
+    twist correction, in the frames (E, Einv) = ``_frames(jet.g)``.
 
     Returns arrays keyed "Gamma_b_mu_a", "GammaR_b_mu_a", "K_b_mu_a" and
     "refl_frame_b_mu_a", each indexed [b, mu, a]:
@@ -341,7 +342,7 @@ def _connection(jet: _Jet) -> dict:
     with d_a = e_a^nu d_nu, d_{ra} = g_a d_a, and d_mu g_a = 0 for the
     constant reflection, so that last term drops.
     """
-    e, einv = _frames(jet.g)
+    e, einv = frames
     de, dei = _vielbein_derivatives(jet)
     s, gamma = jet.s, jet.gamma  # diagonal alignment: frame sign a = r sign a
     # the frames are diagonal, so every sum below has at most one nonzero term
@@ -442,20 +443,24 @@ def dirac_apply_pseudo(
     psi: SpinorField,
     x,
     h: float = 1e-3,
-    coeffs: Optional[dict] = None,
 ) -> np.ndarray:
     """(i gamma^mu nabla^Sp_mu psi)(x) with FD partials and FD spin connection.
 
     gamma^mu = e_a^mu gamma^a in chart indices; the connection term is
     1/4 Gamma^b_{mu a} gamma^a gamma_b with gamma_b = g_b gamma^b.
     """
-    x = metric.check_point(x, h)
-    if metric.dim != rep.n_gen:
+    jet = _jet(metric, x, h)
+    frames = _frames(jet.g)
+    return _pseudo_dirac(rep, psi, jet, frames[0], _connection(jet, frames))
+
+
+def _pseudo_dirac(rep: CliffordRep, psi: SpinorField, jet: _Jet, e, coeffs: dict) -> np.ndarray:
+    """``dirac_apply_pseudo`` at the jet's point, in the frame E with the
+    connection coefficients of ``_connection``."""
+    if len(jet.x) != rep.n_gen:
         raise ValueError("representation dimension does not match the chart")
-    coeffs = coeffs or spin_connection_coeffs(metric, x, h)
-    e, _ = vielbein(metric, x)
-    lowered = [s * g for s, g in zip(metric.r_signs, rep.gammas)]
-    return _dirac_assembly(psi, x, h, e, coeffs["Gamma_b_mu_a"], rep.gammas, lowered, 1j)
+    lowered = [s * g for s, g in zip(jet.s, rep.gammas)]
+    return _dirac_assembly(psi, jet.x, jet.h, e, coeffs["Gamma_b_mu_a"], rep.gammas, lowered, 1j)
 
 
 def dirac_decomposition_check(
@@ -473,12 +478,13 @@ def dirac_decomposition_check(
     sign between the two conventions is measured and returned; the caller
     asserts it stays constant across points.
     """
-    x = metric.check_point(x, h)
-    coeffs = spin_connection_coeffs(metric, x, h)
-    lhs = ops.K @ dirac_apply_pseudo(metric, rep, psi, x, h, coeffs)
+    jet = _jet(metric, x, h)
+    frames = _frames(jet.g)
+    coeffs = _connection(jet, frames)
+    lhs = ops.K @ _pseudo_dirac(rep, psi, jet, frames[0], coeffs)
     gt = [ops.K @ g for g in rep.gammas]
     conn = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
-    rhs = _dirac_assembly(psi, x, h, vielbein(metric, x)[0], conn, gt, gt, -1j)
+    rhs = _dirac_assembly(psi, jet.x, h, frames[0], conn, gt, gt, -1j)
     r_plus = float(np.linalg.norm(lhs - rhs))
     r_minus = float(np.linalg.norm(lhs + rhs))
     if r_minus <= r_plus:

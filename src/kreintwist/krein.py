@@ -42,7 +42,7 @@ __all__ = [
     "k_adjoint",
     "K_UNITARY_TOL",
     "k_unitarity_residuals",
-    "is_k_unitary",
+    "require_k_unitary",
     "sample_spin_plus",
     "twisted_commutator",
     "twisted_one_form",
@@ -50,7 +50,7 @@ __all__ = [
     "twisted_first_order_residual",
     "fluctuate",
     "gauge_transform",
-    "gauge_form_residual",
+    "gauge_form_gaps",
     "canonical_twisted_triple",
 ]
 
@@ -122,11 +122,16 @@ def k_unitarity_residuals(space: Optional[KreinSpace], us) -> np.ndarray:
     return np.maximum(op_norms(left), op_norms(right))
 
 
-def is_k_unitary(space: Optional[KreinSpace], us):
-    """Whether ``k_unitarity_residuals(space, us)`` is at most ``K_UNITARY_TOL``,
-    decided by ``norm_within``: a bool for a matrix, a bool array for a stack."""
+def require_k_unitary(space: Optional[KreinSpace], us, error: type, what: str) -> None:
+    """Raise ``error(f"{what} ({r:.3e})")`` unless ``k_unitarity_residuals``
+    is at most ``K_UNITARY_TOL`` for a matrix ``us`` or every matrix of a
+    stack, with r the residual of the first one above it.  The verdict is
+    ``norm_within``'s, so most matrices need no SVD."""
     left, right = _unitarity_gaps(space, us)
-    return norm_within(left, K_UNITARY_TOL) & norm_within(right, K_UNITARY_TOL)
+    within = np.ravel(norm_within(left, K_UNITARY_TOL) & norm_within(right, K_UNITARY_TOL))
+    if not within.all():
+        first = np.reshape(us, (-1, *us.shape[-2:]))[np.argmin(within)]
+        raise error(f"{what} ({k_unitarity_residuals(space, first[None])[0]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -260,29 +265,26 @@ def fluctuate(d, a_rho, j: AntilinearOp, eps1: int) -> np.ndarray:
 
 
 def gauge_transform(d, u_k, j: AntilinearOp, space: KreinSpace) -> np.ndarray:
-    """Ad(u_K) D Ad(u_K)^dagger with Ad(u_K) = u_K (J u_K J^-1).
+    """Ad(u_K) D Ad(u_K)^dagger with Ad(u_K) = u_K (J u_K J^-1), for a matrix
+    u_K or each matrix of a stack.
 
-    Requires u_K to be K-unitary in ``space`` (within ``K_UNITARY_TOL``).
+    Requires every u_K to be K-unitary in ``space`` (within ``K_UNITARY_TOL``).
     That the output stays self-adjoint, the point of fluctuating with
     K-unitaries, is measured by the krein suite's ``gauge_selfadjointness``
     check, not here.
     """
-    if not is_k_unitary(space, u_k):
-        r = k_unitarity_residuals(space, u_k[None])[0]
-        raise NotKUnitaryError(f"gauge element is not K-unitary ({r:.3e})")
+    require_k_unitary(space, u_k, NotKUnitaryError, "gauge element is not K-unitary")
     ad = u_k @ j.sandwich(u_k)
     return ad @ d @ adjoint(ad)
 
 
-def gauge_form_residual(d, u, j: AntilinearOp, space: KreinSpace, eps1: int,
-                        floor: float = 0.0) -> float:
-    """max(floor, |Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1)|) with the
-    one-form A = u [D, u^+]_rho; the norm is zero for a K-unitary gauge
-    element u of an algebra that meets the order-zero and first-order
-    conditions.  A caller passes the largest residual of its earlier samples
-    as ``floor``, so ``max_norm`` skips the SVD when this one cannot exceed it."""
-    a_form = u @ twisted_commutator(d, k_adjoint(space, u), space.K)
-    return max_norm(gauge_transform(d, u, j, space) - fluctuate(d, a_form, j, eps1), floor=floor)
+def gauge_form_gaps(d, us, j: AntilinearOp, space: KreinSpace, eps1: int) -> np.ndarray:
+    """Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1) with the one-form
+    A = u [D, u^+]_rho, for a gauge element u or each of a stack; zero for a
+    K-unitary u of an algebra that meets the order-zero and first-order
+    conditions."""
+    a_form = us @ twisted_commutator(d, k_adjoint(space, us), space.K)
+    return gauge_transform(d, us, j, space) - fluctuate(d, a_form, j, eps1)
 
 
 @dataclass(frozen=True)

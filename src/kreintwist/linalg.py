@@ -13,13 +13,13 @@ phase, O(n^2) instead of O(n^3), and equal to the BLAS product byte for
 byte.
 
 Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
-``adjoint``, ``op_norms`` and ``AntilinearOp.sandwich`` act on each matrix
-of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
+``adjoint``, ``kron``, ``op_norms`` and ``AntilinearOp.sandwich`` act on
+each matrix of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
 Identities over generator tables are normed the same way (``table_norm``).
 A norm that only meets a threshold is decided by ``norm_within``, and a
 record that keeps only the largest norm of its stacks by ``max_norm``
-(``max_gap_norm`` over chunks, ``running_max`` over samples); both take an
-SVD only of the matrices that cheap bounds on the norm cannot decide.
+(``max_gap_norm`` over chunks); both take an SVD only of the matrices that
+cheap bounds on the norm cannot decide.
 
 Operands are validated where data enters: the constructors of the triple
 data and of ``AntilinearOp`` coerce them to finite complex128 matrices and
@@ -53,7 +53,6 @@ __all__ = [
     "chunk_sizes",
     "gaussian_stacks",
     "max_residual",
-    "running_max",
     "max_gap_norm",
     "table_norm",
     "residual_norm",
@@ -261,36 +260,23 @@ def max_residual(stacks, residuals) -> float:
     return _worst(float(np.max(residuals(*operands))) for operands in stacks)
 
 
-def running_max(samples, norm) -> float:
-    """Largest ``norm(*sample, floor=f)`` over ``samples``, where ``f`` is the
-    largest value returned so far (0.0 at first) and ``norm`` returns
-    ``max(f, its own value)``; NaN as soon as one value is NaN, without
-    evaluating the samples after it.
-
-    The floor lets ``max_norm`` skip the SVD of every matrix that cannot
-    exceed the earlier samples.
-    """
-    worst = 0.0
-    for sample in samples:
-        worst = norm(*sample, floor=worst)
-        if math.isnan(worst):
-            break
-    return worst
-
-
 def max_gap_norm(stacks, gaps) -> float:
     """Largest operator norm over the gap matrices of an iterable of stacks.
 
     ``gaps(*operands)`` returns a stack of matrices, or a tuple of stacks, for
     each operand tuple; each chunk is normed by one ``max_norm`` call whose
-    floor is the largest norm of the chunks before it.  The value equals
-    ``max_residual`` over the ``op_norms`` of the gaps bit for bit.
+    floor is the largest norm of the chunks before it, so that it skips the
+    SVD of every matrix that cannot exceed them.  The value equals
+    ``max_residual`` over the ``op_norms`` of the gaps bit for bit; it is NaN
+    as soon as one chunk's is, without evaluating the chunks after it.
     """
-    def chunk_norm(*operands, floor):
+    worst = 0.0
+    for operands in stacks:
         gap = gaps(*operands)
-        return max_norm(*(gap if isinstance(gap, tuple) else (gap,)), floor=floor)
-
-    return running_max(stacks, chunk_norm)
+        worst = max_norm(*(gap if isinstance(gap, tuple) else (gap,)), floor=worst)
+        if math.isnan(worst):
+            break
+    return worst
 
 
 def table_norm(entries, shape: tuple, dim: int) -> float:
@@ -313,8 +299,14 @@ def adjoint(a) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, kron(A,B) @ kron(C,D) = kron(AC, BD)."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product, kron(A,B) @ kron(C,D) = kron(AC, BD): of each pair of
+    matrices for two stacks, of a matrix with each matrix of a stack.
+
+    Every entry is the one product ``np.kron`` forms for it, byte for byte.
+    """
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def op_norm(a) -> float:

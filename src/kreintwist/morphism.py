@@ -19,15 +19,13 @@ from .clifford import (
     twisted_represent_stack,
 )
 from .krein import (
-    K_UNITARY_TOL,
     KreinSpace,
     NotKUnitaryError,
     TwistedTripleData,
     first_order_brackets,
-    is_k_unitary,
     k_adjoint,
-    k_unitarity_residuals,
     opposite_action,
+    require_k_unitary,
     twisted_commutator,
 )
 from .linalg import (
@@ -37,9 +35,9 @@ from .linalg import (
     chunk_sizes,
     commutator,
     gaussian_stacks,
+    max_norm,
     max_residual,
     norm_within,
-    op_norm,
     op_norms,
     residual_norm,
     table_norm,
@@ -56,7 +54,6 @@ __all__ = [
     "first_order_correspondence_gaps",
     "fluctuation_correspondence_check",
     "fluctuation_correspondence_gaps",
-    "fluctuation_correspondence_residuals",
     "twisted_clifford_check",
     "twisted_clifford_gaps",
     "generalized_clifford_check",
@@ -145,14 +142,7 @@ def fluctuation_correspondence_check(pair: MorphismPair, u_k) -> float:
     Also folds in the identity rho(U_K) = rho(u_K) J rho(u_K) J^-1, so both
     constructions of the twisted-side conjugator are compared.
     """
-    return float(fluctuation_correspondence_residuals(pair, u_k[None])[0])
-
-
-def fluctuation_correspondence_residuals(pair: MorphismPair, u_k) -> np.ndarray:
-    """Fluctuation-correspondence residual for every u_K of a stack: the larger
-    norm of its two ``fluctuation_correspondence_gaps``."""
-    left, right = fluctuation_correspondence_gaps(pair, u_k)
-    return np.maximum(op_norms(left), op_norms(right))
+    return max_norm(*fluctuation_correspondence_gaps(pair, u_k[None]))
 
 
 def fluctuation_correspondence_gaps(pair: MorphismPair, u_k) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +154,7 @@ def fluctuation_correspondence_gaps(pair: MorphismPair, u_k) -> tuple[np.ndarray
     t = pair.twisted
     K = t.K
     space = pair.pseudo.space
-    if not np.all(is_k_unitary(space, u_k)):
-        unitarity = k_unitarity_residuals(space, u_k)
-        bad = ~(unitarity <= K_UNITARY_TOL)
-        raise NotKUnitaryError(f"fluctuation element is not K-unitary ({unitarity[bad][0]:.3e})")
+    require_k_unitary(space, u_k, NotKUnitaryError, "fluctuation element is not K-unitary")
     big_u = u_k @ t.J.sandwich(u_k)
     v_k = K @ big_u @ K
     lhs = big_u @ pair.pseudo.Dk @ k_adjoint(space, big_u)
@@ -183,7 +170,7 @@ def twisted_clifford_check(rep: CliffordRep, ops: StructuralOps, u, v) -> float:
     """
     u = np.asarray(u, dtype=np.complex128).ravel()
     v = np.asarray(v, dtype=np.complex128).ravel()
-    return op_norm(twisted_clifford_gaps(rep, ops, u[None], v[None])[0])
+    return max_norm(twisted_clifford_gaps(rep, ops, u[None], v[None]))
 
 
 def twisted_clifford_gaps(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:

@@ -16,8 +16,7 @@ product calculus are checked as exact matrix identities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,10 +34,9 @@ from .clifford import (
 from .krein import (
     KreinSpace,
     TwistedTripleData,
-    gauge_form_residual,
-    is_k_unitary,
+    gauge_form_gaps,
     k_adjoint,
-    k_unitarity_residuals,
+    require_k_unitary,
     twisted_commutator,
 )
 from .linalg import (
@@ -70,9 +68,10 @@ __all__ = [
     "twisted_grading_residual",
     "constraint_check_O",
     "assemble_product",
-    "derivation_split_check",
-    "product_fluctuation_check",
+    "derivation_split_gaps",
+    "product_fluctuation_gaps",
     "fermionic_action",
+    "gauge_vs_form_gaps",
     "gauge_vs_form_residual",
     "signature_emergence",
     "check_emergence_table",
@@ -192,7 +191,8 @@ def constraint_check_O(o, j: AntilinearOp, gamma, eps: int, eps_prime: int) -> d
 
 @dataclass(frozen=True)
 class ProductTripleData:
-    """Assembled almost-commutative product of a twisted triple with a finite one."""
+    """Assembled almost-commutative product of a twisted triple with a finite one;
+    ``Dp``, ``Gammap`` and (through ``space``) ``Kp`` are coerced at entry."""
 
     manifold: TwistedTripleData
     finite: FiniteTriple
@@ -201,14 +201,21 @@ class ProductTripleData:
     Gammap: np.ndarray
     Kp: np.ndarray
     sign_row: tuple  # measured (eps0p, eps1p, eps2p, eps3p)
+    space: KreinSpace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.manifold.dim * self.finite.dimF
+        for name in ("Dp", "Gammap"):
+            m = as_cmat(getattr(self, name))
+            if m.shape != (n, n):
+                raise ShapeError(f"{name} must be {n} x {n}, the product dimension")
+            object.__setattr__(self, name, m)
+        object.__setattr__(self, "space", KreinSpace(n, self.Kp))
+        object.__setattr__(self, "Kp", self.space.K)
 
     @property
     def dim(self) -> int:
         return self.Dp.shape[0]
-
-    @cached_property
-    def space(self) -> KreinSpace:
-        return KreinSpace(self.dim, self.Kp)
 
 
 def assemble_product(manifold: TwistedTripleData, finite: FiniteTriple) -> ProductTripleData:
@@ -261,19 +268,20 @@ def twisted_grading_residual(dp, gp, kp) -> float:
     return residual_norm(_twisted_grading_gap(dp, gp, kp))
 
 
-def derivation_split_check(pt: ProductTripleData, a1, a2) -> float:
-    """[Dp, a1 (x) a2]_rho_p = [D, a1]_rho (x) a2 + K a1 (x) [DF, a2]."""
+def derivation_split_gaps(pt: ProductTripleData, a1, a2) -> np.ndarray:
+    """[Dp, a1 (x) a2]_rho_p - ([D, a1]_rho (x) a2 + K a1 (x) [DF, a2]) for
+    paired a1, a2: two matrices, or two stacks of them paired entry by entry."""
     lhs = twisted_commutator(pt.Dp, kron(a1, a2), pt.Kp)
     m = pt.manifold
     rhs = kron(twisted_commutator(m.D, a1, m.K), a2) + kron(
         m.K @ a1, commutator(pt.finite.DF, a2)
     )
-    return residual_norm(lhs, rhs)
+    return lhs - rhs
 
 
-def product_fluctuation_check(pt: ProductTripleData, u_k, u, floor: float = 0.0) -> float:
-    """(U_K (x) U) Dp (U_K^dag (x) U^dag) = Kp (D^K_fluct (x) 1 + 1 (x) DF_fluct):
-    max(floor, the norm of the difference), as ``krein.gauge_form_residual``.
+def product_fluctuation_gaps(pt: ProductTripleData, u_k, u) -> np.ndarray:
+    """(U_K (x) U) Dp (U_K^dag (x) U^dag) - Kp (D^K_fluct (x) 1 + 1 (x) DF_fluct)
+    for paired u_k, u: two matrices, or two stacks of them.
 
     U_K = u_k J u_k J^-1 and U = u JF u JF^-1.  The Krein-side fluctuation
     on the right uses the twist image rho(U_K) = K U_K K, whose own
@@ -282,12 +290,8 @@ def product_fluctuation_check(pt: ProductTripleData, u_k, u, floor: float = 0.0)
     """
     m = pt.manifold
     space = m.space
-    if not is_k_unitary(None, u):
-        res = float(k_unitarity_residuals(None, u))
-        raise ConstraintViolationError(f"finite gauge element not unitary ({res:.3e})")
-    if not is_k_unitary(space, u_k):
-        kres = k_unitarity_residuals(space, u_k[None])[0]
-        raise ConstraintViolationError(f"manifold gauge element not K-unitary ({kres:.3e})")
+    require_k_unitary(None, u, ConstraintViolationError, "finite gauge element not unitary")
+    require_k_unitary(space, u_k, ConstraintViolationError, "manifold gauge element not K-unitary")
 
     big_u_k = u_k @ m.J.sandwich(u_k)
     big_u = u @ pt.finite.JF.sandwich(u)
@@ -301,7 +305,7 @@ def product_fluctuation_check(pt: ProductTripleData, u_k, u, floor: float = 0.0)
     dk_fluct = v_k @ dk @ k_adjoint(space, v_k)
     df_fluct = big_u @ pt.finite.DF @ adjoint(big_u)
     rhs = pt.Kp @ (kron(dk_fluct, eye_f) + kron(eye_m, df_fluct))
-    return max_norm(lhs - rhs, floor=floor)
+    return lhs - rhs
 
 
 def fermionic_action(pt: ProductTripleData, psi1, psi2, phi1, phi2) -> dict:
@@ -327,20 +331,26 @@ def fermionic_action(pt: ProductTripleData, psi1, psi2, phi1, phi2) -> dict:
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def gauge_vs_form_residual(pt: ProductTripleData, u_k, u, floor: float = 0.0) -> float:
-    """Gauge-generated fluctuation against the one-form formula: max(floor, residual).
+def gauge_vs_form_gaps(pt: ProductTripleData, u_k, u) -> np.ndarray:
+    """Gauge-generated fluctuation against the one-form formula for paired
+    u_k, u: two matrices, or two stacks of them.
 
     For gauge elements of the product algebra (scalar phase on the manifold
     factor, unitary on the finite one) the order-zero and first-order
     conditions hold, so Ad(w) Dp Ad(w)^dag = Dp + A + eps1 J A J^-1 with
-    A = w [Dp, w^+]_rho exactly (``krein.gauge_form_residual`` with w = u_k (x) u).
+    A = w [Dp, w^+]_rho exactly (``krein.gauge_form_gaps`` with w = u_k (x) u).
     """
     eps1p = pt.sign_row[1]
     if eps1p == 0:
         raise ConstraintViolationError(
             "fluctuation formula needs a definite product J-D sign (manifold eps1 = eps)"
         )
-    return gauge_form_residual(pt.Dp, kron(u_k, u), pt.Jp, pt.space, eps1p, floor)
+    return gauge_form_gaps(pt.Dp, kron(u_k, u), pt.Jp, pt.space, eps1p)
+
+
+def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:
+    """The norm of ``gauge_vs_form_gaps`` for one pair u_k, u."""
+    return max_norm(gauge_vs_form_gaps(pt, u_k, u))
 
 
 def finite_algebra_unitary(t: FiniteTriple, theta1: float, theta2: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -283,10 +284,12 @@ def emit(report: Report, fmt: str, path: Optional[str] = None) -> None:
     if path is None:
         sys.stdout.write(payload)
         return
+    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # absent when open itself failed
+            os.remove(tmp)
         raise ReportIOError(f"cannot write report to {path}: {exc}") from exc

@@ -27,8 +27,7 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_residual, residual_norm,
-                     running_max)
+from .linalg import adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_residual, residual_norm
 from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
 
@@ -186,11 +185,13 @@ class _Contexts(dict):
 # residuals are operator norms passes its gap matrices to ``max_gap_norm``,
 # which takes an SVD only of the matrices that can hold the largest one.
 
-def _spin_stacks(spins, dim: int):
-    """Spin-element matrices as 1-tuples of stacks, chunked like ``gaussian_stacks``."""
+def _stacks(dim: int, *samples):
+    """Paired sequences of samples (spin-element matrices, gauge or algebra
+    elements) as tuples of stacks, chunked like ``gaussian_stacks`` for gap
+    matrices of size dim x dim."""
     start = 0
-    for k in chunk_sizes(len(spins), dim):
-        yield (np.array([s.matrix for s in spins[start : start + k]]),)
+    for k in chunk_sizes(len(samples[0]), dim):
+        yield tuple(np.array(seq[start : start + k]) for seq in samples)
         start += k
 
 
@@ -235,16 +236,15 @@ def adjoint_pairing(ctx: SignatureContext, rng: np.random.Generator) -> float:
 def spin_inverse_rule(ctx: SignatureContext, spins) -> float:
     """x^-1 = K x^dagger K on spin elements."""
     K = ctx.ops.K
-    return max_gap_norm(_spin_stacks(spins, ctx.rep.dim), lambda s: np.linalg.inv(s) - K @ adjoint(s) @ K)
+    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
+                        lambda s: np.linalg.inv(s) - K @ adjoint(s) @ K)
 
 
 def spin_k_unitarity(ctx: SignatureContext, spins) -> float:
     """Spin elements are K-unitary."""
     space = ctx.pair.pseudo.space
-    return max_residual(
-        _spin_stacks(spins, ctx.rep.dim),
-        lambda s: kr.k_unitarity_residuals(space, s),
-    )
+    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
+                        lambda s: kr._unitarity_gaps(space, s))
 
 
 def spin_product_invariance(ctx: SignatureContext, spins, rng: np.random.Generator) -> float:
@@ -257,14 +257,14 @@ def spin_product_invariance(ctx: SignatureContext, spins, rng: np.random.Generat
         moved = kr.k_products(space, (s @ psi[..., None])[..., 0], (s @ phi[..., None])[..., 0])
         return np.abs(moved - kr.k_products(space, psi, phi))
 
-    stacks = ((s, psi, phi) for (s,), (psi, phi) in zip(_spin_stacks(spins, d), draws))
+    stacks = ((s, psi, phi) for (s,), (psi, phi) in zip(_stacks(d, [s.matrix for s in spins]), draws))
     return max_residual(stacks, residuals)
 
 
 def k_fixed_under_spin(ctx: SignatureContext, spins) -> float:
     """x^dagger K x = K on spin elements."""
     K = ctx.ops.K
-    return max_gap_norm(_spin_stacks(spins, ctx.rep.dim), lambda s: adjoint(s) @ K @ s - K)
+    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]), lambda s: adjoint(s) @ K @ s - K)
 
 
 def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -315,10 +315,8 @@ def first_order_correspondence(ctx: SignatureContext, rng: np.random.Generator) 
 
 def fluctuation_correspondence(ctx: SignatureContext, spins) -> float:
     """Fluctuations by spin elements correspond across D -> KD."""
-    return max_gap_norm(
-        _spin_stacks(spins, ctx.rep.dim),
-        lambda s: mo.fluctuation_correspondence_gaps(ctx.pair, s),
-    )
+    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
+                        lambda s: mo.fluctuation_correspondence_gaps(ctx.pair, s))
 
 
 def twisted_clifford(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -412,19 +410,20 @@ def _first_order_scalars(c: SignatureContext) -> float:
 def _gauge_selfadjointness(c: SignatureContext) -> float:
     t = c.triple
 
-    def gap(u):
-        out = kr.gauge_transform(t.D, u, t.J, t.space)
+    def gaps(us):
+        out = kr.gauge_transform(t.D, us, t.J, t.space)
         return out - adjoint(out)
 
-    return max_gap_norm(((s.matrix,) for s in c.krein_spins[:5]), gap)
+    return max_gap_norm(_stacks(c.rep.dim, [s.matrix for s in c.krein_spins[:5]]), gaps)
 
 
 def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
     """Gauge orbits against the one-form formula on the product triple."""
     pt, eye_m = c.product, np.eye(c.rep.dim)
-    unitaries = ((np.exp(1j * lam) * eye_m, pr.finite_algebra_unitary(pt.finite, th1, th2))
-                 for th1, th2, lam in rng.uniform(0, 2 * np.pi, size=(5, 3)))
-    return running_max(unitaries, partial(pr.gauge_vs_form_residual, pt))
+    draws = rng.uniform(0, 2 * np.pi, size=(5, 3))
+    u_ks = [np.exp(1j * lam) * eye_m for _, _, lam in draws]
+    us = [pr.finite_algebra_unitary(pt.finite, th1, th2) for th1, th2, _ in draws]
+    return max_gap_norm(_stacks(pt.dim, u_ks, us), partial(pr.gauge_vs_form_gaps, pt))
 
 
 def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -435,9 +434,8 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
         return _gauge_vs_form(c, rng)
     ft = c.finite
     space_f = kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
-    return running_max(((pr.finite_algebra_unitary(ft, th1, th2),)
-                        for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))),
-                       lambda u, floor: kr.gauge_form_residual(ft.DF, u, ft.JF, space_f, +1, floor))
+    us = [pr.finite_algebra_unitary(ft, th1, th2) for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))]
+    return max_gap_norm(_stacks(ft.dimF, us), lambda u: kr.gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1))
 
 
 KREIN = (
@@ -546,7 +544,7 @@ class _FamilyContext:
     @cached_property
     def connection(self) -> list[dict]:
         """The frame connection coefficients at every sample point, computed once."""
-        return [geo._connection(jet) for jet in self.jets]
+        return [geo._connection(jet, geo._frames(jet.g)) for jet in self.jets]
 
 
 def _vielbein_orthonormality(f: _FamilyContext) -> float:
@@ -688,12 +686,8 @@ def _derivation_splitting(c: SignatureContext, rng: np.random.Generator) -> floa
     d, eye_m = c.rep.dim, np.eye(c.rep.dim)
     scalars = [eye_m, (0.4 - 0.3j) * eye_m]
     randoms = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-    gens = c.finite.algebra_gens
-    return _worst(
-        pr.derivation_split_check(c.product, a1, a2)
-        for a1 in scalars + randoms
-        for a2 in gens
-    )
+    pairs = [(a1, a2) for a1 in scalars + randoms for a2 in c.finite.algebra_gens]
+    return max_gap_norm(_stacks(c.product.dim, *zip(*pairs)), partial(pr.derivation_split_gaps, c.product))
 
 
 def _product_first_order(c: SignatureContext) -> float:
@@ -709,8 +703,8 @@ def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float
     spins = kr.sample_spin_plus(c.rep, 5, rng)
     z = rng.normal(size=(5, 2, c.finite.dimF, c.finite.dimF))  # real, imaginary part of each draw
     us, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    return running_max(((s.matrix, u) for s, u in zip(spins, us)),
-                       partial(pr.product_fluctuation_check, c.product))
+    return max_gap_norm(_stacks(c.product.dim, [s.matrix for s in spins], us),
+                        partial(pr.product_fluctuation_gaps, c.product))
 
 
 def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:

@@ -42,7 +42,7 @@ from kreintwist.krein import (
     sample_spin_plus,
     twisted_commutator,
 )
-from kreintwist.linalg import adjoint, op_norm, residual_norm
+from kreintwist.linalg import adjoint, max_norm, op_norm, residual_norm
 from kreintwist.morphism import (
     MorphismPair,
     apply_k_morphism,
@@ -59,12 +59,12 @@ from kreintwist.product import (
     build_finite_triple_ko6,
     check_emergence_table,
     constraint_check_O,
-    derivation_split_check,
+    derivation_split_gaps,
     fermionic_action,
     finite_algebra_unitary,
     finite_first_order_residual,
     gauge_vs_form_residual,
-    product_fluctuation_check,
+    product_fluctuation_gaps,
     signature_emergence,
 )
 
@@ -356,12 +356,12 @@ def test_criterion_7_product_triple():
     for _ in range(5):
         a1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for a2 in ft.algebra_gens:
-            worst_exact = max(worst_exact, derivation_split_check(pt, a1, a2))
+            worst_exact = max(worst_exact, residual_norm(derivation_split_gaps(pt, a1, a2)))
     worst_fluct = 0.0
     for s in sample_spin_plus(rep, 20, np.random.default_rng(900)):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
-        worst_fluct = max(worst_fluct, product_fluctuation_check(pt, s.matrix, u))
+        worst_fluct = max(worst_fluct, max_norm(product_fluctuation_gaps(pt, s.matrix, u)))
     for _ in range(50):
         psi1, phi1 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
         psi2, phi2 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))

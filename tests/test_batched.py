@@ -8,15 +8,20 @@ arithmetic is unchanged, within 1e-2 of the tolerance where the K-product
 now sums in another order than ``np.vdot``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from kreintwist import suites as su
 from kreintwist.clifford import (Signature, all_signatures, build_gammas, build_structural, represent,
                                  represent_stack, twisted_represent_stack)
-from kreintwist.krein import NotKUnitaryError, sample_spin_plus
-from kreintwist.linalg import STACK_ENTRIES, AntilinearOp, chunk_sizes, gaussian_stacks
-from kreintwist.morphism import fluctuation_correspondence_residuals, trace_metric_morph_check
+from kreintwist.krein import (NotKUnitaryError, gauge_form_gaps, gauge_transform, k_unitarity_residuals,
+                              require_k_unitary, sample_spin_plus)
+from kreintwist.linalg import STACK_ENTRIES, AntilinearOp, adjoint, chunk_sizes, gaussian_stacks, kron
+from kreintwist.morphism import fluctuation_correspondence_gaps, trace_metric_morph_check
+from kreintwist.product import (ConstraintViolationError, finite_algebra_unitary, gauge_vs_form_gaps,
+                                product_fluctuation_gaps)
 from kreintwist.report import DEFAULT_TOLERANCES, SuiteConfig
 from kreintwist.suites import run
 
@@ -366,10 +371,87 @@ def test_represent_stack_matches_the_einsum_byte_for_byte(dim):
 def test_batched_fluctuation_rejects_a_stack_with_one_bad_element(contexts):
     ctx = contexts[(1, 3)]
     stack = np.array([s.matrix for s in _spins(ctx)])
-    fluctuation_correspondence_residuals(ctx.pair, stack)
+    fluctuation_correspondence_gaps(ctx.pair, stack)
     stack[7] = 2.0 * stack[7]
     with pytest.raises(NotKUnitaryError):
-        fluctuation_correspondence_residuals(ctx.pair, stack)
+        fluctuation_correspondence_gaps(ctx.pair, stack)
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (4, 4), (16, 2)])
+def test_kron_of_stacks_is_np_kron_of_each_pair(n, m):
+    rng = np.random.default_rng(n + m)
+    a = np.array([_cmat(rng, n) for _ in range(5)])
+    b = np.array([_cmat(rng, m) for _ in range(5)])
+    for x, y in ((a, b), (adjoint(a), adjoint(b)), (a.real, b)):
+        got = kron(x, y)
+        assert got.shape == (5, n * m, n * m)
+        for i in range(5):
+            assert got[i].tobytes() == np.kron(x[i], y[i]).astype(np.complex128).tobytes()
+            assert kron(x[i], y[i]).tobytes() == got[i].tobytes()
+        # a matrix pairs with every matrix of a stack, on either side
+        assert kron(x[0], y).tobytes() == np.array([np.kron(x[0], z) for z in y]).astype(np.complex128).tobytes()
+        assert kron(x, y[1]).tobytes() == np.array([np.kron(z, y[1]) for z in x]).astype(np.complex128).tobytes()
+
+
+# signatures of dimension 2, 4 and 8: representations of dimension 2, 4 and 16
+STACKED_SIGS = [(1, 1), (1, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("sig", STACKED_SIGS, ids=lambda s: f"p{s[0]}q{s[1]}")
+def test_stacked_gauge_kernels_equal_per_matrix_calls(sig):
+    ctx = su.SignatureContext(Signature(*sig))
+    t, pt, ft = ctx.triple, ctx.product, ctx.finite
+    rng = np.random.default_rng(sig)
+    spins = np.array([s.matrix for s in sample_spin_plus(ctx.rep, 6, rng)])
+    draws = rng.uniform(0, 2 * np.pi, size=(6, 3))
+    phases = np.array([np.exp(1j * lam) * np.eye(ctx.rep.dim) for _, _, lam in draws])
+    algebra = np.array([finite_algebra_unitary(ft, th1, th2) for th1, th2, _ in draws])
+    unitaries = np.linalg.qr(np.array([_cmat(rng, ft.dimF) for _ in range(6)]))[0]
+    space_f = su.kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
+    kernels = [
+        (lambda u: gauge_transform(t.D, u, t.J, t.space), (spins,)),
+        (lambda u: gauge_form_gaps(t.D, u, t.J, t.space, -1), (spins,)),
+        (lambda u: gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1), (algebra,)),
+        (lambda u_k, u: product_fluctuation_gaps(pt, u_k, u), (spins, unitaries)),
+    ]
+    if ctx.sig.dim >= 4:  # a definite product J-D sign: the formula applies
+        kernels += [(lambda u_k, u: gauge_vs_form_gaps(pt, u_k, u), (phases, algebra)),
+                    (lambda u_k, u: gauge_vs_form_gaps(pt, u_k, u), (spins, algebra))]
+    else:
+        with pytest.raises(ConstraintViolationError):
+            gauge_vs_form_gaps(pt, phases, algebra)
+    for kernel, stacks in kernels:
+        got = kernel(*stacks)
+        assert got.shape == (6, *got.shape[-2:]) and np.any(got)
+        for i in range(6):
+            assert kernel(*(stack[i] for stack in stacks)).tobytes() == got[i].tobytes()
+
+
+@pytest.mark.parametrize("sig", STACKED_SIGS, ids=lambda s: f"p{s[0]}q{s[1]}")
+def test_k_unitarity_guard_names_the_first_bad_member_of_a_stack(sig):
+    ctx = su.SignatureContext(Signature(*sig))
+    t, pt = ctx.triple, ctx.product
+    spins = np.array([s.matrix for s in sample_spin_plus(ctx.rep, 6, np.random.default_rng(5))])
+    bad = spins.copy()
+    bad[2] *= 1 + 6e-10  # residual about 1.2e-9, just above the tolerance
+    bad[4] *= 2.0
+    first = k_unitarity_residuals(t.space, bad[2][None])[0]
+    message = re.escape(f"({first:.3e})")
+    assert first > 1e-9 and k_unitarity_residuals(t.space, bad[4][None])[0] > first
+    with pytest.raises(NotKUnitaryError, match="gauge element is not K-unitary " + message):
+        gauge_transform(t.D, bad, t.J, t.space)
+    with pytest.raises(NotKUnitaryError, match="fluctuation element is not K-unitary " + message):
+        su.mo.fluctuation_correspondence_gaps(ctx.pair, bad)
+    eye_f = np.tile(np.eye(pt.finite.dimF), (6, 1, 1))
+    with pytest.raises(ConstraintViolationError, match="manifold gauge element not K-unitary " + message):
+        product_fluctuation_gaps(pt, bad, eye_f)
+    scaled = eye_f.copy()
+    scaled[1] *= 1 + 6e-10
+    scaled[3] *= 2.0
+    first_f = k_unitarity_residuals(None, scaled[1][None])[0]
+    with pytest.raises(ConstraintViolationError, match=re.escape(f"finite gauge element not unitary ({first_f:.3e})")):
+        product_fluctuation_gaps(pt, bad, scaled)  # the finite side is checked first
+    require_k_unitary(t.space, spins, ValueError, "unused")
 
 
 def test_antilinear_inverse_is_cached_and_sandwich_unchanged():

@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from kreintwist import krein
+from kreintwist import suites
 from kreintwist.report import (
     ConfigError,
     SuiteConfig,
@@ -83,12 +83,12 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("outcome", ["raise", "nan"])
 def test_json_is_strict_when_a_kernel_fails(outcome, tmp_path, monkeypatch):
-    def broken(space, us):
+    def broken(ctx, spins):
         if outcome == "raise":
             raise RuntimeError("broken kernel")
-        return np.full(len(us), np.nan)
+        return np.nan
 
-    monkeypatch.setattr(krein, "k_unitarity_residuals", broken)
+    monkeypatch.setattr(suites, "spin_k_unitarity", broken)
     report = run(SuiteConfig(suites=("krein",), signatures=((1, 3),), seed=0))
     path = tmp_path / "r.json"
     emit(report, "json", str(path))
@@ -96,6 +96,14 @@ def test_json_is_strict_when_a_kernel_fails(outcome, tmp_path, monkeypatch):
     failed = [r for r in doc["records"] if not r["passed"]]
     assert [r["check_id"] for r in failed] == ["krein.p1q3.spin_k_unitarity"]
     assert failed[0]["residual"] == ("inf" if outcome == "raise" else "nan")
+
+
+def test_a_failed_report_write_leaves_no_temp_file(tmp_path, capsys):
+    taken = tmp_path / "report"
+    taken.mkdir()  # a directory: the temp file is written, the replace fails
+    assert main(["--suite", "emergence", "--out", str(taken)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
 
 
 def test_json_of_finite_residuals_is_the_plain_encoding(tmp_path):

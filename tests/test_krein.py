@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,10 @@ from kreintwist.krein import (
     canonical_twisted_triple,
     fluctuate,
     gauge_transform,
-    is_k_unitary,
     k_adjoint,
     k_product,
     k_unitarity_residuals,
+    require_k_unitary,
     sample_spin_plus,
     twisted_commutator,
     twisted_first_order_residual,
@@ -116,7 +118,15 @@ def test_k_unitarity_trivial_cases(rep13):
     assert k_unitarity_residuals(space, u[None])[0] <= 1e-10
 
 
-def test_is_k_unitary_is_the_residual_verdict(rep13):
+def _passes_guard(space, us) -> bool:
+    try:
+        require_k_unitary(space, us, NotKUnitaryError, "not K-unitary")
+    except NotKUnitaryError:
+        return False
+    return True
+
+
+def test_require_k_unitary_raises_on_the_residual_verdict(rep13):
     # K-unitary and plain-unitary (space None) verdicts against the residuals,
     # with residuals of about 2 delta on both sides of the tolerance 1e-9
     rep, ops = rep13
@@ -126,11 +136,16 @@ def test_is_k_unitary_is_the_residual_verdict(rep13):
     assert op_norm(boost) > 1.0 + 1e-6  # K-unitary, not unitary
     mats = [f * m for m in (np.eye(4), boost) for f in (1.0, 1 + 4e-10, 1 + 6e-10, 2.0)]
     for where in (space, None):
-        want = k_unitarity_residuals(where, np.array(mats)) <= 1e-9
-        assert is_k_unitary(where, np.array(mats)).tolist() == want.tolist()
-        assert [is_k_unitary(where, m) for m in mats] == want.tolist()
+        residuals = k_unitarity_residuals(where, np.array(mats))
+        want = residuals <= 1e-9
+        assert [_passes_guard(where, m) for m in mats] == want.tolist()
         assert want[:3].tolist() == [True, True, False]
-    assert is_k_unitary(space, boost) and not is_k_unitary(None, boost)
+        # a stack passes when every member does, and names the first that does not
+        assert _passes_guard(where, np.array(mats)[want])
+        first = residuals[np.argmin(want)]
+        with pytest.raises(NotKUnitaryError, match=re.escape(f"not K-unitary ({first:.3e})")):
+            require_k_unitary(where, np.array(mats), NotKUnitaryError, "not K-unitary")
+    assert _passes_guard(space, boost) and not _passes_guard(None, boost)
 
 
 def test_spin_sampler_deterministic(rep13):

@@ -15,20 +15,20 @@ from kreintwist.krein import (
     twisted_commutator,
     twisted_first_order_residual,
 )
-from kreintwist.linalg import AntilinearOp, ShapeError, adjoint, kron, residual_norm
+from kreintwist.linalg import AntilinearOp, ShapeError, SignedPermutation, adjoint, kron, max_norm, residual_norm
 from kreintwist.product import (
     ConstraintViolationError,
     assemble_product,
     build_finite_triple_ko6,
     check_emergence_table,
     constraint_check_O,
-    derivation_split_check,
+    derivation_split_gaps,
     dirac_mass_shape_check,
     fermionic_action,
     finite_algebra_unitary,
     finite_first_order_residual,
     gauge_vs_form_residual,
-    product_fluctuation_check,
+    product_fluctuation_gaps,
     signature_emergence,
 )
 
@@ -178,6 +178,25 @@ def test_massless_product_keeps_manifold_dirac_rows(pair13):
     assert pt0.sign_row[3] == tab.eps3
 
 
+def test_product_triple_data_validates_its_operators(product13, finite_ko6):
+    nan_entry = np.array(product13.Dp)
+    nan_entry[0, 1] = np.nan
+    for name in ("Dp", "Gammap", "Kp"):
+        with pytest.raises(ValueError, match="NaN"):
+            dataclasses.replace(product13, **{name: nan_entry})
+        with pytest.raises(ShapeError):
+            dataclasses.replace(product13, **{name: np.eye(8)})
+    listed = dataclasses.replace(product13, Dp=product13.Dp.tolist())
+    assert listed.Dp.dtype == np.complex128 and np.array_equal(listed.Dp, product13.Dp)
+    # classified signed permutations pass through as they are
+    rep = build_gammas(Signature(2, 6))
+    ops = build_structural(rep)
+    t = canonical_twisted_triple(rep, ops, np.zeros((rep.dim, rep.dim)))
+    pt = assemble_product(t, finite_ko6)
+    assert isinstance(pt.Kp, SignedPermutation) and isinstance(pt.Gammap, SignedPermutation)
+    assert dataclasses.replace(pt).Kp is pt.Kp and pt.space.K is pt.Kp
+
+
 def test_product_sign_row(product13):
     # measured composite row for the (1,3) x finite model
     assert product13.sign_row == (1, -1, 1, 1)
@@ -187,7 +206,7 @@ def test_product_sign_row(product13):
 
 def test_derivation_split_trivials(product13):
     eye4 = np.eye(4)
-    assert derivation_split_check(product13, eye4, eye4) <= 1e-14
+    assert residual_norm(derivation_split_gaps(product13, eye4, eye4)) <= 1e-14
 
 
 def test_derivation_split_finite_only(product13, finite_ko6):
@@ -199,7 +218,7 @@ def test_derivation_split_finite_only(product13, finite_ko6):
             product13.manifold.K, finite_ko6.DF @ a2 - a2 @ finite_ko6.DF
         )
         assert residual_norm(lhs, want) <= 1e-14
-        assert derivation_split_check(product13, eye4, a2) <= 1e-14
+        assert residual_norm(derivation_split_gaps(product13, eye4, a2)) <= 1e-14
 
 
 def test_derivation_split_full_expansion(product13, finite_ko6):
@@ -217,7 +236,7 @@ def test_derivation_split_full_expansion(product13, finite_ko6):
                 - kron(m.K @ a1, a2 @ finite_ko6.DF)
             )
             assert residual_norm(lhs, oracle) <= 1e-13
-            assert derivation_split_check(product13, a1, a2) <= 1e-12
+            assert residual_norm(derivation_split_gaps(product13, a1, a2)) <= 1e-12
 
 
 def test_product_first_order(product13, finite_ko6):
@@ -237,19 +256,19 @@ def test_product_first_order(product13, finite_ko6):
 def test_product_fluctuation(product13, rep13):
     rep, _ = rep13
     rng = np.random.default_rng(2)
-    assert product_fluctuation_check(product13, np.eye(4), np.eye(4)) <= 1e-14
+    assert max_norm(product_fluctuation_gaps(product13, np.eye(4), np.eye(4))) <= 1e-14
     # finite-only fluctuation with an algebra phase
     u_phase = finite_algebra_unitary(product13.finite, 0.8, -0.4)
-    assert product_fluctuation_check(product13, np.eye(4), u_phase) <= 1e-12
+    assert max_norm(product_fluctuation_gaps(product13, np.eye(4), u_phase)) <= 1e-12
     for s in sample_spin_plus(rep, 10, np.random.default_rng(41)):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
-        assert product_fluctuation_check(product13, s.matrix, u) <= 1e-10
+        assert max_norm(product_fluctuation_gaps(product13, s.matrix, u)) <= 1e-10
 
 
 def test_product_fluctuation_rejects_nonunitary(product13):
     with pytest.raises(ConstraintViolationError):
-        product_fluctuation_check(product13, np.eye(4), 2.0 * np.eye(4))
+        product_fluctuation_gaps(product13, np.eye(4), 2.0 * np.eye(4))
 
 
 # --------------------------------------------------------- fermionic pairing

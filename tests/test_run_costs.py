@@ -11,7 +11,9 @@ largest norm; the count of matrices the SVD sees shows that.  Operands are
 coerced and checked for NaN and inf where they enter the constructors, not in
 every kernel; the ``as_cmat`` count of a default run shows that too.  A
 geometry family builds one metric jet per sample point and every family row
-reads it; the ``geometry._jet`` count of a geometry run shows that.
+reads it; the ``geometry._jet`` count of a geometry run shows that, and the
+``geometry._frames`` count that the Dirac kernels build the frames of g once
+per point.
 """
 
 import sys
@@ -60,27 +62,32 @@ def test_high_dimensional_runs_stay_within_the_entry_cap(monkeypatch):
     assert run(cfg).all_passed
     assert max(normed) <= STACK_ENTRIES
     assert max(represented) == STACK_ENTRIES  # dimension 10 fills whole chunks
-    # 361 when written; 790 while every sampled row took the SVD of every matrix
-    assert sum(svd_calls) <= 361
+    # 254 when written; 361 while the gauge rows and spin_k_unitarity normed
+    # one sample at a time or every matrix, 790 while every sampled row took
+    # the SVD of every matrix
+    assert sum(svd_calls) <= 254
 
 
 def test_default_run_skips_the_svd_of_zero_stacks(monkeypatch):
     calls = _count_svd_matrices(monkeypatch)
     assert run(SuiteConfig(seed=1234)).all_passed
-    # 294 when written; 312 while every sampled row took the SVD of every
-    # matrix, 840 while threshold-only norms took an SVD, and 2,239 when every
-    # zero stack went through it
-    assert len(calls) <= 343
-    # 2,088 matrices when written; 3,785 while every sampled row took the SVD
-    # of every matrix
-    assert sum(calls) <= 2088
+    # 180 when written; 294 while the gauge, product-fluctuation and
+    # derivation-splitting rows normed one sample at a time, 312 while every
+    # sampled row took the SVD of every matrix, 840 while threshold-only norms
+    # took an SVD, and 2,239 when every zero stack went through it
+    assert len(calls) <= 180
+    # 1,790 matrices when written; 2,088 while those rows normed one sample at
+    # a time, 3,785 while every sampled row took the SVD of every matrix
+    assert sum(calls) <= 1790
 
 
 def test_default_run_checks_operands_only_where_they_enter(monkeypatch):
     calls = []
     _wrap_everywhere(monkeypatch, linalg.as_cmat, lambda args, out: calls.append(1))
     assert run(SuiteConfig(seed=1234)).all_passed
-    # 284 when written; 1,516, next to 2,817 finite scans of stacks and matrices
+    # 284 when written; 307 since product triples coerce their operators at
+    # entry (312 in a fresh process, which also builds the shared finite
+    # triple); 1,516, next to 2,817 finite scans of stacks and matrices
     # together, while every kernel coerced its own operands
     assert len(calls) <= 312
 
@@ -92,3 +99,13 @@ def test_geometry_run_builds_one_jet_per_point(monkeypatch):
     # 4 families x 5 points, 5 jets for the oracles and 8 for the three Dirac
     # decompositions; 113 while each family row built its own jets
     assert len(calls) <= 33
+
+
+def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
+    calls = []
+    _wrap_everywhere(monkeypatch, geometry._frames, lambda args, out: calls.append(1))
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 107 when written: per point, the frames of g and of the stencil points
+    # up and down, and the family rows' vielbein; 124 while the Dirac kernels
+    # built the frames of g three times per point
+    assert len(calls) <= 107
