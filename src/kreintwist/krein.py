@@ -23,6 +23,7 @@ from .linalg import (
     adjoint,
     as_cmat,
     chunk_sizes,
+    diagonal_sandwich,
     max_norm,
     norm_within,
     op_norms,
@@ -51,6 +52,7 @@ __all__ = [
     "fluctuate",
     "gauge_transform",
     "gauge_form_gaps",
+    "diagonal_gauge_form_gaps",
     "canonical_twisted_triple",
 ]
 
@@ -282,9 +284,37 @@ def gauge_form_gaps(d, us, j: AntilinearOp, space: KreinSpace, eps1: int) -> np.
     """Ad(u) D Ad(u)^dagger - (D + A + eps1 J A J^-1) with the one-form
     A = u [D, u^+]_rho, for a gauge element u or each of a stack; zero for a
     K-unitary u of an algebra that meets the order-zero and first-order
-    conditions."""
+    conditions.  Dense: the reference of ``diagonal_gauge_form_gaps``, which
+    the suites' gauge rows call on their diagonal gauge elements."""
     a_form = us @ twisted_commutator(d, k_adjoint(space, us), space.K)
     return gauge_transform(d, us, j, space) - fluctuate(d, a_form, j, eps1)
+
+
+def diagonal_gauge_form_gaps(d, xs, j: AntilinearOp, space: KreinSpace, eps1: int) -> np.ndarray:
+    """``gauge_form_gaps`` for the diagonal gauge elements u = diag(x), one
+    per row x of a (k, n) stack ``xs``, with no dense matrix product.
+
+    u^+ = K u^dagger K and J u J^-1 are diagonals again
+    (``linalg.diagonal_sandwich``; K and J must be signed permutations, or
+    ValueError is raised), and K u^+ K = u^dagger, K being an involution.
+    So u u^+ - 1 = u^+ u - 1 is the diagonal x x^+ - 1, whose operator norm
+    max_i |x_i x^+_i - 1| is the K-unitarity residual; ``NotKUnitaryError``
+    names the first element above ``K_UNITARY_TOL``, as ``gauge_transform``
+    does.  The one-form A = u [D, u^+]_rho and Ad(u) D Ad(u)^dagger are row
+    and column scalings of D, O(k n^2); J A J^-1 is
+    ``AntilinearOp.sandwich``.  Each entry is the one the dense kernel sums,
+    but for the order of roundoff.
+    """
+    xs = np.asarray(xs, dtype=np.complex128)
+    plus = diagonal_sandwich(space.K, np.conj(xs), space.K)  # u^+ = K u^dagger K
+    residuals = np.max(np.abs(xs * plus - 1.0), axis=-1)
+    bad = np.flatnonzero(~(residuals <= K_UNITARY_TOL))
+    if bad.size:
+        raise NotKUnitaryError(f"gauge element is not K-unitary ({residuals[bad[0]]:.3e})")
+    a_form = xs[:, :, None] * (d * plus[:, None, :] - np.conj(xs)[:, :, None] * d)
+    ad = xs * j.sandwich_diagonal(xs)  # Ad(u) = u J u J^-1
+    gauge = ad[:, :, None] * d * np.conj(ad)[:, None, :]
+    return gauge - fluctuate(d, a_form, j, eps1)
 
 
 @dataclass(frozen=True)

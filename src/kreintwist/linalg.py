@@ -10,7 +10,8 @@ exactly +-1 or +-i.  Their constructors classify those of size
 ``GATHER_MIN_DIM`` and more as ``SignedPermutation``: still the dense
 matrix, but a product with it is a gather of rows or columns times a
 phase, O(n^2) instead of O(n^3), and equal to the BLAS product byte for
-byte.
+byte; ``diagonal_sandwich`` conjugates a diagonal by them as a gather of
+its entries.
 
 Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
 ``adjoint``, ``kron``, ``op_norms`` and ``AntilinearOp.sandwich`` act on
@@ -61,6 +62,7 @@ __all__ = [
     "SignedPermutation",
     "GATHER_MIN_DIM",
     "signed_permutation",
+    "diagonal_sandwich",
     "AntilinearOp",
     "sign_of_pair",
 ]
@@ -211,6 +213,32 @@ def signed_permutation(m) -> np.ndarray:
     p._rows = np.argsort(cols)
     p._col_phases = phases[p._rows]
     return p
+
+
+def _pattern(m) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, phases) of a signed permutation, classified or not; raises
+    ValueError for any other matrix."""
+    if isinstance(m, SignedPermutation) and m.cols is not None:
+        return m.cols, m.phases
+    pattern = _unit_pattern(np.asarray(m, dtype=np.complex128))
+    if pattern is None:
+        raise ValueError("a structural operator is not a signed permutation")
+    return pattern
+
+
+def diagonal_sandwich(p, x, q) -> np.ndarray:
+    """The diagonal of P diag(x) Q for each row x of a (k, n) stack, P and Q
+    signed permutations with Q's columns undoing P's (Q = P^-1, or P = Q an
+    involution): entry i is x[cols_P[i]] times the unit phases of row i of P
+    and of row cols_P[i] of Q.  The products are exact, so each entry equals
+    that of the dense product P @ diag(x) @ Q up to the sign of a zero.
+    Raises ValueError when P or Q is not a signed permutation or P diag(x) Q
+    is not diagonal."""
+    cols_p, phases_p = _pattern(p)
+    cols_q, phases_q = (cols_p, phases_p) if q is p else _pattern(q)
+    if not np.array_equal(cols_q[cols_p], np.arange(len(cols_p))):
+        raise ValueError("P diag(x) Q is not diagonal")
+    return np.asarray(x)[..., cols_p] * (phases_p * phases_q[cols_p])
 
 
 def chunk_sizes(count: int, dim: int) -> list[int]:
@@ -415,22 +443,48 @@ def _norm_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fro, lo
 
 
-def _gram_bound(m: np.ndarray, fro: np.ndarray) -> np.ndarray:
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """|A|_F of every matrix of a C-contiguous complex (k, n, n) stack."""
+    parts = m.view(np.float64)
+    return np.sqrt(np.einsum("kij,kij->k", parts, parts))
+
+
+def _gram_bound(m: np.ndarray, fro: np.ndarray, cut: float = 0.0) -> np.ndarray:
     """An upper bound of |A|_2 for every matrix A of a (k, n, n) stack whose
-    Frobenius norms ``fro`` lie in ``_BOUND_RANGE``.
+    Frobenius norms ``fro`` lie in ``_BOUND_RANGE``: the first bound below,
+    and the smaller of both where the first, raised by ``MAX_NORM_MARGIN``,
+    is not below ``cut`` (everywhere by default).
 
     |A|_2^4 = |(A^H A)^2|_2 <= |(A^H A)^2|_F, read from the computed G = A^H A
     and C = G G.  Their rounding errors are below gamma_n |A|_F^2 and
     gamma_n |G|_F^2 in Frobenius norm, so |(A^H A)^2|_F <= (1 + 2 n^2 u) |C|_F
-    + 8 n u |A|_F^4 (u = 2^-53, n <= ``MAX_NORM_PRUNE_DIM``), the bound taken.
-    For residuals at roundoff it is within a factor 1.3-1.7 of |A|_2 at
-    n = 128, where |A|_F is 6-10 times |A|_2.
+    + 8 n u |A|_F^4 (u = 2^-53, n <= ``MAX_NORM_PRUNE_DIM``), the first bound.
+
+    |A|_2^8 <= |(A^H A)^4|_F, one squaring more, gives the second, read on A
+    scaled by 2^-e, where |A|_F = f 2^e with 1/2 <= f < 1, so that no square
+    of an entry can overflow: from S = 2^(-4e) C, the C of the scaled A, and
+    E = S S.  S is exact but for entries that underflow, each moved by less
+    than 2^-1074.  With R = 2^(-4e) (A^H A)^2, |S - R|_F <= 8 n u f^4 and
+    |R|_F <= f^4, so |S S - R R|_F <= 17 n u f^8; the rounding of E adds
+    gamma_n |S|_F^2.  So |(A^H A)^4|_F 2^(-8e) = |R R|_F <= (1 + 2 n^2 u) |E|_F
+    + 32 n u f^8, the slack covering the constants of complex arithmetic and
+    the rounding of |A|_F, and |A|_2 <= 2^e times its eighth root.  For
+    residuals at roundoff at n = 128, where |A|_F is 6-10 times |A|_2, it
+    prunes matrices that the first bound keeps.  The minimum of the two is
+    taken, so no matrix is kept that the first bound alone would leave out.
     """
     n, u = m.shape[-1], 2.0 ** -53
     g = np.conj(m).swapaxes(-1, -2) @ m
-    c = (g @ g).view(np.float64)
-    c_fro = np.sqrt(np.einsum("kij,kij->k", c, c))
-    return ((1.0 + 2.0 * n * n * u) * c_fro + 8.0 * n * u * fro ** 4) ** 0.25
+    c = g @ g
+    bound = ((1.0 + 2.0 * n * n * u) * _frobenius(c) + 8.0 * n * u * fro ** 4) ** 0.25
+    open_ = np.flatnonzero((1.0 + MAX_NORM_MARGIN) * bound >= cut)
+    if open_.size:
+        e = np.frexp(fro[open_])[1]
+        s = np.ldexp(c[open_].view(np.float64), -4 * e[:, None, None]).view(np.complex128)
+        f = np.ldexp(fro[open_], -e)
+        eighth = ((1.0 + 2.0 * n * n * u) * _frobenius(s @ s) + 32.0 * n * u * f ** 8) ** 0.125
+        bound[open_] = np.minimum(bound[open_], np.ldexp(eighth, e))
+    return bound
 
 
 def max_norm(*stacks, floor: float = 0.0) -> float:
@@ -445,7 +499,9 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
     cut = max(floor, (1 - m) max L), a matrix with (1 + m) F < cut is left
     out, and so is one whose ``_gram_bound`` U has (1 + m) U < cut: its SVD
     value is below cut, and cut is at most the result, being the floor or
-    below the SVD value of the matrix with the largest L.  The margin 2^-20
+    below the SVD value of the matrix with the largest L.  U is not computed
+    for a matrix with (1 + m) L >= cut, which it cannot leave out, and its
+    second squaring only where the first does not decide.  The margin 2^-20
     dwarfs the roundoff of F, L, U and the SVD (each below n^2 u for
     n <= ``MAX_NORM_PRUNE_DIM``), as ``norm_within``'s factor 2 does; and since
     squares of entries underflow only below 1e-154, no cut under
@@ -464,7 +520,7 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
         m = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
         if not m.any():  # its norms are all +0.0: no bounds, no SVD
             continue
-        fro = None
+        fro = lo = None
         if m.size >= MAX_NORM_MIN_ENTRIES and m.shape[-1] <= MAX_NORM_PRUNE_DIM:
             m = np.ascontiguousarray(m)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -475,14 +531,16 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
             cut = max(cut, (1.0 - MAX_NORM_MARGIN) * float(lo.max()))
         elif not np.isfinite(m).all():
             return math.nan
-        bounded.append((m, fro))
+        bounded.append((m, fro, lo))
     kept = []
-    for m, fro in bounded:
+    for m, fro, lo in bounded:
         if fro is not None and cut >= FROBENIUS_TOL_FLOOR:
             keep = (1.0 + MAX_NORM_MARGIN) * fro >= cut
-            gram = np.flatnonzero(keep & (fro >= _BOUND_RANGE[0]) & (fro <= _BOUND_RANGE[1]))
+            # a matrix whose lower bound reaches the cut is kept whatever its Gram bound
+            gram = np.flatnonzero(keep & (fro >= _BOUND_RANGE[0]) & (fro <= _BOUND_RANGE[1])
+                                  & ((1.0 + MAX_NORM_MARGIN) * lo < cut))
             if gram.size:
-                keep[gram] = (1.0 + MAX_NORM_MARGIN) * _gram_bound(m[gram], fro[gram]) >= cut
+                keep[gram] = (1.0 + MAX_NORM_MARGIN) * _gram_bound(m[gram], fro[gram], cut) >= cut
             m = m[keep]
         if len(m):
             kept.append(m)
@@ -542,16 +600,18 @@ class AntilinearOp:
 
     @cached_property
     def _mat_inv(self) -> np.ndarray:
-        """inv(mat).  A signed permutation's inverse, at any size, is exact
-        and a signed permutation again, so it needs no test.  Another matrix
-        is singular when its smallest singular value is at most n eps times
-        its largest (numpy's ``matrix_rank`` rule), a test that does not
-        depend on the matrix's scale."""
-        if not isinstance(self.mat, SignedPermutation) and _unit_pattern(self.mat) is None:
-            s = np.linalg.svd(self.mat, compute_uv=False)
-            if not s[-1] > s[0] * self.dim * np.finfo(np.float64).eps:
-                raise ValueError("singular antilinear matrix cannot be inverted")
-        return signed_permutation(np.linalg.inv(self.mat))
+        """inv(mat).  A signed permutation's inverse is its conjugate
+        transpose, exactly, and a signed permutation again; it is formed as
+        a new C-contiguous array with +0.0 zeros, with no LU and no test.
+        Another matrix is singular when its smallest singular value is at
+        most n eps times its largest (numpy's ``matrix_rank`` rule), a test
+        that does not depend on the matrix's scale."""
+        if isinstance(self.mat, SignedPermutation) or _unit_pattern(self.mat) is not None:
+            return signed_permutation(np.add(adjoint(self.mat), 0.0, order="C"))  # -0.0 -> +0.0
+        s = np.linalg.svd(self.mat, compute_uv=False)
+        if not s[-1] > s[0] * self.dim * np.finfo(np.float64).eps:
+            raise ValueError("singular antilinear matrix cannot be inverted")
+        return np.linalg.inv(self.mat)
 
     def sandwich(self, a) -> np.ndarray:
         """J A J^-1 as a linear operator: mat @ conj(A) @ inv(mat).
@@ -559,6 +619,12 @@ class AntilinearOp:
         ``a`` may be a stack of matrices; inv(mat) is computed on first use.
         """
         return self.mat @ np.conj(a) @ self._mat_inv
+
+    def sandwich_diagonal(self, x) -> np.ndarray:
+        """The diagonal of J diag(x) J^-1 for each row x of a (k, n) stack
+        (``diagonal_sandwich``); raises ValueError unless mat is a signed
+        permutation."""
+        return diagonal_sandwich(self.mat, np.conj(x), self._mat_inv)
 
 
 def sign_of_pair(x, y) -> int:

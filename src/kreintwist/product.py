@@ -34,6 +34,7 @@ from .clifford import (
 from .krein import (
     KreinSpace,
     TwistedTripleData,
+    diagonal_gauge_form_gaps,
     gauge_form_gaps,
     k_adjoint,
     require_k_unitary,
@@ -72,6 +73,7 @@ __all__ = [
     "product_fluctuation_gaps",
     "fermionic_action",
     "gauge_vs_form_gaps",
+    "diagonal_gauge_vs_form_gaps",
     "gauge_vs_form_residual",
     "signature_emergence",
     "check_emergence_table",
@@ -339,13 +341,35 @@ def gauge_vs_form_gaps(pt: ProductTripleData, u_k, u) -> np.ndarray:
     factor, unitary on the finite one) the order-zero and first-order
     conditions hold, so Ad(w) Dp Ad(w)^dag = Dp + A + eps1 J A J^-1 with
     A = w [Dp, w^+]_rho exactly (``krein.gauge_form_gaps`` with w = u_k (x) u).
+    Those elements are diagonal; the suites' gauge rows pass their diagonals
+    to ``diagonal_gauge_vs_form_gaps`` and norm all gaps of a row in one
+    ``max_norm`` call.  This dense form is its reference and serves
+    non-diagonal elements.
     """
+    return gauge_form_gaps(pt.Dp, kron(u_k, u), pt.Jp, pt.space, _fluctuation_sign(pt))
+
+
+def _fluctuation_sign(pt: ProductTripleData) -> int:
+    """The product's eps1' (J D = eps1' D J); ConstraintViolationError when
+    it is indefinite, as the fluctuation formula needs it."""
     eps1p = pt.sign_row[1]
     if eps1p == 0:
         raise ConstraintViolationError(
             "fluctuation formula needs a definite product J-D sign (manifold eps1 = eps)"
         )
-    return gauge_form_gaps(pt.Dp, kron(u_k, u), pt.Jp, pt.space, eps1p)
+    return eps1p
+
+
+def diagonal_gauge_vs_form_gaps(pt: ProductTripleData, u_k, u) -> np.ndarray:
+    """``gauge_vs_form_gaps`` for diagonal u_k and u, given as paired rows of
+    (k, dim) and (k, dimF) stacks of their diagonals: the gauge elements of
+    the product algebra are.  w = u_k (x) u is the diagonal of the row's
+    products u_k[i] u[a], each the one ``kron`` forms, and the gap is
+    ``krein.diagonal_gauge_form_gaps``, with no dense product."""
+    eps1p = _fluctuation_sign(pt)
+    u_k, u = np.asarray(u_k, dtype=np.complex128), np.asarray(u, dtype=np.complex128)
+    w = (u_k[:, :, None] * u[:, None, :]).reshape(len(u_k), -1)
+    return diagonal_gauge_form_gaps(pt.Dp, w, pt.Jp, pt.space, eps1p)
 
 
 def gauge_vs_form_residual(pt: ProductTripleData, u_k, u) -> float:

@@ -494,6 +494,46 @@ def test_max_norm_leaves_out_the_matrices_that_cannot_hold_the_maximum(monkeypat
     assert linalg.max_norm(*stacks, floor=floor) == floor and not seen
 
 
+def _gram_case(kind, seed, n):
+    """A stack of three n x n matrices of one kind, with Frobenius norms near 1."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    if kind == "rank one":
+        u, v = (rng.normal(size=(3, n, 1)) + 1j * rng.normal(size=(3, n, 1)) for _ in range(2))
+        m = u @ np.conj(v).swapaxes(1, 2)
+    elif kind == "near identity":
+        m = np.eye(n) + 1e-8 * noise
+    else:  # roundoff: a gap whose Frobenius norm is about sqrt(n) / 2 times its operator norm
+        m = 1e-16 * noise
+    return m / np.linalg.norm(m, axis=(1, 2), keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["rank one", "near identity", "roundoff"]), st.integers(0, 2**31 - 1),
+       st.sampled_from([8, 32, 128]), st.integers(-99, 99), st.floats(0.5, 1.0))
+def test_gram_bound_is_at_least_the_svd_value(kind, seed, n, exponent, cut_share):
+    m = _gram_case(kind, seed, n) * (0.75 * 2.0 ** exponent)  # |A|_F = 0.75 2^exponent
+    fro, lo = linalg._norm_bounds(np.ascontiguousarray(m))
+    assert np.all((fro >= linalg._BOUND_RANGE[0]) & (fro <= linalg._BOUND_RANGE[1]))
+    svd = op_norms(m)
+    bound = linalg._gram_bound(m, fro)
+    assert np.all(bound >= svd) and np.all(bound <= fro * (1 + 1e-10))
+    # a cut decides which matrices get the second squaring, never the bound's validity
+    cut = cut_share * float(svd.max())
+    assert np.all(linalg._gram_bound(m, fro, cut) >= bound)
+    assert np.all(linalg._gram_bound(m, fro, cut) >= svd)
+    assert linalg.max_norm(m) == float(np.max(svd))
+    assert linalg.max_norm(m[:1], m[1:]) == float(np.max(svd))
+
+
+def test_second_squaring_tightens_the_gram_bound_of_roundoff_gaps():
+    m = _gram_case("roundoff", 4, 128)
+    fro, _ = linalg._norm_bounds(np.ascontiguousarray(m))
+    first = linalg._gram_bound(m, fro, cut=np.inf)  # the cut leaves no matrix a second squaring
+    both = linalg._gram_bound(m, fro)
+    assert np.all(both < 0.9 * first) and np.all(both >= op_norms(m))
+
+
 @pytest.mark.parametrize("shape", [(5, 4, 4), (40, 8, 8), (4, 0, 0), (0, 3, 3)])
 def test_max_norm_of_zero_stacks_needs_no_svd(shape, monkeypatch):
     _forbid_svd(monkeypatch)
@@ -557,13 +597,20 @@ def test_antilinear_singularity_does_not_depend_on_scale(mat, singular):
         assert residual_norm(j.sandwich(eye), eye) <= 1e-13
 
 
-def test_a_signed_permutation_antilinear_op_inverts_exactly_without_a_test(monkeypatch):
-    mat = _signed_permutation(5, linalg.GATHER_MIN_DIM)
+@pytest.mark.parametrize("n", [4, linalg.GATHER_MIN_DIM])
+def test_a_signed_permutation_antilinear_op_inverts_exactly_without_a_test(n, monkeypatch):
+    mat = _signed_permutation(5, n)
     j = AntilinearOp(mat)
-    assert isinstance(j.mat, linalg.SignedPermutation)
-    a = _random_matrix(5, len(mat))
-    want = mat @ np.conj(a) @ np.linalg.inv(mat)
+    assert isinstance(j.mat, linalg.SignedPermutation) == (n >= linalg.GATHER_MIN_DIM)
+    a = _random_matrix(5, n)
+    lu = np.linalg.inv(mat)
+    want = mat @ np.conj(a) @ lu
     _forbid_svd(monkeypatch)
+    monkeypatch.setattr(np.linalg, "inv", lambda m: pytest.fail("LU of a signed permutation"))
+    inverse = j._mat_inv
+    assert isinstance(inverse, linalg.SignedPermutation) == (n >= linalg.GATHER_MIN_DIM)
     assert j.sandwich(a).tobytes() == want.tobytes()
-    assert isinstance(j._mat_inv, linalg.SignedPermutation)
-    assert np.asarray(j._mat_inv).tobytes() == np.linalg.inv(mat).tobytes()
+    # the conjugate transpose: LU's values, and +0.0 wherever LU leaves -0.0
+    assert np.array_equal(inverse, lu) and np.array_equal(inverse @ mat, np.eye(n))
+    parts = inverse.view(np.float64)
+    assert inverse.flags.c_contiguous and not np.signbit(parts[parts == 0]).any()

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from kreintwist import clifford, geometry, linalg
+from kreintwist import clifford, geometry, linalg, suites
 from kreintwist.linalg import STACK_ENTRIES
 from kreintwist.report import SuiteConfig
 from kreintwist.suites import run
@@ -62,9 +62,10 @@ def test_high_dimensional_runs_stay_within_the_entry_cap(monkeypatch):
     assert run(cfg).all_passed
     assert max(normed) <= STACK_ENTRIES
     assert max(represented) == STACK_ENTRIES  # dimension 10 fills whole chunks
-    # 254 when written; 361 while the gauge rows and spin_k_unitarity normed
-    # one sample at a time or every matrix, 790 while every sampled row took
-    # the SVD of every matrix
+    # 254 when written, 213 since the gauge rows norm all their gaps in one
+    # ``max_norm`` call with a Gram bound squared once more; 361 while the
+    # gauge rows and spin_k_unitarity normed one sample at a time or every
+    # matrix, 790 while every sampled row took the SVD of every matrix
     assert sum(svd_calls) <= 254
 
 
@@ -76,19 +77,50 @@ def test_default_run_skips_the_svd_of_zero_stacks(monkeypatch):
     # sampled row took the SVD of every matrix, 840 while threshold-only norms
     # took an SVD, and 2,239 when every zero stack went through it
     assert len(calls) <= 180
-    # 1,790 matrices when written; 2,088 while those rows normed one sample at
-    # a time, 3,785 while every sampled row took the SVD of every matrix
+    # 1,790 matrices when written, 1,782 since the gauge rows norm all their
+    # gaps in one ``max_norm`` call (1,791 if its Gram bound were not squared
+    # once more); 2,088 while those rows normed one sample at a time, 3,785
+    # while every sampled row took the SVD of every matrix
     assert sum(calls) <= 1790
+
+
+def test_gauge_rows_take_the_svd_of_few_matrices(monkeypatch):
+    calls, inside = [], []
+    svd, gauge_vs_form = np.linalg.svd, suites._gauge_vs_form
+
+    def counted(a, *args, **kwargs):
+        if inside:
+            calls.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    def row(*args):
+        inside.append(1)
+        try:
+            return gauge_vs_form(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(suites, "_gauge_vs_form", row)
+    sigs = tuple((p, dim - p) for dim in (8, 10) for p in range(dim + 1))
+    assert run(SuiteConfig(suites=("krein",), signatures=sigs, seed=0)).all_passed
+    # the gauge_equals_form rows of the 20 dimension-8/10 signatures, product
+    # assembly included: 29 matrices in 20 SVD calls when written, since their
+    # gauge elements are diagonals and all five gaps of a row go to one
+    # ``max_norm`` call; 56 matrices in 50 calls while each chunk of dense
+    # gaps went to its own ``max_norm`` call with the floor of those before it
+    assert sum(calls) <= 29
 
 
 def test_default_run_checks_operands_only_where_they_enter(monkeypatch):
     calls = []
+    suites._finite_ko6.cache_clear()  # every process counts the build of the shared finite triple
     _wrap_everywhere(monkeypatch, linalg.as_cmat, lambda args, out: calls.append(1))
     assert run(SuiteConfig(seed=1234)).all_passed
-    # 284 when written; 307 since product triples coerce their operators at
-    # entry (312 in a fresh process, which also builds the shared finite
-    # triple); 1,516, next to 2,817 finite scans of stacks and matrices
-    # together, while every kernel coerced its own operands
+    # 284 when written; 312 since product triples coerce their operators at
+    # entry (307 in a process that had built the shared finite triple before,
+    # until the count cleared its cache); 1,516, next to 2,817 finite scans of
+    # stacks and matrices together, while every kernel coerced its own operands
     assert len(calls) <= 312
 
 
