@@ -15,6 +15,8 @@ import numpy as np
 
 from kreintwist.clifford import Signature, build_gammas, build_structural
 from kreintwist.geometry import (
+    _jet,
+    _reflect,
     christoffel,
     dirac_decomposition_check,
     metric_family,
@@ -24,9 +26,7 @@ from kreintwist.geometry import (
 
 def relat_christos_independent(metric, x, h):
     """Reflected side at step h against the g_R side rebuilt at step h/2."""
-    from kreintwist.geometry import reflected_christoffel
-
-    lhs = reflected_christoffel(metric, x, h)
+    lhs = _reflect(metric.r_signs, _jet(metric, x, h).gamma)
     gr = christoffel(metric, True, x, h / 2)
     grinv = np.linalg.inv(metric.gR_at(x))
     s = metric.r_signs

@@ -33,7 +33,6 @@ from .krein import (
     sample_spin_plus,
     twisted_commutator,
     twisted_first_order_residual,
-    twisted_one_form,
 )
 from .morphism import (
     MorphismPair,
@@ -80,7 +79,6 @@ __all__ = [
     "sample_spin_plus",
     "twisted_commutator",
     "twisted_first_order_residual",
-    "twisted_one_form",
     "MorphismPair",
     "PseudoTripleData",
     "apply_k_morphism",

@@ -287,12 +287,6 @@ def trace_metric_residuals(rep: CliffordRep, us, vs) -> np.ndarray:
     return np.abs(tr - metric_pairings(rep, us, vs))
 
 
-def reflect(rep: CliffordRep, v) -> np.ndarray:
-    """Apply the spacelike reflection r (flip minus-direction components)."""
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    return rep.signs * v
-
-
 def gamma_product(rep: CliffordRep, indices: Sequence[int], euclidean: bool = False) -> np.ndarray:
     """Ordered product of gammas (identity for the empty set)."""
     src = rep.hat_gammas if euclidean else rep.gammas

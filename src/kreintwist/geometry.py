@@ -42,8 +42,6 @@ __all__ = [
     "FAMILY_PARAMS",
     "METRIC_FAMILY_NAMES",
     "christoffel",
-    "reflected_christoffel",
-    "christoffel_relation_check",
     "metric_compatibility_residual",
     "reflection_isometry_residual",
     "vielbein",
@@ -52,7 +50,6 @@ __all__ = [
     "dirac_decomposition_check",
     "plane_wave_spinor",
     "trig_spinor",
-    "poly_spinor",
     "fd_convergence_ratio",
 ]
 
@@ -250,16 +247,6 @@ def christoffel(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> np.nda
     return _jet(metric, x, h).side(use_gR)[2]
 
 
-def reflected_christoffel(metric: MetricField, x, h: float = 1e-3) -> np.ndarray:
-    """Gamma^{rl}_{m rn} = s_l s_n Gamma^l_{mn} for the constant diagonal r."""
-    return _reflect(metric.r_signs, _jet(metric, x, h).gamma)
-
-
-def christoffel_relation_check(metric: MetricField, x, h: float = 1e-3) -> float:
-    """``_relation_residual`` of the jet at x."""
-    return _relation_residual(_jet(metric, x, h))
-
-
 def _relation_residual(jet: _Jet) -> float:
     """Reflected coefficients against the g_R ones plus the FD correction term.
 
@@ -399,22 +386,6 @@ def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> Sp
 
     def g(x, mu):
         return -a * np.sin(u @ x) * u[:, mu] + 1j * b * np.cos(w @ x + phase) * w[:, mu]
-
-    return SpinorField(f, g)
-
-
-def poly_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> SpinorField:
-    alpha = rng.normal(size=dim_spinor) + 1j * rng.normal(size=dim_spinor)
-    v = rng.normal(size=(dim_spinor, dim_chart))
-    w = rng.normal(size=(dim_spinor, dim_chart))
-
-    def f(x):
-        lin = v @ x
-        quad = (w @ x) ** 2
-        return alpha + lin + 0.5j * quad
-
-    def g(x, mu):
-        return v[:, mu] + 1j * (w @ x) * w[:, mu]
 
     return SpinorField(f, g)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "require_k_unitary",
     "sample_spin_plus",
     "twisted_commutator",
-    "twisted_one_form",
     "first_order_brackets",
     "twisted_first_order_residual",
     "fluctuate",
@@ -230,14 +229,6 @@ def sample_spin_plus(
 def twisted_commutator(d, a, K) -> np.ndarray:
     """[D, a]_rho = D a - (K a K) D (for each a of a stack)."""
     return d @ a - K @ a @ K @ d
-
-
-def twisted_one_form(pairs: Sequence[tuple], d, K) -> np.ndarray:
-    """sum_i a_i [D, b_i]_rho (zero matrix for an empty list)."""
-    out = np.zeros_like(d)
-    for a, b in pairs:
-        out = out + a @ twisted_commutator(d, b, K)
-    return out
 
 
 def opposite_action(b, j: AntilinearOp) -> np.ndarray:

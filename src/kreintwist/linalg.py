@@ -58,7 +58,6 @@ __all__ = [
     "table_norm",
     "residual_norm",
     "commutator",
-    "anticommutator",
     "SignedPermutation",
     "GATHER_MIN_DIM",
     "signed_permutation",
@@ -292,19 +291,16 @@ def max_gap_norm(stacks, gaps) -> float:
     """Largest operator norm over the gap matrices of an iterable of stacks.
 
     ``gaps(*operands)`` returns a stack of matrices, or a tuple of stacks, for
-    each operand tuple; each chunk is normed by one ``max_norm`` call whose
-    floor is the largest norm of the chunks before it, so that it skips the
-    SVD of every matrix that cannot exceed them.  The value equals
-    ``max_residual`` over the ``op_norms`` of the gaps bit for bit; it is NaN
-    as soon as one chunk's is, without evaluating the chunks after it.
+    each operand tuple; the gaps of every chunk go to one ``max_norm`` call,
+    whose cut is then the largest lower bound of them all.  The value equals
+    ``max_residual`` over the ``op_norms`` of the gaps bit for bit, NaN if one
+    chunk's is.
     """
-    worst = 0.0
+    chunks = []
     for operands in stacks:
         gap = gaps(*operands)
-        worst = max_norm(*(gap if isinstance(gap, tuple) else (gap,)), floor=worst)
-        if math.isnan(worst):
-            break
-    return worst
+        chunks.extend(gap if isinstance(gap, tuple) else (gap,))
+    return max_norm(*chunks)
 
 
 def table_norm(entries, shape: tuple, dim: int) -> float:
@@ -487,32 +483,29 @@ def _gram_bound(m: np.ndarray, fro: np.ndarray, cut: float = 0.0) -> np.ndarray:
     return bound
 
 
-def max_norm(*stacks, floor: float = 0.0) -> float:
-    """max(floor, largest operator norm over the matrices of the stacks), each
-    stack of shape (..., n, n) with one n; ``floor`` >= 0.
+def max_norm(*stacks) -> float:
+    """Largest operator norm over the matrices of the stacks, each stack of
+    shape (..., n, n) with one n.
 
-    The value is exactly ``max(floor, np.max(op_norms(stack)))`` over the
+    The value is exactly ``np.max(op_norms(stack))`` over the
     stacks, but one batched SVD norms only the matrices that can hold the
     maximum.  For each matrix of a stack of at least ``MAX_NORM_MIN_ENTRIES``
     entries, ``_norm_bounds`` gives the Frobenius norm F, an upper bound of
     |A|_2, and a lower bound L.  With m = ``MAX_NORM_MARGIN`` and
-    cut = max(floor, (1 - m) max L), a matrix with (1 + m) F < cut is left
+    cut = (1 - m) max L, a matrix with (1 + m) F < cut is left
     out, and so is one whose ``_gram_bound`` U has (1 + m) U < cut: its SVD
-    value is below cut, and cut is at most the result, being the floor or
-    below the SVD value of the matrix with the largest L.  U is not computed
+    value is below cut, and cut is at most the result, being below the SVD
+    value of the matrix with the largest L.  U is not computed
     for a matrix with (1 + m) L >= cut, which it cannot leave out, and its
     second squaring only where the first does not decide.  The margin 2^-20
     dwarfs the roundoff of F, L, U and the SVD (each below n^2 u for
     n <= ``MAX_NORM_PRUNE_DIM``), as ``norm_within``'s factor 2 does; and since
     squares of entries underflow only below 1e-154, no cut under
     ``FROBENIUS_TOL_FLOOR`` leaves a matrix out.  A stack with no nonzero
-    entry left has norm +0.0 without the SVD.  A NaN or inf entry, or a NaN
-    floor, gives NaN without an SVD, as ``op_norms`` norms such a matrix NaN.
+    entry left has norm +0.0 without the SVD.  A NaN or inf entry gives NaN
+    without an SVD, as ``op_norms`` norms such a matrix NaN.
     """
-    best = float(floor)
-    if math.isnan(best):
-        return best
-    bounded, cut = [], best
+    bounded, cut = [], 0.0
     for stack in stacks:
         m = np.asarray(stack, dtype=np.complex128)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -544,10 +537,10 @@ def max_norm(*stacks, floor: float = 0.0) -> float:
             m = m[keep]
         if len(m):
             kept.append(m)
-    if kept:
-        top = np.linalg.svd(kept[0] if len(kept) == 1 else np.concatenate(kept), compute_uv=False)
-        best = _worst((float(top[:, 0].max()),), best)
-    return best
+    if not kept:
+        return 0.0
+    top = np.linalg.svd(kept[0] if len(kept) == 1 else np.concatenate(kept), compute_uv=False)
+    return float(top[:, 0].max())
 
 
 def residual_norm(a, b=None) -> float:
@@ -560,10 +553,6 @@ def residual_norm(a, b=None) -> float:
 
 def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    return a @ b + b @ a
 
 
 @dataclass(frozen=True)

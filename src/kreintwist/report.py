@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 from typing import Optional
@@ -98,17 +99,25 @@ class SuiteConfig:
         for s in self.suites:
             if s != "all" and s not in SUITE_ORDER:
                 raise ConfigError(f"unknown suite '{s}'")
+        suites = self.resolved_suites()
+        for s in suites:
+            if suites.count(s) > 1:
+                raise ConfigError(f"suite '{s}' is listed more than once")
         if not self.signatures:
             raise ConfigError("at least one signature is required")
         seen = set()
-        for p, q in self.signatures:
+        for sig in self.signatures:
+            if not (isinstance(sig, (tuple, list)) and len(sig) == 2
+                    and all(isinstance(n, Integral) for n in sig)):
+                raise ConfigError(f"signature {sig!r} is not a pair of integers")
+            p, q = sig
             if p < 0 or q < 0 or (p + q) % 2 != 0 or (p + q) < 2:
                 raise ConfigError(f"signature ({p},{q}) is not even-dimensional")
             if (p, q) in seen:
                 raise ConfigError(f"signature ({p},{q}) is listed more than once")
             seen.add((p, q))
-        if not (1e-6 < self.fd_step < 1e-1):
-            raise ConfigError("fd_step must lie in (1e-6, 1e-1)")
+        if not (_finite(self.fd_step) and 1e-6 < self.fd_step < 1e-1):
+            raise ConfigError(f"fd_step must be a number in (1e-6, 1e-1), got {self.fd_step!r}")
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         from .geometry import FAMILY_PARAMS
@@ -118,6 +127,9 @@ class SuiteConfig:
                 f"metric family '{self.metric_family}' is not one the geometry suite checks "
                 f"(choose from {', '.join(CHECKED_FAMILIES)})"
             )
+        for name in ("metric_params", "tolerances"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         reads = FAMILY_PARAMS[self.metric_family]
         for key, value in self.metric_params.items():
             if key not in reads:

@@ -27,7 +27,7 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_norm, max_residual,
+from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_residual,
                      residual_norm)
 from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
@@ -418,18 +418,13 @@ def _gauge_selfadjointness(c: SignatureContext) -> float:
     return max_gap_norm(_stacks(c.rep.dim, [s.matrix for s in c.krein_spins[:5]]), gaps)
 
 
-# The gauge elements of the two rows below are diagonal: a phase on the
-# manifold factor times a unitary of the represented two-point algebra.  They
-# are passed as stacks of their diagonals, and every chunk's gaps go to one
-# ``max_norm`` call, whose cut is then the largest lower bound of them all.
-
 def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
     """Gauge orbits against the one-form formula on the product triple."""
     pt = c.product
     draws = rng.uniform(0, 2 * np.pi, size=(5, 3))
     u_ks = np.exp(1j * draws[:, 2:]) * np.ones(c.rep.dim)  # the diagonals of exp(i lam) 1
     us = [np.diagonal(pr.finite_algebra_unitary(pt.finite, th1, th2)) for th1, th2, _ in draws]
-    return max_norm(*(pr.diagonal_gauge_vs_form_gaps(pt, *chunk) for chunk in _stacks(pt.dim, u_ks, us)))
+    return max_gap_norm(_stacks(pt.dim, u_ks, us), partial(pr.diagonal_gauge_vs_form_gaps, pt))
 
 
 def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -442,8 +437,8 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
     space_f = kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
     us = [np.diagonal(pr.finite_algebra_unitary(ft, th1, th2))
           for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))]
-    return max_norm(*(kr.diagonal_gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1)
-                      for (u,) in _stacks(ft.dimF, us)))
+    return max_gap_norm(_stacks(ft.dimF, us),
+                        lambda u: kr.diagonal_gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1))
 
 
 KREIN = (

@@ -1,0 +1,51 @@
+"""Every top-level definition of the package is reached by package code.
+
+A def or class that only tests, scripts or the benchmark call is API kept
+alive for them alone.  The scan parses each module of the package and
+counts a definition as reached when package code outside its own body
+names it through a ``Name`` or ``Attribute`` node.  ``__all__`` strings,
+imports and docstrings do not count; names are matched bare, across
+modules.
+"""
+
+import ast
+from pathlib import Path
+
+import kreintwist
+
+# Reached only by perfbench/: each goes once the tracer spans the kernels the
+# suite rows call (ROADMAP item 4).
+PERFBENCH_BOUND = {
+    "clifford.metric_pairing",  # item 4: the tracer counts krein's unused import of it
+    "geometry.metric_compatibility_residual",  # item 4: the tracer spans it, rows read the jet
+    "geometry.spin_connection_coeffs",  # item 4: the tracer spans it, rows read the jet
+    "krein._draw_unit_vector",  # item 4: the tracer counts its draws
+    "krein.k_product",  # item 4: the tracer spans it
+    "morphism.fluctuation_correspondence_check",  # item 4: a one-line wrapper the tracer spans
+    "morphism.twisted_clifford_check",  # item 4: a one-line wrapper the tracer spans
+    "product.gauge_vs_form_residual",  # item 4: a one-line wrapper the tracer spans
+}
+
+# Public one-vector c(v), exported from the package root and used in the
+# README; rows call represent_stack.  The tracer spans it too (item 4).
+PUBLIC = {"clifford.represent"}
+
+
+def _unreached() -> set:
+    defs, named = {}, set()
+    for path in sorted(Path(kreintwist.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defs[own] = f"{path.stem}.{own}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id != own:
+                    named.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr != own:
+                    named.add(sub.attr)
+    return {qualified for name, qualified in defs.items() if name not in named}
+
+
+def test_only_the_listed_definitions_lack_a_package_caller():
+    assert _unreached() == PERFBENCH_BOUND | PUBLIC

@@ -204,6 +204,34 @@ def test_repeated_signature_in_config_file_is_a_config_error(tmp_path, capsys):
     assert "(1,3)" in capsys.readouterr().err
 
 
+def test_repeated_suite_is_a_config_error(tmp_path, capsys):
+    # a repeat would run its suite twice and give every check id twice
+    for argv, suite in ((["--suite", "emergence", "--suite", "emergence"], "emergence"),
+                        (["--suite", "all", "--suite", "product"], "product")):
+        assert main(argv) == 2
+        assert f"suite '{suite}' is listed more than once" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("suites = krein, krein\n")
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "suite 'krein' is listed more than once" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="suite 'krein' is listed more than once"):
+        run(SuiteConfig(suites=("krein", "all")))
+
+
+@pytest.mark.parametrize("values", [
+    {"signatures": ((1, 3, 5),)},
+    {"signatures": ("13",)},
+    {"signatures": ((1.0, 3.0),)},
+    {"fd_step": "0.001"},
+    {"fd_step": None},
+    {"metric_params": [("amp", 0.1)]},
+    {"tolerances": [("build", 1e-12)]},
+], ids=["triple", "string", "float pair", "string step", "no step", "param pairs", "tolerance pairs"])
+def test_malformed_api_config_is_a_config_error(values):
+    with pytest.raises(ConfigError):
+        run(SuiteConfig(suites=("clifford",), **values))
+
+
 @pytest.mark.parametrize("extra", [
     ["--seed", "-1"],
     ["--suite", "geometry", "--seed", "-1"],

@@ -6,16 +6,17 @@ from kreintwist.geometry import (
     MetricField,
     NonDiagonalMetricError,
     OutOfDomainError,
+    SpinorField,
+    _jet,
+    _reflect,
+    _relation_residual,
     christoffel,
-    christoffel_relation_check,
     dirac_apply_pseudo,
     dirac_decomposition_check,
     fd_convergence_ratio,
     metric_compatibility_residual,
     metric_family,
     plane_wave_spinor,
-    poly_spinor,
-    reflected_christoffel,
     reflection_isometry_residual,
     spin_connection_coeffs,
     trig_spinor,
@@ -29,7 +30,7 @@ def test_flat_metric_christoffels_vanish():
     m = metric_family("flat4d")
     x = np.zeros(4)
     assert np.max(np.abs(christoffel(m, False, x, H))) <= 1e-13
-    assert np.max(np.abs(reflected_christoffel(m, x, H))) <= 1e-13
+    assert np.max(np.abs(_reflect(m.r_signs, _jet(m, x, H).gamma))) <= 1e-13
 
 
 def test_exp2d_closed_form():
@@ -93,7 +94,7 @@ def _nan_beyond_x0(base: MetricField, cut: float) -> MetricField:
 
 @pytest.mark.parametrize("kernel", [
     lambda m, x: christoffel(m, False, x, H),
-    lambda m, x: christoffel_relation_check(m, x, H),
+    lambda m, x: _relation_residual(_jet(m, x, H)),
     lambda m, x: metric_compatibility_residual(m, True, x, H),
     lambda m, x: spin_connection_coeffs(m, x, H),
 ], ids=["christoffel", "relation", "compatibility", "spin_connection"])
@@ -117,8 +118,6 @@ def test_vielbein_rejects_a_non_finite_metric():
 
 
 def test_jet_arrays_are_read_only():
-    from kreintwist.geometry import _jet
-
     x = np.array([0.1, -0.2, 0.3, 0.15])
     jet = _jet(metric_family("lorentz4d"), x, H)
     arrays = [value for value in jet if isinstance(value, np.ndarray)]
@@ -137,7 +136,7 @@ def test_reflected_christoffel_sign_bookkeeping():
     m = metric_family("lorentz4d")
     x = np.array([0.1, -0.2, 0.3, 0.15])
     base = christoffel(m, False, x, H)
-    refl = reflected_christoffel(m, x, H)
+    refl = _reflect(m.r_signs, _jet(m, x, H).gamma)
     s = m.r_signs
     # spot checks of Gamma^{r l}_{m r n} = s_l s_n Gamma^l_{mn}
     assert refl[1, 0, 1] == pytest.approx(s[1] * s[1] * base[1, 0, 1], abs=1e-15)
@@ -147,7 +146,7 @@ def test_reflected_christoffel_sign_bookkeeping():
     e = metric_family("exp2d")
     xe = np.array([0.1, 0.1])
     assert np.array_equal(
-        reflected_christoffel(e, xe, H), christoffel(e, False, xe, H)
+        _reflect(e.r_signs, _jet(e, xe, H).gamma), christoffel(e, False, xe, H)
     )
 
 
@@ -161,7 +160,7 @@ def test_relat_christos_independent_pipelines():
         hi = m.domain[:, 1] - 4 * H
         for _ in range(5):
             x = lo + (hi - lo) * rng.uniform(size=m.dim)
-            lhs = reflected_christoffel(m, x, H)
+            lhs = _reflect(m.r_signs, _jet(m, x, H).gamma)
             gr = christoffel(m, True, x, H / 2)
             grinv = np.linalg.inv(m.gR_at(x))
             s = m.r_signs
@@ -181,7 +180,7 @@ def test_relat_christos_independent_pipelines():
                             for k in range(m.dim)
                         )
             assert np.max(np.abs(lhs - (gr + corr))) <= 1e-5
-            assert christoffel_relation_check(m, x, H) <= 1e-5
+            assert _relation_residual(_jet(m, x, H)) <= 1e-5
 
 
 def test_metric_compatibility():
@@ -266,8 +265,6 @@ def test_dirac_flat_constant_spinor():
     m = metric_family("flat4d")
     rep = build_gammas(Signature(1, 3))
     psi0 = np.array([1.0, 2.0, -1j, 0.5])
-    from kreintwist.geometry import SpinorField
-
     psi = SpinorField(lambda x: psi0)
     out = dirac_apply_pseudo(m, rep, psi, np.zeros(4), H)
     assert np.linalg.norm(out) <= 1e-13
@@ -285,13 +282,28 @@ def test_dirac_plane_wave():
     assert np.linalg.norm(got - want) <= 1e-6
 
 
+def _poly_spinor(dim_spinor, dim_chart, rng):
+    """alpha + V x + i/2 (W x)^2, entrywise, with its analytic partials."""
+    alpha = rng.normal(size=dim_spinor) + 1j * rng.normal(size=dim_spinor)
+    v = rng.normal(size=(dim_spinor, dim_chart))
+    w = rng.normal(size=(dim_spinor, dim_chart))
+
+    def f(x):
+        return alpha + v @ x + 0.5j * (w @ x) ** 2
+
+    def g(x, mu):
+        return v[:, mu] + 1j * (w @ x) * w[:, mu]
+
+    return SpinorField(f, g)
+
+
 def test_dirac_curved_against_analytic_assembly():
     # conformal 2d metric, polynomial spinor: oracle assembles the operator
     # from closed-form Christoffels and analytic spinor partials
     amp = 0.1
     m = metric_family("conformal2d")
     rep = build_gammas(Signature(2, 0))
-    psi = poly_spinor(2, 2, np.random.default_rng(9))
+    psi = _poly_spinor(2, 2, np.random.default_rng(9))
     x = np.array([0.2, -0.15])
     got = dirac_apply_pseudo(m, rep, psi, x, H)
 

@@ -19,7 +19,6 @@ from kreintwist.krein import (
     sample_spin_plus,
     twisted_commutator,
     twisted_first_order_residual,
-    twisted_one_form,
 )
 from kreintwist.linalg import ShapeError, adjoint, op_norm, residual_norm
 
@@ -249,12 +248,15 @@ def test_twisted_commutator_flipped_gamma(rep11):
     assert np.allclose(got, -2.0 * np.eye(2))
 
 
-def test_twisted_one_form(rep11):
+def test_twisted_one_form_from_stacked_commutators(rep11):
+    # A = sum_i a_i [D, b_i]_rho formed as the gauge kernels form it, one
+    # stacked product per pair: zero for no pairs, [D, b]_rho for (1, b)
     rep, ops = rep11
     d = rep.gammas[0]
-    assert residual_norm(twisted_one_form([], d, ops.K)) == 0.0
+    none = np.zeros((0, 2, 2))
+    assert residual_norm(np.sum(none @ twisted_commutator(d, none, ops.K), axis=0)) == 0.0
     b = np.array([[0.5, 1j], [-1j, 2.0]])
-    lhs = twisted_one_form([(np.eye(2), b)], d, ops.K)
+    lhs = np.sum(np.eye(2) @ twisted_commutator(d, b[None], ops.K), axis=0)
     assert residual_norm(lhs, twisted_commutator(d, b, ops.K)) == 0.0
 
 

@@ -472,8 +472,6 @@ def test_max_norm_is_the_max_of_op_norms_bit_for_bit(case):
     want = max(float(np.max(op_norms(s))) for s in stacks)
     got = linalg.max_norm(*stacks)
     assert type(got) is float and got == want
-    for floor in (0.0, 0.5 * want, want, np.nextafter(want, 0.0), 2.0 * want):
-        assert linalg.max_norm(*stacks, floor=floor) == max(floor, want)
 
 
 def test_max_norm_leaves_out_the_matrices_that_cannot_hold_the_maximum(monkeypatch):
@@ -488,10 +486,6 @@ def test_max_norm_leaves_out_the_matrices_that_cannot_hold_the_maximum(monkeypat
     monkeypatch.setattr(np.linalg, "svd", counted)
     linalg.max_norm(*stacks)
     assert len(seen) == 1 and seen[0] < len(stacks[0])
-    # a floor above every matrix's bounds leaves no SVD
-    floor = 10.0 * float(np.max(op_norms(stacks[0])))
-    seen.clear()
-    assert linalg.max_norm(*stacks, floor=floor) == floor and not seen
 
 
 def _gram_case(kind, seed, n):
@@ -539,7 +533,6 @@ def test_max_norm_of_zero_stacks_needs_no_svd(shape, monkeypatch):
     _forbid_svd(monkeypatch)
     zeros = np.full(shape, complex(-0.0, -0.0))
     assert linalg.max_norm(zeros) == 0.0 and not np.signbit(linalg.max_norm(zeros))
-    assert linalg.max_norm(zeros, floor=3.0) == 3.0
 
 
 @pytest.mark.parametrize("bad", NONFINITE)
@@ -549,37 +542,25 @@ def test_max_norm_of_a_nonfinite_entry_is_nan_without_the_svd(bad, k, monkeypatc
     m[1, 2, 0] = bad
     _forbid_svd(monkeypatch)
     assert np.isnan(linalg.max_norm(m))
-    assert np.isnan(linalg.max_norm(np.ones((2, 8, 8)), m, floor=1.0))
-    assert np.isnan(linalg.max_norm(np.ones((2, 8, 8)), floor=np.nan))
+    assert np.isnan(linalg.max_norm(np.ones((2, 8, 8)), m))
     assert capfd.readouterr() == ("", "")
 
 
-def test_max_gap_norm_carries_the_floor_and_stops_at_nan():
-    floors, stacks = [], [(np.full((1, 2, 2), v),) for v in (1.0, 3.0, 2.0)]
+def test_max_gap_norm_norms_every_chunk_in_one_call(monkeypatch):
+    rng = np.random.default_rng(11)
+    stacks = [(s * (rng.normal(size=(12, 8, 8)) + 1j * rng.normal(size=(12, 8, 8))),) for s in (1e-3, 2.0, 0.5)]
+    calls, max_norm = [], linalg.max_norm
 
-    def gaps(m):
-        return m
+    def recording(*chunks):
+        calls.append(len(chunks))
+        return max_norm(*chunks)
 
-    original = linalg.max_norm
-    try:
-        def recording(*s, floor):
-            floors.append(floor)
-            return original(*s, floor=floor)
-
-        linalg.max_norm = recording
-        assert linalg.max_gap_norm(stacks, gaps) == op_norm(stacks[1][0][0])
-    finally:
-        linalg.max_norm = original
-    assert floors == [0.0, op_norm(stacks[0][0][0]), op_norm(stacks[1][0][0])]
-    evaluated = []
-
-    def nan_then_raise(m):
-        evaluated.append(1)
-        if len(evaluated) > 1:
-            raise AssertionError("evaluated after a NaN")
-        return np.full((1, 2, 2), np.nan)
-
-    assert np.isnan(linalg.max_gap_norm(stacks, nan_then_raise))
+    monkeypatch.setattr(linalg, "max_norm", recording)
+    got = linalg.max_gap_norm(stacks, lambda m: (m[:5], m[5:]))
+    assert calls == [6]
+    assert type(got) is float and got == float(np.max(op_norms(np.concatenate([m for m, in stacks]))))
+    stacks[1][0][3, 2, 1] = np.nan
+    assert np.isnan(linalg.max_gap_norm(stacks, lambda m: m)) and calls == [6, 3]
 
 
 @pytest.mark.parametrize("mat, singular", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kreintwist.clifford import canonical_dirac_pair, metric_pairing, reflect, represent
+from kreintwist.clifford import canonical_dirac_pair, metric_pairing, represent
 from kreintwist.krein import (
     NotKUnitaryError,
     canonical_twisted_triple,
@@ -135,7 +135,7 @@ def test_twisted_clifford_random_vs_metric_oracle(reps):
             cu = represent(rep, u)
             rcv = ops.K @ represent(rep, v) @ ops.K
             lhs = cu @ rcv + rcv @ cu
-            target = 2.0 * metric_pairing(rep, u, reflect(rep, v)) * np.eye(rep.dim)
+            target = 2.0 * metric_pairing(rep, u, rep.signs * v) * np.eye(rep.dim)
             assert residual_norm(lhs, target) <= 1e-11
             assert twisted_clifford_check(rep, ops, u, v) <= 1e-11
 
@@ -189,7 +189,7 @@ def test_symbol_norm_probe_cases(rep11, reps):
     assert not abs(mixed["norm"][0] - mixed["gR_norm"][0]) <= 1e-10
     # oracle for the mixed case: eigenvalues of c(rk)^dag-free product
     cv = represent(rep, [1.0, 1.0])
-    crv = represent(rep, reflect(rep, np.array([1.0, 1.0])))
+    crv = represent(rep, rep.signs * np.array([1.0, 1.0]))
     eigs = np.linalg.eigvals(crv @ cv)
     assert np.max(np.abs(eigs)) == pytest.approx(4.0, abs=1e-12)  # (sqrt a + sqrt b)^2
     # pure positive block in a mixed signature

@@ -63,7 +63,8 @@ def test_high_dimensional_runs_stay_within_the_entry_cap(monkeypatch):
     assert max(normed) <= STACK_ENTRIES
     assert max(represented) == STACK_ENTRIES  # dimension 10 fills whole chunks
     # 254 when written, 213 since the gauge rows norm all their gaps in one
-    # ``max_norm`` call with a Gram bound squared once more; 361 while the
+    # ``max_norm`` call with a Gram bound squared once more, 219 (in 33 SVD
+    # calls, down from 41) since every gap row does; 361 while the
     # gauge rows and spin_k_unitarity normed one sample at a time or every
     # matrix, 790 while every sampled row took the SVD of every matrix
     assert sum(svd_calls) <= 254

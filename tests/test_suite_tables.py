@@ -83,7 +83,7 @@ def test_list_form_signatures_run():
 
 
 def test_a_nan_residual_fails_its_row(monkeypatch):
-    def one_nan(*stacks, floor=0.0):  # as if the last matrix of a stack normed NaN
+    def one_nan(*stacks):  # as if the last matrix of a stack normed NaN
         return math.nan
 
     ctx = su.SignatureContext(Signature(1, 3), 0, 0)
