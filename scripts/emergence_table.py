@@ -10,7 +10,7 @@ candidates, and they all induce the (+,-,-,-) diagonal.
 """
 
 from kreintwist.clifford import Signature, build_gammas, build_structural
-from kreintwist.product import check_emergence_table, signature_emergence
+from kreintwist.product import signature_emergence
 
 
 def fmt_sig(sig):
@@ -28,24 +28,25 @@ def main() -> None:
     print("-" * len(header))
     for row in rows:
         idx = "{" + ",".join(str(i) for i in row.indices) + "}" if row.indices else "1"
-        note = row.excluded_reason or (
-            "Lorentz class" if row.eps == -1 else "anti-Lorentz class"
-        )
+        if row.eps_prime == +1:
+            note = "emergent grading sign +1 (eps2 = +1, not KO-6 compatible)"
+        else:
+            note = "Lorentz class" if row.eps == -1 else "anti-Lorentz class"
         print(
             f"{idx:<12} {row.grade:>5} {row.eps:>+4d} {row.eps_prime:>+9d} "
             f"{fmt_sig(row.signature):>10} "
             f"({row.eps0_emergent:+d},{row.eps2_emergent:+d})"
             f"{'':>8}  {note}"
         )
-    summary = check_emergence_table(rows)
+    odd = [row for row in rows if row.eps_prime == -1]
+    lorentzian = [row for row in odd if row.eps == -1]
+    ko6 = [row for row in rows if (row.eps0_emergent, row.eps2_emergent) == (1, -1)]
     print()
     print(
-        f"classification: {len(summary['lorentzian_rows'])} candidates with eps=-1 "
-        f"induce one plus, {len(summary['anti_lorentzian_rows'])} with eps=+1 induce one minus; "
-        f"{len(summary['ko6_rows'])} carry the emergent pair (+1,-1)."
+        f"classification: {len(lorentzian)} candidates with eps=-1 "
+        f"induce one plus, {len(odd) - len(lorentzian)} with eps=+1 induce one minus; "
+        f"{len(ko6)} carry the emergent pair (+1,-1)."
     )
-    if summary["violations"]:
-        print("VIOLATIONS:", summary["violations"])
 
 
 if __name__ == "__main__":

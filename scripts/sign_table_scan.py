@@ -32,9 +32,10 @@ def main() -> None:
         ops = build_structural(rep)
         d, _ = canonical_dirac_pair(rep, ops.K)
         tab = sign_table(rep, ops, d)
+        twisted = (tab.eps0, tab.eps1, tab.eps2, tab.eps3)
         print(
             f"{str(sig):>7} {tab.eps:>+4d} {tab.eps_prime:>+9d}   "
-            f"{str(tab.twisted_row()):>22}   {str(tab.pseudo_row()):>16}"
+            f"{str(twisted):>22}   {str(tab.pseudo_row()):>16}"
         )
     print()
     print("KO-6 rows (1, 1, -1, -1) mark the signatures compatible with the")

@@ -451,9 +451,6 @@ class SignTable:
     def pseudo_row(self) -> tuple:
         return (self.eps0, self.eps1K, self.eps2, self.eps3K)
 
-    def twisted_row(self) -> tuple:
-        return (self.eps0, self.eps1, self.eps2, self.eps3)
-
 
 def sign_table(rep: CliffordRep, ops: StructuralOps, d: Optional[np.ndarray] = None) -> SignTable:
     """Measure every unit sign and assert the twisted/Krein cross-relations.

@@ -352,10 +352,9 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Sampled spinor field; optionally carries analytic partials for oracles."""
+    """Sampled spinor field."""
 
     func: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=np.complex128)
@@ -368,10 +367,7 @@ def plane_wave_spinor(k, psi0) -> SpinorField:
     def f(x):
         return np.exp(1j * float(np.dot(k, x))) * psi0
 
-    def g(x, mu):
-        return 1j * k[mu] * f(x)
-
-    return SpinorField(f, g)
+    return SpinorField(f)
 
 
 def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> SpinorField:
@@ -384,10 +380,7 @@ def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> Sp
     def f(x):
         return a * np.cos(u @ x) + 1j * b * np.sin(w @ x + phase)
 
-    def g(x, mu):
-        return -a * np.sin(u @ x) * u[:, mu] + 1j * b * np.cos(w @ x + phase) * w[:, mu]
-
-    return SpinorField(f, g)
+    return SpinorField(f)
 
 
 def _dirac_assembly(psi: SpinorField, x, h: float, e, conn, left, right, unit) -> np.ndarray:

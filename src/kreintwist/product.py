@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,7 +75,6 @@ __all__ = [
     "diagonal_gauge_vs_form_gaps",
     "gauge_vs_form_residual",
     "signature_emergence",
-    "check_emergence_table",
     "dirac_mass_shape_check",
 ]
 
@@ -396,7 +394,6 @@ class EmergenceRow:
     eps0_emergent: int     # (K Jhat)^2
     eps2_emergent: int     # grading sign of the emergent real structure
     diag_scalar_residual: float
-    excluded_reason: Optional[str]
 
 
 def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[EmergenceRow]:
@@ -406,9 +403,10 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
     each Euclidean gamma to a sign; the induced metric diagonal is read
     from the squares of gamma_K^a = K hat_gamma^a (one stack of four per
     candidate, its scalar residuals normed together) and the emergent real
-    structure is K Jhat.  Rows whose emergent grading sign is +1 cannot
-    reach the KO-6 table and carry an exclusion reason.  ``ops`` are the
-    structural operators of rep4 (K = 1 there); Jhat and Gamma are read.
+    structure is K Jhat.  Candidates that commute with the grading
+    (eps' = +1) have emergent grading sign +1 and cannot reach the KO-6
+    table.  ``ops`` are the structural operators of rep4 (K = 1 there);
+    Jhat and Gamma are read.
     """
     if rep4.sig.p != 4 or rep4.sig.q != 0:
         raise ValueError("signature emergence expects the Euclidean 4D representation")
@@ -429,10 +427,6 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
             eps0_em = sign_of_pair(j_em.square(), eye)
             eps2_em = antilinear_sign(gamma_hat_full, j_em)
             plus = sum(1 for t in taus if t > 0)
-            if eps_prime == +1:
-                reason = "emergent grading sign +1 (eps2 = +1, not KO-6 compatible)"
-            else:
-                reason = None
             rows.append(
                 EmergenceRow(
                     indices=subset,
@@ -444,56 +438,9 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
                     eps0_emergent=eps0_em,
                     eps2_emergent=eps2_em,
                     diag_scalar_residual=diag_resid,
-                    excluded_reason=reason,
                 )
             )
     return rows
-
-
-def check_emergence_table(rows: Sequence[EmergenceRow]) -> dict:
-    """Assert the epsilon <-> signature correspondence on the table.
-
-    Among candidates compatible with an odd grading relation (eps' = -1):
-    eps = -1 rows induce exactly one plus direction (the (+,-,-,-) class,
-    containing the single-gamma Lorentz operators), eps = +1 rows exactly
-    one minus.  Rows whose emergent real-structure pair matches the KO-6
-    values (+1, -1) must be exactly the grade-1 rows.
-    """
-    out = {
-        "n_rows": len(rows),
-        "lorentzian_rows": [],
-        "anti_lorentzian_rows": [],
-        "ko6_rows": [],
-        "riemannian_row_present": False,
-        "violations": [],
-    }
-    for row in rows:
-        if row.grade == 0 and row.signature == (1, 1, 1, 1) and row.eps == +1:
-            out["riemannian_row_present"] = True
-        if row.eps_prime == -1:
-            if row.eps == -1:
-                out["lorentzian_rows"].append(row)
-                if row.plus_count != 1:
-                    out["violations"].append(
-                        f"eps=-1 candidate {row.indices} induced {row.signature}"
-                    )
-            else:
-                out["anti_lorentzian_rows"].append(row)
-                if row.plus_count != 3:
-                    out["violations"].append(
-                        f"eps=+1 candidate {row.indices} induced {row.signature}"
-                    )
-        if (row.eps0_emergent, row.eps2_emergent) == (1, -1):
-            out["ko6_rows"].append(row)
-            if row.grade != 1 or row.plus_count != 1:
-                out["violations"].append(
-                    f"KO-6 emergent pair on non-Lorentz candidate {row.indices}"
-                )
-    if len(out["ko6_rows"]) != 4:
-        out["violations"].append(
-            f"expected the 4 single-gamma rows to carry the KO-6 pair, got {len(out['ko6_rows'])}"
-        )
-    return out
 
 
 def dirac_mass_shape_check(pt: ProductTripleData, rng: np.random.Generator) -> float:

@@ -60,7 +60,11 @@ class ReportIOError(OSError):
 
 
 def _finite(value) -> bool:
-    return isinstance(value, Real) and math.isfinite(value)
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _json_number(value: float):
@@ -96,6 +100,9 @@ class SuiteConfig:
         return float(self.tolerances.get(cls, DEFAULT_TOLERANCES[cls]))
 
     def validate(self) -> None:
+        for name in ("suites", "signatures"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
         for s in self.suites:
             if s != "all" and s not in SUITE_ORDER:
                 raise ConfigError(f"unknown suite '{s}'")
@@ -108,7 +115,7 @@ class SuiteConfig:
         seen = set()
         for sig in self.signatures:
             if not (isinstance(sig, (tuple, list)) and len(sig) == 2
-                    and all(isinstance(n, Integral) for n in sig)):
+                    and all(map(_integer, sig))):
                 raise ConfigError(f"signature {sig!r} is not a pair of integers")
             p, q = sig
             if p < 0 or q < 0 or (p + q) % 2 != 0 or (p + q) < 2:
@@ -118,7 +125,7 @@ class SuiteConfig:
             seen.add((p, q))
         if not (_finite(self.fd_step) and 1e-6 < self.fd_step < 1e-1):
             raise ConfigError(f"fd_step must be a number in (1e-6, 1e-1), got {self.fd_step!r}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not _integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         from .geometry import FAMILY_PARAMS
 

@@ -759,42 +759,54 @@ def _candidate_label(row: pr.EmergenceRow) -> str:
     return f"candidate.g{row.grade}_{body}.eps_{eps}.sig_{sig}"
 
 
+def _in_class(row: pr.EmergenceRow) -> bool:
+    """The eps <-> signature rule: an odd-grading (eps' = -1) candidate with
+    eps = -1 induces one plus direction (the (+,-,-,-) class, holding the
+    single-gamma Lorentz operators), one with eps = +1 one minus direction;
+    eps' = +1 candidates are unconstrained."""
+    return row.eps_prime != -1 or row.plus_count == (1 if row.eps == -1 else 3)
+
+
 def _candidate(row: pr.EmergenceRow) -> float:
-    """Scalar-diagonal residual; for odd-grade candidates also the eps <-> signature class."""
-    bad = row.diag_scalar_residual
-    if row.eps_prime == -1:
-        want_plus = 1 if row.eps == -1 else 3
-        if row.plus_count != want_plus:
-            bad = max(bad, 1.0)
-    return bad
+    """Scalar-diagonal residual, at least 1 for a candidate outside its eps <-> signature class."""
+    return row.diag_scalar_residual if _in_class(row) else max(row.diag_scalar_residual, 1.0)
 
 
-def _class_rows(table: dict, key: str, plus_count: int) -> float:
-    rows = table[key]
-    return _flag(len(rows) == 4 and all(row.plus_count == plus_count for row in rows))
+def _class_rows(rows: list, lorentz: bool) -> float:
+    """Four odd-grading candidates have eps = -1 (``lorentz``) or eps = +1, each in its class."""
+    cls = [row for row in rows if row.eps_prime == -1 and (row.eps == -1) == lorentz]
+    return _flag(len(cls) == 4 and all(map(_in_class, cls)))
 
 
-def _gamma_time_candidate(table: dict) -> float:
-    for row in table["rows"]:
+def _ko6_selects_lorentz(rows: list) -> float:
+    """Exactly the four single-gamma Lorentz candidates carry the KO-6 emergent
+    pair (+1, -1), and every candidate is in its eps <-> signature class."""
+    ko6 = [row for row in rows if (row.eps0_emergent, row.eps2_emergent) == (1, -1)]
+    return _flag(len(ko6) == 4 and all(row.grade == 1 and row.plus_count == 1 for row in ko6)
+                 and all(map(_in_class, rows)))
+
+
+def _gamma_time_candidate(rows: list) -> float:
+    for row in rows:
         if row.indices == (0,):
             return _flag(row.signature == (1, -1, -1, -1) and row.eps == -1)
     return 1.0
 
 
-# rows over the summary of the candidate table, with the candidates under "rows"
+# rows over the candidate table
 EMERGENCE = (
     Check("table_complete", "Sec4:signature-emergence", "build",
-          lambda e: float(abs(e["n_rows"] - 16))),
+          lambda rows: float(abs(len(rows) - 16))),
     Check("diag_metric_scalar", "Sec4:signature-emergence", "build",
-          lambda e: _worst(row.diag_scalar_residual for row in e["rows"])),
+          lambda rows: _worst(row.diag_scalar_residual for row in rows)),
     Check("lorentz_class_eps_minus", "Sec4:eps-to-signature", "build",
-          lambda e: _class_rows(e, "lorentzian_rows", 1)),
+          lambda rows: _class_rows(rows, lorentz=True)),
     Check("lorentz_class_eps_plus", "Sec4:eps-to-signature", "build",
-          lambda e: _class_rows(e, "anti_lorentzian_rows", 3)),
-    Check("ko6_selects_lorentz", "Sec4:KO6-selects-Lorentz", "build",
-          lambda e: _flag(not e["violations"] and len(e["ko6_rows"]) == 4)),
+          lambda rows: _class_rows(rows, lorentz=False)),
+    Check("ko6_selects_lorentz", "Sec4:KO6-selects-Lorentz", "build", _ko6_selects_lorentz),
     Check("riemannian_row_listed", "Sec4:signature-emergence", "build",
-          lambda e: _flag(e["riemannian_row_present"])),
+          lambda rows: _flag(any(row.grade == 0 and row.signature == (1, 1, 1, 1) and row.eps == 1
+                                 for row in rows))),
     Check("gamma_time_candidate", "Sec4:K=gamma0", "build", _gamma_time_candidate),
 )
 
@@ -803,10 +815,9 @@ def run_emergence(cfg: SuiteConfig, contexts: _Contexts) -> list[CheckRecord]:
     r = _Runner(cfg, "emergence")
     ctx = contexts[(4, 0)]
     rows = pr.signature_emergence(ctx.rep, ctx.ops)
-    summary = {**pr.check_emergence_table(rows), "rows": rows}
     for row in rows:
         r.add(_candidate_label(row), "Sec4:signature-emergence", "build", partial(_candidate, row))
-    _add_rows(r, EMERGENCE, summary)
+    _add_rows(r, EMERGENCE, rows)
     return r.records
 
 

@@ -57,7 +57,6 @@ from kreintwist.morphism import (
 from kreintwist.product import (
     assemble_product,
     build_finite_triple_ko6,
-    check_emergence_table,
     constraint_check_O,
     derivation_split_gaps,
     fermionic_action,
@@ -381,18 +380,19 @@ def test_criterion_8_signature_emergence():
     t0 = time.perf_counter()
     rep4 = build_gammas(Signature(4, 0))
     rows = signature_emergence(rep4, build_structural(rep4))
-    summary = check_emergence_table(rows)
     elapsed = time.perf_counter() - t0
-    lorentz_ok = len(summary["lorentzian_rows"]) == 4 and all(
-        r.plus_count == 1 for r in summary["lorentzian_rows"]
-    )
-    anti_ok = len(summary["anti_lorentzian_rows"]) == 4 and all(
-        r.plus_count == 3 for r in summary["anti_lorentzian_rows"]
-    )
+    odd = [r for r in rows if r.eps_prime == -1]
+    lorentzian = [r for r in odd if r.eps == -1]
+    anti_lorentzian = [r for r in odd if r.eps == 1]
+    ko6 = [r for r in rows if (r.eps0_emergent, r.eps2_emergent) == (1, -1)]
+    lorentz_ok = len(lorentzian) == 4 and all(r.plus_count == 1 for r in lorentzian)
+    anti_ok = len(anti_lorentzian) == 4 and all(r.plus_count == 3 for r in anti_lorentzian)
+    ko6_ok = len(ko6) == 4 and all(r.grade == 1 and r.plus_count == 1 for r in ko6)
     gamma0 = next(r for r in rows if r.indices == (0,))
     ok = (
         len(rows) == 16
-        and not summary["violations"]
+        and len(odd) == 8
+        and ko6_ok
         and lorentz_ok
         and anti_ok
         and gamma0.signature == (1, -1, -1, -1)

@@ -1,11 +1,14 @@
-"""Every top-level definition of the package is reached by package code.
+"""Every top-level definition, class field and method of the package is
+reached by package code.
 
 A def or class that only tests, scripts or the benchmark call is API kept
 alive for them alone.  The scan parses each module of the package and
 counts a definition as reached when package code outside its own body
 names it through a ``Name`` or ``Attribute`` node.  ``__all__`` strings,
 imports and docstrings do not count; names are matched bare, across
-modules.
+modules.  A class field (an annotated name in a class body) or a non-dunder
+method counts as read when package code names it through an ``Attribute``
+node.
 """
 
 import ast
@@ -31,14 +34,28 @@ PERFBENCH_BOUND = {
 PUBLIC = {"clifford.represent"}
 
 
+# Members no package code reads through an attribute, each kept for a reader
+# outside that scan.
+UNREAD_MEMBERS = {
+    "report.CheckRecord.runtime_ms",  # emitted with the record through asdict
+    "krein.SpinElement.factors",  # the input of the spin reference tests
+    "geometry.MetricField.name",  # a label that reprs and test ids read
+}
+
+
+def _modules():
+    for path in sorted(Path(kreintwist.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _unreached() -> set:
     defs, named = {}, set()
-    for path in sorted(Path(kreintwist.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for stem, tree in _modules():
+        for node in tree.body:
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
-                defs[own] = f"{path.stem}.{own}"
+                defs[own] = f"{stem}.{own}"
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and sub.id != own:
                     named.add(sub.id)
@@ -49,3 +66,26 @@ def _unreached() -> set:
 
 def test_only_the_listed_definitions_lack_a_package_caller():
     assert _unreached() == PERFBENCH_BOUND | PUBLIC
+
+
+def _unread_members() -> set:
+    members, attrs = [], set()
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = item.name
+                    else:
+                        continue
+                    if not (name.startswith("__") and name.endswith("__")):
+                        members.append((name, f"{stem}.{node.name}.{name}"))
+    return {qualified for name, qualified in members if name not in attrs}
+
+
+def test_every_class_field_and_method_is_read_by_package_code():
+    assert _unread_members() == UNREAD_MEMBERS

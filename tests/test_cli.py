@@ -226,10 +226,19 @@ def test_repeated_suite_is_a_config_error(tmp_path, capsys):
     {"fd_step": None},
     {"metric_params": [("amp", 0.1)]},
     {"tolerances": [("build", 1e-12)]},
-], ids=["triple", "string", "float pair", "string step", "no step", "param pairs", "tolerance pairs"])
+    # a non-sequence suites or signatures value raised TypeError; a bool passed
+    # as an integer or a real number and came back in the config echo as true
+    {"suites": None},
+    {"signatures": 5},
+    {"signatures": ((True, True),)},
+    {"seed": True},
+    {"metric_params": {"amp": True}},
+    {"tolerances": {"build": True}},
+], ids=["triple", "string", "float pair", "string step", "no step", "param pairs", "tolerance pairs",
+        "no suites", "int signatures", "bool signature", "bool seed", "bool param", "bool tolerance"])
 def test_malformed_api_config_is_a_config_error(values):
     with pytest.raises(ConfigError):
-        run(SuiteConfig(suites=("clifford",), **values))
+        run(SuiteConfig(**{"suites": ("clifford",), **values}))
 
 
 @pytest.mark.parametrize("extra", [

@@ -20,7 +20,6 @@ from kreintwist.product import (
     ConstraintViolationError,
     assemble_product,
     build_finite_triple_ko6,
-    check_emergence_table,
     constraint_check_O,
     derivation_split_gaps,
     dirac_mass_shape_check,
@@ -393,23 +392,24 @@ def test_emergence_grade3_row_oracle(emergence_rows):
 
 
 def test_emergence_epsilon_signature_map(emergence_rows):
-    summary = check_emergence_table(emergence_rows)
-    assert summary["violations"] == []
-    assert len(summary["lorentzian_rows"]) == 4
-    assert all(r.plus_count == 1 for r in summary["lorentzian_rows"])
-    assert len(summary["anti_lorentzian_rows"]) == 4
-    assert all(r.plus_count == 3 for r in summary["anti_lorentzian_rows"])
-    assert len(summary["ko6_rows"]) == 4
-    assert all(r.grade == 1 for r in summary["ko6_rows"])
-    assert summary["riemannian_row_present"]
+    odd = [r for r in emergence_rows if r.eps_prime == -1]
+    lorentzian = [r for r in odd if r.eps == -1]
+    anti_lorentzian = [r for r in odd if r.eps == 1]
+    ko6 = [r for r in emergence_rows if (r.eps0_emergent, r.eps2_emergent) == (1, -1)]
+    assert len(odd) == 8
+    assert len(lorentzian) == 4
+    assert all(r.plus_count == 1 for r in lorentzian)
+    assert len(anti_lorentzian) == 4
+    assert all(r.plus_count == 3 for r in anti_lorentzian)
+    assert len(ko6) == 4
+    assert all(r.grade == 1 and r.plus_count == 1 for r in ko6)
+    assert any(r.grade == 0 and r.signature == (1, 1, 1, 1) and r.eps == 1 for r in emergence_rows)
 
 
 def test_emergence_even_grades_excluded(emergence_rows):
+    # eps' = +1 (the candidate commutes with the grading) exactly on the even grades
     for row in emergence_rows:
-        if row.grade % 2 == 0:
-            assert row.excluded_reason is not None
-        else:
-            assert row.excluded_reason is None
+        assert (row.eps_prime == 1) == (row.grade % 2 == 0)
 
 
 def test_emergence_rejects_wrong_signature():

@@ -10,6 +10,7 @@ morphism and product records on five signatures of dimension 8 and 10, where
 the residual kernels multiply and norm 16x16 to 128x128 matrices.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import pytest
 from kreintwist import clifford as cl
 from kreintwist import krein as kr
 from kreintwist import linalg
+from kreintwist import product as pr
 from kreintwist import suites as su
 from kreintwist.clifford import Signature
 from kreintwist.report import SuiteConfig
@@ -202,3 +204,46 @@ def test_a_construction_error_on_1_3_gives_failed_records(builder, monkeypatch):
     failed = [rec for rec in records if not rec.passed]
     assert failed and all(math.isinf(rec.residual) for rec in failed)
     assert all(_reads_13(rec.check_id) for rec in failed)
+
+
+def _emergence_table():
+    rep = cl.build_gammas(Signature(4, 0))
+    return pr.signature_emergence(rep, cl.build_structural(rep))
+
+
+def _edited(indices, **changes):
+    rows = _emergence_table()
+    i = next(i for i, row in enumerate(rows) if row.indices == indices)
+    if changes:
+        rows[i] = dataclasses.replace(rows[i], **changes)
+    else:
+        del rows[i]
+    return rows
+
+
+# each edit of the (4,0) candidate table and the records it fails, with the
+# values the summary-dict rows of the earlier code gave on the same table
+@pytest.mark.parametrize("rows, failing", [
+    (_edited((0, 1)), {"table_complete": 1.0}),
+    (_edited((3,)), {"table_complete": 1.0, "lorentz_class_eps_minus": 1.0, "ko6_selects_lorentz": 1.0}),
+    (_edited((2,), diag_scalar_residual=1e-6),
+     {"candidate.g1_2.eps_m.sig_mmpm": 1e-6, "diag_metric_scalar": 1e-6}),
+    (_edited((1,), plus_count=3),
+     {"candidate.g1_1.eps_m.sig_mpmm": 1.0, "lorentz_class_eps_minus": 1.0, "ko6_selects_lorentz": 1.0}),
+    (_edited((0, 1, 2), plus_count=1),
+     {"candidate.g3_012.eps_p.sig_pppm": 1.0, "lorentz_class_eps_plus": 1.0, "ko6_selects_lorentz": 1.0}),
+    (_edited((0, 1, 3), eps0_emergent=1, eps2_emergent=-1), {"ko6_selects_lorentz": 1.0}),
+    (_edited((), eps=-1), {"riemannian_row_listed": 1.0}),
+    (_edited((), eps_prime=-1),
+     {"candidate.g0_id.eps_p.sig_pppp": 1.0, "lorentz_class_eps_plus": 1.0, "ko6_selects_lorentz": 1.0}),
+    (_edited((0,), signature=(-1, 1, -1, -1)), {"gamma_time_candidate": 1.0}),
+    (_edited((0,), eps=1),
+     {"candidate.g1_0.eps_p.sig_pmmm": 1.0, "lorentz_class_eps_minus": 1.0, "lorentz_class_eps_plus": 1.0,
+      "ko6_selects_lorentz": 1.0, "gamma_time_candidate": 1.0}),
+], ids=["drop grade 2", "drop grade 1", "diag residual", "plus count eps-", "plus count eps+",
+        "grade 3 KO-6 pair", "grade 0 eps-", "grade 0 odd", "time row signature", "time row eps+"])
+def test_every_emergence_row_fails_on_an_edited_table(rows, failing):
+    values = {su._candidate_label(row): su._candidate(row) for row in rows}
+    values.update({check.id: check.fn(rows) for check in su.EMERGENCE})
+    assert len(values) == len(rows) + len(su.EMERGENCE)
+    assert {k: v for k, v in values.items() if v != 0.0} == failing
