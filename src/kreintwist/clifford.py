@@ -4,6 +4,10 @@ Conventions used throughout the package:
 
 * Basis order: the first ``p`` directions square to +1, the remaining ``q``
   to -1; ``signs[a]`` is that metric sign ``g_a``.
+* Every operator built here is a phase times a Pauli string, held exactly as
+  a ``PauliString`` (k, x, z) = i^k X^x Z^z and materialized once.
+  Products are bit operations (Aaronson and Gottesman, Phys. Rev. A 70,
+  052328, 2004), so no phase is found numerically.
 * Euclidean building blocks follow the sigma-string construction
   ``hat_gamma[2k]   = s3^(k) (x) s1 (x) 1^(m-k-1)`` and
   ``hat_gamma[2k+1] = s3^(k) (x) s2 (x) 1^(m-k-1)`` (0-based), which are
@@ -12,16 +16,15 @@ Conventions used throughout the package:
   ``i * hat_gamma_a`` on minus ones, so every gamma is unitary and
   ``gamma_a^dagger = g_a gamma_a``.  Conjugation by the twist operator K
   is then forced to act as the parity ``gamma_a -> g_a gamma_a``.
-* K is the phase-normalized product of the plus gammas when p is odd,
-  of the minus gammas otherwise (the parity of the product length decides
-  which one conjugates correctly); Gamma is the normalized product of all
-  gammas; Chat solves ``Chat hat_g Chat^-1 = -conj(hat_g)`` and is taken
-  from the sigma-string closed form (imaginary-type gammas for odd m,
-  real-type for even m), then verified numerically.
-* Phase normalization: multiply by i^k with the smallest k in {0,..,3}
-  making the product Hermitian, then by +-1 so the first nonzero diagonal
-  entry scanned from (0,0) has nonnegative real part.  Hermitian + unitary
-  forces the square to be the identity.
+* K is the normalized product of the plus gammas when p is odd, of the
+  minus gammas otherwise (the parity of the product length decides which
+  one conjugates correctly); Gamma is the normalized product of all gammas;
+  Chat, with ``Chat hat_g Chat^-1 = -conj(hat_g)``, is the product of the
+  imaginary-type (sigma2 slot) hat gammas for odd m, of the real-type ones
+  for even m.
+* Normalization (``PauliString.normalized``): multiply by i^j with the
+  smallest j making the string Hermitian, then by -1 when the string is
+  diagonal with phase -1.  A Hermitian unitary squares to the identity.
 
 All sign parameters (eps, eps', eps_0..eps_3 and their Krein-side
 counterparts) are measured from the constructed operators, never assumed.
@@ -30,9 +33,10 @@ counterparts) are measured from the constructed operators, never assumed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -56,9 +60,9 @@ __all__ = [
     "StructuralOps",
     "SignTable",
     "ConstructionError",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
+    "PauliString",
+    "sigma_strings",
+    "string_product",
     "build_gammas",
     "represent",
     "represent_stack",
@@ -67,9 +71,6 @@ __all__ = [
     "metric_pairings",
     "twist_parity_gaps",
     "trace_metric_residuals",
-    "gamma_product",
-    "phase_normalize",
-    "twist_operator",
     "involution_residuals",
     "is_hermitian_involution",
     "build_structural",
@@ -80,11 +81,6 @@ __all__ = [
     "canonical_dirac_pair",
     "all_signatures",
 ]
-
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 class ConstructionError(RuntimeError):
     """An operator construction failed its defining relation."""
@@ -131,17 +127,48 @@ def all_signatures(dims: Sequence[int] = (2, 4, 6)) -> list[Signature]:
     return out
 
 
-def _euclidean_gammas(m: int) -> list[np.ndarray]:
-    """2m Hermitian unitary anticommuting matrices of size 2^m (sigma strings)."""
-    gammas = []
+@dataclass(frozen=True)
+class PauliString:
+    """The operator i^k X^x Z^z on m tensor factors: bit m-1-j of ``x`` and of
+    ``z`` puts sigma1 and sigma3 on factor j, and sigma2 = i sigma1 sigma3."""
+
+    k: int
+    x: int
+    z: int
+
+    def __matmul__(self, other: "PauliString") -> "PauliString":
+        # Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1
+        return PauliString((self.k + other.k + 2 * (self.z & other.x).bit_count()) % 4,
+                           self.x ^ other.x, self.z ^ other.z)
+
+    def normalized(self) -> "PauliString":
+        """Times i^j with the smallest j making it Hermitian (k = |x & z| mod 2),
+        then times -1 when it is diagonal (x = 0) with phase -1."""
+        k = (self.k + ((self.x & self.z).bit_count() - self.k) % 2) % 4
+        return PauliString(0 if self.x == 0 and k == 2 else k, self.x, self.z)
+
+    def matrix(self, m: int) -> np.ndarray:
+        """The dense 2^m x 2^m matrix: row r holds i^k (-1)^|z & (r ^ x)| in column r ^ x."""
+        rows = np.arange(2 ** m)
+        cols = rows ^ self.x
+        signs = 1 - 2 * (np.bitwise_count(cols & self.z).astype(np.int64) % 2)
+        out = np.zeros((2 ** m, 2 ** m), dtype=np.complex128)
+        out[rows, cols] = 1j ** self.k * signs
+        return out
+
+
+def sigma_strings(m: int) -> list[PauliString]:
+    """The 2m Euclidean gammas s3^(k) s1 1^(m-k-1) and s3^(k) s2 1^(m-k-1)."""
+    out = []
     for k in range(m):
-        for sig in (SIGMA1, SIGMA2):
-            factors = [SIGMA3] * k + [sig] + [np.eye(2, dtype=np.complex128)] * (m - k - 1)
-            g = factors[0]
-            for f in factors[1:]:
-                g = np.kron(g, f)
-            gammas.append(g)
-    return gammas
+        bit, s3_mask = 1 << (m - 1 - k), (1 << m) - (1 << (m - k))
+        out += [PauliString(0, bit, s3_mask), PauliString(1, bit, s3_mask | bit)]
+    return out
+
+
+def string_product(strings) -> PauliString:
+    """The ordered product of ``strings``, the identity for none."""
+    return reduce(operator.matmul, strings, PauliString(0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -198,7 +225,7 @@ def build_gammas(sig: Signature) -> CliffordRep:
     Plus directions reuse the Euclidean sigma strings; minus directions are
     their i-multiples, which makes gamma_a^dagger = g_a gamma_a automatic.
     """
-    hats = _euclidean_gammas(sig.m)
+    hats = [h.matrix(sig.m) for h in sigma_strings(sig.m)]
     signs = sig.signs
     gammas = [h if s > 0 else 1j * h for h, s in zip(hats, signs)]
     rep = CliffordRep(
@@ -287,31 +314,6 @@ def trace_metric_residuals(rep: CliffordRep, us, vs) -> np.ndarray:
     return np.abs(tr - metric_pairings(rep, us, vs))
 
 
-def gamma_product(rep: CliffordRep, indices: Sequence[int], euclidean: bool = False) -> np.ndarray:
-    """Ordered product of gammas (identity for the empty set)."""
-    src = rep.hat_gammas if euclidean else rep.gammas
-    out = np.eye(rep.dim, dtype=np.complex128)
-    for a in indices:
-        out = out @ src[a]
-    return out
-
-
-def phase_normalize(p: np.ndarray) -> np.ndarray:
-    """Multiply by i^k (smallest k) to reach Hermiticity, then fix the sign.
-
-    The sign is chosen so the first diagonal entry with nonvanishing real
-    part, scanned from (0,0), is positive.  Raises ConstructionError when no
-    phase works (cannot happen for gamma products in even dimension).
-    """
-    for k in range(4):
-        cand = (1j ** k) * p
-        if norm_within(cand - adjoint(cand), BUILD_TOL):
-            d = np.real(np.diag(cand))
-            d = d[np.abs(d) > BUILD_TOL]
-            return -cand if d.size and d[0] < 0 else cand
-    raise ConstructionError("no unit phase makes the product Hermitian")
-
-
 @dataclass(frozen=True)
 class StructuralOps:
     """Implementers of the twist, grading and charge conjugations.
@@ -329,35 +331,6 @@ class StructuralOps:
     Jhat: AntilinearOp
 
 
-def _euclidean_charge_conjugation(rep: CliffordRep) -> np.ndarray:
-    """Closed-form Chat with Chat hat_g Chat^-1 = -conj(hat_g).
-
-    For odd m the product of the imaginary-type (sigma2 slot, odd index)
-    gammas works, for even m the product of the real-type (even index) ones;
-    verified on every hat_g, as one stack, before use.
-    """
-    chat = gamma_product(rep, range(rep.m % 2, rep.n_gen, 2), euclidean=True)
-    chat_inv, hats = np.linalg.inv(chat), np.array(rep.hat_gammas)
-
-    def gaps(i):
-        return chat @ hats[i] @ chat_inv + np.conj(hats[i])
-
-    if not np.all(norm_within(gaps(slice(None)), BUILD_TOL)):
-        worst = table_norm(gaps, (rep.n_gen,), rep.dim)
-        raise ConstructionError(
-            f"charge conjugation closed form failed its defining relation ({worst:.3e})"
-        )
-    return chat
-
-
-def twist_operator(rep: CliffordRep) -> np.ndarray:
-    """K: the phase-normalized product of the plus gammas when p is odd, of
-    the minus gammas otherwise."""
-    plus = [a for a in range(rep.n_gen) if rep.signs[a] > 0]
-    minus = [a for a in range(rep.n_gen) if rep.signs[a] < 0]
-    return phase_normalize(gamma_product(rep, plus if len(plus) % 2 == 1 else minus))
-
-
 def involution_residuals(op: np.ndarray) -> tuple[float, float]:
     """(|op - op^dagger|, |op op - 1|): zero for a Hermitian involution."""
     return residual_norm(op, adjoint(op)), residual_norm(op @ op, np.eye(len(op)))
@@ -370,16 +343,19 @@ def is_hermitian_involution(op: np.ndarray) -> bool:
 
 
 def build_structural(rep: CliffordRep) -> StructuralOps:
-    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat.
+    """Build K, Gamma, Chat, C = K Chat and the antilinear J, Jhat from the
+    sigma strings of the signature (the gammas are not read): the signature
+    gammas are the hat strings times i on minus directions, and Chat is the
+    product of the hat strings of index m % 2, m % 2 + 2, ...
 
     Each is a phase times a Pauli string, so each is classified as a
     ``linalg.SignedPermutation`` (C and Chat through J and Jhat)."""
-    K = signed_permutation(twist_operator(rep))
-    Gamma = signed_permutation(phase_normalize(gamma_product(rep, range(rep.n_gen))))
-    for name, op in (("K", K), ("Gamma", Gamma)):
-        if not is_hermitian_involution(op):
-            raise ConstructionError(f"{name} is not a Hermitian involution")
-    Jhat = AntilinearOp(_euclidean_charge_conjugation(rep))
+    sig, hats = rep.sig, sigma_strings(rep.m)
+    gammas = [h if s > 0 else PauliString(1, 0, 0) @ h for h, s in zip(hats, sig.signs)]
+    twist = gammas[: sig.p] if sig.p % 2 == 1 else gammas[sig.p :]
+    K, Gamma = (signed_permutation(string_product(g).normalized().matrix(rep.m))
+                for g in (twist, gammas))
+    Jhat = AntilinearOp(string_product(hats[rep.m % 2 :: 2]).matrix(rep.m))
     J = AntilinearOp(K @ Jhat.mat)
     return StructuralOps(K=K, Gamma=Gamma, C=J.mat, Chat=Jhat.mat, J=J, Jhat=Jhat)
 
@@ -435,48 +411,45 @@ class SignTable:
     eps, eps_prime come from K J = eps J K and K Gamma = eps' Gamma K;
     eps0..eps3 are the twisted-side real-structure signs, eps1K and eps3K
     their Krein-side counterparts (J and Gamma are the same on both sides,
-    so eps0 and eps2 are too).  The Dirac rows are None when no Dirac
-    operator was supplied.
+    so eps0 and eps2 are too).
     """
 
     eps: int
     eps_prime: int
     eps0: int
     eps2: int
-    eps1: Optional[int] = None
-    eps3: Optional[int] = None
-    eps1K: Optional[int] = None
-    eps3K: Optional[int] = None
+    eps1: int
+    eps3: int
+    eps1K: int
+    eps3K: int
 
     def pseudo_row(self) -> tuple:
         return (self.eps0, self.eps1K, self.eps2, self.eps3K)
 
 
-def sign_table(rep: CliffordRep, ops: StructuralOps, d: Optional[np.ndarray] = None) -> SignTable:
+def sign_table(rep: CliffordRep, ops: StructuralOps, d: np.ndarray) -> SignTable:
     """Measure every unit sign and assert the twisted/Krein cross-relations.
 
     ``d`` is the self-adjoint twisted-side Dirac matrix; the Krein side uses
-    K d.  Omitting it skips the eps1/eps3 rows.
+    K d.
     """
     eps = antilinear_sign(ops.K, ops.J)
     eps_prime = measure_sign(ops.K, ops.Gamma)
     eps0 = sign_of_pair(ops.J.square(), np.eye(rep.dim))
     eps2 = antilinear_sign(ops.Gamma, ops.J)
 
-    eps1 = eps3 = eps1K = eps3K = None
-    if d is not None:
-        if not norm_within(d - adjoint(d), 1e-10):
-            raise ValueError("sign table needs a self-adjoint Dirac matrix")
-        dk = ops.K @ d
-        # J D = eps1 D J reads C conj(D) = eps1 D C on matrices.
-        eps1 = sign_of_pair(ops.C @ np.conj(d), d @ ops.C)
-        eps1K = sign_of_pair(ops.C @ np.conj(dk), dk @ ops.C)
-        eps3 = measure_sign(d, ops.Gamma)
-        eps3K = measure_sign(dk, ops.Gamma)
-        if eps1K != eps * eps1:
-            raise ConstructionError("cross-relation eps1K = eps * eps1 violated")
-        if eps3 != eps_prime * eps3K:
-            raise ConstructionError("cross-relation eps3 = eps' * eps3K violated")
+    if not norm_within(d - adjoint(d), 1e-10):
+        raise ValueError("sign table needs a self-adjoint Dirac matrix")
+    dk = ops.K @ d
+    # J D = eps1 D J reads C conj(D) = eps1 D C on matrices.
+    eps1 = sign_of_pair(ops.C @ np.conj(d), d @ ops.C)
+    eps1K = sign_of_pair(ops.C @ np.conj(dk), dk @ ops.C)
+    eps3 = measure_sign(d, ops.Gamma)
+    eps3K = measure_sign(dk, ops.Gamma)
+    if eps1K != eps * eps1:
+        raise ConstructionError("cross-relation eps1K = eps * eps1 violated")
+    if eps3 != eps_prime * eps3K:
+        raise ConstructionError("cross-relation eps3 = eps' * eps3K violated")
 
     return SignTable(
         eps=eps,

@@ -40,7 +40,6 @@ __all__ = [
     "SpinorField",
     "metric_family",
     "FAMILY_PARAMS",
-    "METRIC_FAMILY_NAMES",
     "christoffel",
     "metric_compatibility_residual",
     "reflection_isometry_residual",
@@ -124,7 +123,7 @@ def _box(dim: int, lo: float, hi: float) -> np.ndarray:
 def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
     """Named diagonal test families.
 
-    flat2d / flat4d   constant diag(signs)
+    flat2d / flat4d   constant diag(1, -1, ..., -1)
     exp2d             diag(exp(2 x0), 1), closed-form Gamma^0_00 = 1
     conformal2d       exp(2 phi) * I2 with phi = amp * sin(x0 + 2 x1)
     lorentz2d         diag(1 + amp sin(x0+x1), -(1 + amp cos(x0-x1)))
@@ -136,7 +135,7 @@ def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
 
     if name in ("flat2d", "flat4d"):
         dim = 2 if name == "flat2d" else 4
-        signs = np.array(params.get("signs", (1.0,) + (-1.0,) * (dim - 1)), dtype=float)
+        signs = np.array((1.0,) + (-1.0,) * (dim - 1))
         const = np.diag(signs)
         return MetricField(dim, lambda x: const.copy(), signs, _box(dim, -0.6, 0.6), name)
     if name == "exp2d":
@@ -165,10 +164,9 @@ def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
     raise KeyError(f"unknown metric family '{name}'")
 
 
-# scalar parameters each family reads (no configuration sets the flat ``signs`` sequence)
+# the scalar parameters each family reads
 FAMILY_PARAMS = {"flat2d": (), "flat4d": (), "exp2d": (),
                  "conformal2d": ("amp",), "lorentz2d": ("amp",), "lorentz4d": ("amp",)}
-METRIC_FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 class _Jet(NamedTuple):

@@ -27,8 +27,8 @@ from .clifford import (
     antilinear_sign,
     involution_residuals,
     measure_sign,
-    phase_normalize,
-    gamma_product,
+    sigma_strings,
+    string_product,
 )
 from .krein import (
     KreinSpace,
@@ -397,7 +397,8 @@ class EmergenceRow:
 
 
 def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[EmergenceRow]:
-    """Enumerate all 16 normalized gamma products as twist candidates.
+    """Enumerate all 16 normalized products of the Euclidean sigma strings
+    (``clifford.PauliString``) as twist candidates.
 
     Every candidate is Hermitian, unitary, squares to one and conjugates
     each Euclidean gamma to a sign; the induced metric diagonal is read
@@ -412,11 +413,11 @@ def signature_emergence(rep4: CliffordRep, ops: StructuralOps) -> list[Emergence
         raise ValueError("signature emergence expects the Euclidean 4D representation")
     jhat = ops.Jhat
     gamma_hat_full = ops.Gamma
-    eye, hats = np.eye(rep4.dim), np.array(rep4.hat_gammas)
+    eye, hats, strings = np.eye(rep4.dim), np.array(rep4.hat_gammas), sigma_strings(rep4.m)
     rows = []
     for r in range(5):
         for subset in itertools.combinations(range(4), r):
-            k_cand = phase_normalize(gamma_product(rep4, subset, euclidean=True))
+            k_cand = string_product(strings[a] for a in subset).normalized().matrix(rep4.m)
             eps = antilinear_sign(k_cand, jhat)
             eps_prime = measure_sign(k_cand, gamma_hat_full)
             gk = k_cand @ hats

@@ -153,6 +153,8 @@ class SuiteConfig:
                 raise ConfigError(f"tolerance '{cls}' must be a finite positive number, got {value!r}")
         if self.output_format not in ("text", "json"):
             raise ConfigError(f"unknown output format '{self.output_format}'")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
 
     def echo(self) -> dict:
         return {

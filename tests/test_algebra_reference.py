@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 import pytest
 
-from kreintwist import clifford as cl
 from kreintwist import linalg
 from kreintwist import suites as su
 from kreintwist.clifford import (
@@ -24,8 +23,6 @@ from kreintwist.clifford import (
     all_signatures,
     build_gammas,
     build_structural,
-    gamma_product,
-    phase_normalize,
     verify_structural,
 )
 from kreintwist.krein import twisted_first_order_residual
@@ -38,6 +35,8 @@ from kreintwist.product import (
     finite_ko6_residuals,
     signature_emergence,
 )
+
+from conftest import dense_product, kron_gammas, phase_scan
 
 SIGS = all_signatures((2, 4, 6, 8, 10))
 NOISE = 1e-3
@@ -73,14 +72,6 @@ def ref_relation_residuals(rep):
             target = 2.0 * rep.signs[a] * eye if a == b else np.zeros_like(eye)
             anticomm = max(anticomm, _rn(gam[a] @ gam[b] + gam[b] @ gam[a], target))
     return anticomm, max(_rn(g @ _adj(g), eye) for g in gam)
-
-
-def ref_charge_conjugation(rep):
-    idx = range(1, rep.n_gen, 2) if rep.m % 2 == 1 else range(0, rep.n_gen, 2)
-    chat = np.eye(rep.dim, dtype=np.complex128)
-    for a in idx:
-        chat = chat @ rep.hat_gammas[a]
-    return max(_rn(chat @ h @ np.linalg.inv(chat), -np.conj(h)) for h in rep.hat_gammas)
 
 
 def ref_verify_structural(rep, ops):
@@ -160,11 +151,14 @@ def ref_twisted_first_order(d, pairs, j, K):
 
 
 def ref_emergence_diagonals(rep4):
-    eye = np.eye(rep4.dim)
+    """The candidates' diagonal residuals; each candidate is the phase-scanned
+    product of the exact (4,0) sigma strings, so noise enters through the
+    hats of ``rep4`` alone."""
+    eye, exact = np.eye(rep4.dim), kron_gammas(2)
     out = []
     for r in range(5):
         for subset in itertools.combinations(range(4), r):
-            k_cand = phase_normalize(gamma_product(rep4, subset, euclidean=True))
+            k_cand = phase_scan(dense_product(exact, subset))
             diag_resid = 0.0
             for a in range(4):
                 gk = k_cand @ rep4.hat_gammas[a]
@@ -195,23 +189,11 @@ def _operators(sig, perturbed, scale=NOISE):
     return rep, StructuralOps(K, Gamma, C, Chat, AntilinearOp(C), AntilinearOp(Chat))
 
 
-def _captured_table_norm(monkeypatch):
-    """Record the value of every ``table_norm`` call made from clifford."""
-    seen = []
-
-    def recording(entries, count, dim):
-        seen.append(linalg.table_norm(entries, count, dim))
-        return seen[-1]
-
-    monkeypatch.setattr(cl, "table_norm", recording)
-    return seen
-
-
 # ---------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["built", "perturbed"])
 @pytest.mark.parametrize("sig", SIGS, ids=str)
-def test_generator_tables_match_loops(sig, perturbed, monkeypatch):
+def test_generator_tables_match_loops(sig, perturbed):
     rep, ops = _operators(sig, perturbed)
     assert bits(rep.relation_residuals) == bits(ref_relation_residuals(rep))
 
@@ -231,16 +213,6 @@ def test_generator_tables_match_loops(sig, perturbed, monkeypatch):
     rows = {row.id: row.fn for row in su.CLIFFORD}
     for key, value in ref_gamma_rows(rep, ops).items():
         assert bits(rows[key](ctx)) == bits(value), key
-
-    # the closed form's table is normed only to report a failure
-    seen = _captured_table_norm(monkeypatch)
-    try:
-        cl._euclidean_charge_conjugation(rep)
-    except cl.ConstructionError:
-        assert perturbed
-        assert bits(seen) == bits([ref_charge_conjugation(rep)])
-    else:
-        assert seen == [] and ref_charge_conjugation(rep) <= cl.BUILD_TOL
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=str)

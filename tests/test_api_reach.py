@@ -1,14 +1,16 @@
 """Every top-level definition, class field and method of the package is
 reached by package code.
 
-A def or class that only tests, scripts or the benchmark call is API kept
-alive for them alone.  The scan parses each module of the package and
+A def, class or constant that only tests, scripts or the benchmark use is
+API kept alive for them alone.  The scan parses each module of the package and
 counts a definition as reached when package code outside its own body
 names it through a ``Name`` or ``Attribute`` node.  ``__all__`` strings,
 imports and docstrings do not count; names are matched bare, across
 modules.  A class field (an annotated name in a class body) or a non-dunder
 method counts as read when package code names it through an ``Attribute``
-node.
+node.  A top-level assigned name other than a dunder counts as read when
+package code loads it through a ``Name`` node or names it through an
+``Attribute`` node; no constant is exempt.
 """
 
 import ast
@@ -89,3 +91,24 @@ def _unread_members() -> set:
 
 def test_every_class_field_and_method_is_read_by_package_code():
     assert _unread_members() == UNREAD_MEMBERS
+
+
+def _unread_constants() -> set:
+    assigned, read = [], set()
+    for stem, tree in _modules():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for sub in (n for t in targets for n in ast.walk(t)):
+                if isinstance(sub, ast.Name) and not (sub.id.startswith("__") and sub.id.endswith("__")):
+                    assigned.append((sub.id, f"{stem}.{sub.id}"))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    return {qualified for name, qualified in assigned if name not in read}
+
+
+def test_every_top_level_constant_is_read_by_package_code():
+    assert _unread_constants() == set()

@@ -20,13 +20,14 @@ import dataclasses
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
+import pytest
 
 from kreintwist import clifford as cl
+from kreintwist import suites as su
 from kreintwist.clifford import (
-    SIGMA1,
-    SIGMA3,
     Signature,
     build_gammas,
     build_structural,
@@ -39,7 +40,8 @@ from kreintwist.linalg import max_norm, op_norms, sign_of_pair
 from kreintwist.morphism import MorphismPair, apply_k_morphism, fluctuation_correspondence_gaps
 from kreintwist.product import assemble_product, build_finite_triple_ko6, product_fluctuation_gaps
 from kreintwist.report import SuiteConfig
-from kreintwist.suites import run
+
+from conftest import SIGMA1, SIGMA3
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "broken_inputs.json")
 
@@ -84,7 +86,7 @@ def perturbed_dirac_records() -> list:
     product run on (1,3) whose twisted Dirac matrix is perturbed by 1e-6."""
     cl.canonical_dirac_pair = _perturbed_dirac
     try:
-        report = run(SuiteConfig(suites=("krein", "morphism", "product"), signatures=((1, 3),), seed=0))
+        report = su.run(SuiteConfig(suites=("krein", "morphism", "product"), signatures=((1, 3),), seed=0))
     finally:
         cl.canonical_dirac_pair = _canonical_dirac
     return [[r.check_id, r.passed, repr(r.residual)] for r in report.records]
@@ -111,12 +113,6 @@ def guard_outcomes() -> dict:
     near, just_out, far = (1 + 4e-10) * eye, (1 + 6e-10) * eye, 2.0 * eye
     nan_entry, inf_entry = eye.copy(), eye.copy()
     nan_entry[0, 1], inf_entry[0, 1] = np.nan, np.inf
-    hats = list(rep.hat_gammas)
-    hats[1] = hats[1] + 1e-9 * h
-
-    def scaled_gamma_0(factor):
-        return dataclasses.replace(rep, gammas=(factor * rep.gammas[0], *rep.gammas[1:]))
-
     cases = {
         "sign_of_pair: no sign": lambda: sign_of_pair(SIGMA1, SIGMA1 + SIGMA3),
         "sign_of_pair: gap 3e-12": lambda: sign_of_pair(SIGMA1, SIGMA1 + 3e-12 * h[:2, :2]),
@@ -138,13 +134,6 @@ def guard_outcomes() -> dict:
         "product_fluctuation: u = 1 + 4e-10": lambda: max_norm(product_fluctuation_gaps(product, eye, (1 + 4e-10) * eye_f)),
         "assemble_product: D = K": lambda: assemble_product(dataclasses.replace(t, D=ops.K), finite),
         "assemble_product: canonical": lambda: assemble_product(t, finite).sign_row,
-        "charge conjugation: hat_gamma_1 + 1e-9 h": lambda: cl._euclidean_charge_conjugation(
-            dataclasses.replace(rep, hat_gammas=tuple(hats))),
-        "build_structural: (1 + 1e-9) gamma_0": lambda: build_structural(scaled_gamma_0(1 + 1e-9)),
-        "build_structural: (1 + 7e-13) gamma_0": lambda: build_structural(scaled_gamma_0(1 + 7e-13)),
-        "build_structural: (1 + 4e-13) gamma_0": lambda: build_structural(scaled_gamma_0(1 + 4e-13)).K,
-        "phase_normalize: 1 + 1e-12 i h": lambda: cl.phase_normalize(eye + 1e-12j * h),
-        "phase_normalize: 1 + 4e-13 i h": lambda: cl.phase_normalize(eye + 4e-13j * h),
         "KreinSpace: K + 1e-12 h": lambda: KreinSpace(4, ops.K + 1e-12 * h),
         "KreinSpace: K + 1e-13 h": lambda: KreinSpace(4, ops.K + 1e-13 * h).K,
         "canonical_dirac_pair: K = i": lambda: canonical_dirac_pair(rep, 1j * eye),
@@ -176,6 +165,24 @@ def test_guard_outcomes_are_pinned():
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+# Scaling gamma_0 of (1,3) breaks the rows that measure the gammas, at the
+# scale of the edit; K, Gamma and Chat are built from the signature alone, so
+# the twist rows stay exact (rho is an involution, and K c(v) K = c(rv) holds
+# for a scaled gamma too).
+@pytest.mark.parametrize("factor, failing", [
+    (1 + 1e-9, {"anticommutator_table", "gamma_unitarity", "trace_metric"}),
+    (1 + 7e-13, {"anticommutator_table", "gamma_unitarity", "trace_metric"}),
+    (1 + 4e-13, {"anticommutator_table", "trace_metric"}),
+], ids=["1e-9", "7e-13", "4e-13"])
+def test_a_scaled_gamma_fails_the_rows_that_measure_the_gammas(factor, failing):
+    cfg = SuiteConfig()
+    ctx = su._Contexts(cfg)[(1, 3)]
+    ctx.rep = dataclasses.replace(ctx.rep, gammas=(factor * ctx.rep.gammas[0], *ctx.rep.gammas[1:]))
+    r = su._Runner(cfg, "clifford")
+    su._add_rows(r, su.CLIFFORD, ctx, "", partial(ctx.rng, 0))
+    assert {rec.check_id for rec in r.records if not rec.passed} == {f"clifford.{row}" for row in failing}
 
 
 if __name__ == "__main__":

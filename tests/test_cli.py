@@ -234,11 +234,16 @@ def test_repeated_suite_is_a_config_error(tmp_path, capsys):
     {"seed": True},
     {"metric_params": {"amp": True}},
     {"tolerances": {"build": True}},
+    # validated, after which emit raised TypeError and left 5.tmp.<pid> behind
+    {"output_path": 5},
 ], ids=["triple", "string", "float pair", "string step", "no step", "param pairs", "tolerance pairs",
-        "no suites", "int signatures", "bool signature", "bool seed", "bool param", "bool tolerance"])
-def test_malformed_api_config_is_a_config_error(values):
+        "no suites", "int signatures", "bool signature", "bool seed", "bool param", "bool tolerance",
+        "int output path"])
+def test_malformed_api_config_is_a_config_error(values, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ConfigError):
         run(SuiteConfig(**{"suites": ("clifford",), **values}))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,18 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kreintwist.clifford import (
-    ConstructionError,
+    PauliString,
     Signature,
     all_signatures,
     build_gammas,
     build_structural,
     canonical_dirac_pair,
-    gamma_product,
     metric_pairing,
-    phase_normalize,
     represent,
+    sigma_strings,
     sign_table,
+    string_product,
     verify_structural,
 )
 from kreintwist import linalg
@@ -20,7 +22,7 @@ from kreintwist.krein import canonical_twisted_triple
 from kreintwist.linalg import ShapeError, SignedPermutation, adjoint, residual_norm
 from kreintwist.product import assemble_product, build_finite_triple_ko6
 
-from conftest import SIGMA1, SIGMA2
+from conftest import SIGMA1, SIGMA2, dense_product, phase_scan
 
 
 def test_signature_validation():
@@ -174,7 +176,7 @@ def test_trace_metric_identity(reps):
 def test_sign_table_euclidean_trivial(reps):
     for n in (2, 4, 6):
         rep, ops = reps[(n, 0)]
-        tab = sign_table(rep, ops)
+        tab = sign_table(rep, ops, canonical_dirac_pair(rep, ops.K)[0])
         assert tab.eps == 1 and tab.eps_prime == 1
 
 
@@ -184,7 +186,7 @@ def test_sign_table_13_eps_is_minus_one(rep13):
     kj = ops.K @ ops.C
     jk = ops.C @ np.conj(ops.K)
     assert residual_norm(kj, -jk) <= 1e-14
-    tab = sign_table(rep, ops)
+    tab = sign_table(rep, ops, canonical_dirac_pair(rep, ops.K)[0])
     assert tab.eps == -1
     assert tab.eps_prime == -1
 
@@ -220,17 +222,16 @@ def test_canonical_dirac_pair_properties(reps):
         assert residual_norm(ops.K @ dk, d) == 0.0
 
 
-def test_phase_normalize_makes_hermitian_products(rep13):
-    rep, _ = rep13
-    for idx in [(0,), (1,), (0, 1), (1, 2, 3), (0, 1, 2, 3)]:
-        k = phase_normalize(gamma_product(rep, idx))
-        assert residual_norm(k, adjoint(k)) <= 1e-14
-        assert residual_norm(k @ k, np.eye(rep.dim)) <= 1e-14
-
-
-def test_phase_normalize_rejects_unfixable():
-    with pytest.raises(ConstructionError):
-        phase_normalize(np.array([[1.0, 1.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("pq", [(1, 3), (4, 0)], ids=["p1q3", "p4q0"])
+def test_normalized_matches_the_phase_scan(reps, pq):
+    rep, _ = reps[pq]
+    strings = [h if s > 0 else PauliString(1, 0, 0) @ h
+               for h, s in zip(sigma_strings(rep.m), rep.signs)]
+    for r in range(rep.n_gen + 1):
+        for idx in itertools.combinations(range(rep.n_gen), r):
+            k = string_product(strings[a] for a in idx).normalized().matrix(rep.m)
+            assert np.array_equal(k, phase_scan(dense_product(rep.gammas, idx))), idx
+            assert np.array_equal(k, adjoint(k)) and np.array_equal(k @ k, np.eye(rep.dim))
 
 
 def _structural_and_product_operators(sig):

@@ -198,7 +198,8 @@ def test_reflection_isometry_exact():
 
 
 def test_vielbein_examples():
-    flat = metric_family("flat2d", {"signs": (1.0, 1.0)})
+    flat = MetricField(2, lambda x: np.eye(2), np.array([1.0, 1.0]), np.array([[-1, 1], [-1, 1]]),
+                       "flat")
     e, einv = vielbein(flat, np.zeros(2))
     assert np.array_equal(e, np.eye(2))
     m = MetricField(2, lambda x: np.diag([4.0, -9.0]), np.array([1.0, -1.0]),

@@ -12,7 +12,7 @@ import pytest
 
 from kreintwist.clifford import Signature, build_gammas, build_structural
 from kreintwist.geometry import (
-    METRIC_FAMILY_NAMES,
+    FAMILY_PARAMS,
     MetricField,
     _jet,
     _relation_residual,
@@ -221,7 +221,7 @@ def _nondiagonal_metrics():
             MetricField(4, g4, np.array([1.0, -1.0, -1.0, -1.0]), box4, "skew4d")]
 
 
-ALL_METRICS = [metric_family(name) for name in METRIC_FAMILY_NAMES] + _nondiagonal_metrics()
+ALL_METRICS = [metric_family(name) for name in FAMILY_PARAMS] + _nondiagonal_metrics()
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
@@ -236,7 +236,7 @@ def test_christoffel_relation_and_compatibility_match_loops(metric, h):
         assert bits(_relation_residual(_jet(metric, x, h))) == bits(ref_relation(metric, x, h))
 
 
-@pytest.mark.parametrize("name", METRIC_FAMILY_NAMES)
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
 @pytest.mark.parametrize("h", STEPS)
 def test_spin_connection_and_dirac_match_loops(name, h):
     metric = metric_family(name)

@@ -31,6 +31,8 @@ from kreintwist.product import (
     signature_emergence,
 )
 
+from conftest import dense_product, phase_scan
+
 
 # ---------------------------------------------------------------- finite side
 
@@ -376,9 +378,7 @@ def test_emergence_time_gamma_row(emergence_rows):
 def test_emergence_grade3_row_oracle(emergence_rows):
     # independent oracle for one grade-3 candidate: direct anticommutators
     rep4 = build_gammas(Signature(4, 0))
-    from kreintwist.clifford import gamma_product, phase_normalize
-
-    k = phase_normalize(gamma_product(rep4, (1, 2, 3), euclidean=True))
+    k = phase_scan(dense_product(rep4.hat_gammas, (1, 2, 3)))
     diag = []
     for a in range(4):
         gk = k @ rep4.hat_gammas[a]
