@@ -2,15 +2,17 @@
 
 Metrics are diagonal component functions on an axis-aligned box, together
 with a constant diagonal spacelike reflection r making g_R = g(., r .)
-positive definite.  Every kernel reads one metric jet per point (``_jet``):
-g and g_R with their inverses, one second-order central-difference sweep
-of g (default step 1e-3), from which the g_R sweep follows exactly, and the
-Levi-Civita coefficients of both.  Its arrays are read-only, so a suite's
-family context builds one jet per sample point and every row shares it;
-the public ``(metric, x, h)`` kernels build their own.  Christoffel
-symbols, frame connection coefficients and the first-order Dirac operator
-are array contractions over the jet, so every identity check inherits an
-O(h^2) error floor.
+positive definite.  Every kernel reads one metric jet per sample set
+(``_stacked_jet``), each array with a leading point axis: g and g_R with
+their inverses, one second-order central-difference sweep of g (default
+step 1e-3), from which the g_R sweep follows exactly, and the Levi-Civita
+coefficients of both.  Its arrays are read-only, so a suite's family
+context builds one jet over its sample points and every row shares it;
+the public ``(metric, x, h)`` kernels read the jet of a one-point stack
+(``_jet``).  Christoffel symbols, frame connection coefficients and the
+first-order Dirac operator are array contractions over the jet, with or
+without the point axis, so every identity check inherits an O(h^2) error
+floor.
 
 Index conventions (0-based):
     christoffel()[l, m, n]      Gamma^l_{mn}
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .clifford import CliffordRep
-from .linalg import residual_norm
+from .linalg import norm_within
 from .linalg import _worst  # the one NaN-propagating maximum
 
 __all__ = [
@@ -106,7 +108,7 @@ class MetricField:
         g = self.g_at(x)
         if not np.all(np.isfinite(g)):
             raise SingularMetricError("metric components not finite at the point")
-        if residual_norm(g, g.T) > 1e-12:
+        if not norm_within(g - g.T, 1e-12):
             raise SingularMetricError("metric components not symmetric")
         if abs(np.linalg.det(g)) < 1e-10:
             raise SingularMetricError("metric not invertible at the point")
@@ -170,12 +172,14 @@ FAMILY_PARAMS = {"flat2d": (), "flat4d": (), "exp2d": (),
 
 
 class _Jet(NamedTuple):
-    """g and g_R = g r at a checked, validated point, their inverses, one
-    central-difference sweep (up[k] and down[k] are g at x + h e_k and
-    x - h e_k, dg[k, m, n] = d_k g_{mn}, dgR[k, m, n] = d_k gR_{mn}), the
-    Levi-Civita coefficients gamma of g and gammaR of g_R, and the
-    reflection signs s.  Every array is read-only, so the rows that share
-    a jet cannot change each other's operands."""
+    """The jet of a sample set, every array but the reflection signs s with
+    a leading point axis i: the checked, validated points x, g and
+    g_R = g r there with their inverses, one central-difference sweep
+    (up[i, k] and down[i, k] are g at x_i + h e_k and x_i - h e_k,
+    dg[i, k, m, n] = d_k g_{mn}, dgR[i, k, m, n] = d_k gR_{mn}), and the
+    Levi-Civita coefficients gamma of g and gammaR of g_R.  ``at(i)`` is the
+    jet of point i alone, without the axis.  Every array is read-only, so the
+    rows that share a jet cannot change each other's operands."""
 
     x: np.ndarray
     h: float
@@ -195,6 +199,10 @@ class _Jet(NamedTuple):
         """(metric, derivatives, Levi-Civita coefficients) of g, or of g_R."""
         return (self.gR, self.dgR, self.gammaR) if use_gR else (self.g, self.dg, self.gamma)
 
+    def at(self, i: int) -> "_Jet":
+        """The jet of point i of the stack."""
+        return _Jet(self.x[i], self.h, self.s, *(a[i] for a in self[3:]))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a``; the caller's own array stays writeable."""
@@ -203,20 +211,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _jet(metric: MetricField, x, h: float) -> _Jet:
-    x = metric.check_point(x, h).copy()
-    g = metric.validate_at(x)
-    s = metric.r_signs
-    gR = g * s[None, :]
+def _stacked_jet(metric: MetricField, points, h: float) -> _Jet:
+    """The jet over ``points``.  Each point is checked, validated and read at
+    its stencil in sample order, so the first bad point raises what its own
+    jet would; inverses, differences and coefficients are taken for the stack."""
+    steps = h * np.eye(metric.dim)
+    xs, gs, sweeps = [], [], []
+    for x in points:
+        x = metric.check_point(x, h)
+        gs.append(metric.validate_at(x))
+        sweep = np.array([[metric.g_at(x + e) for e in steps], [metric.g_at(x - e) for e in steps]])
+        if not np.isfinite(sweep).all():
+            raise SingularMetricError("metric components not finite at a stencil point")
+        xs.append(x)
+        sweeps.append(sweep)
+    x, g, sweep, s = np.array(xs), np.array(gs), np.array(sweeps), metric.r_signs
+    up, down, gR = sweep[:, 0], sweep[:, 1], g * s
     try:
         ginv, gRinv = np.linalg.inv(g), np.linalg.inv(gR)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - validate_at guards
         raise SingularMetricError(str(exc)) from exc
-    steps = h * np.eye(metric.dim)
-    up = np.array([metric.g_at(x + e) for e in steps])
-    down = np.array([metric.g_at(x - e) for e in steps])
-    if not (np.isfinite(up).all() and np.isfinite(down).all()):
-        raise SingularMetricError("metric components not finite at a stencil point")
     dg = (up - down) / (2.0 * h)
     dgR = (up * s - down * s) / (2.0 * h)  # differences of gR_at readings, signed zeros too
     x, s, *arrays = map(_read_only, (x, s, g, gR, ginv, gRinv, up, down, dg, dgR,
@@ -224,14 +238,20 @@ def _jet(metric: MetricField, x, h: float) -> _Jet:
     return _Jet(x, h, s, *arrays)
 
 
+def _jet(metric: MetricField, x, h: float) -> _Jet:
+    """The jet of the point x: the one-point stack's, without the point axis."""
+    return _stacked_jet(metric, [x], h).at(0)
+
+
 def _raise_last(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """out[l, ...] = sum_k ginv[l, k] t[..., k], added in k order like an entrywise loop."""
-    return sum(ginv[:, k, None, None] * t[None, ..., k] for k in range(len(ginv)))
+    """out[..., l, m, n] = sum_k ginv[..., l, k] t[..., m, n, k], added in k
+    order like an entrywise loop."""
+    return sum(ginv[..., :, k, None, None] * t[..., None, :, :, k] for k in range(ginv.shape[-1]))
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^l_{mn} = 1/2 g^{lk} (d_m g_{nk} + d_n g_{mk} - d_k g_{mn})."""
-    return 0.5 * _raise_last(ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    return 0.5 * _raise_last(ginv, dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
 
 
 def _reflect(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -245,30 +265,36 @@ def christoffel(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> np.nda
     return _jet(metric, x, h).side(use_gR)[2]
 
 
-def _relation_residual(jet: _Jet) -> float:
-    """Reflected coefficients against the g_R ones plus the FD correction term.
+def _largest(a: np.ndarray):
+    """max |a| over the last three axes: one value per point of a stack."""
+    return np.max(np.abs(a), axis=(-3, -2, -1))
+
+
+def _relation_residual(jet: _Jet):
+    """Reflected coefficients against the g_R ones plus the FD correction term,
+    per point.
 
     Gamma^{rl}_{m rn} = Gamma_R^l_{mn} + 1/2 gR^{lk} (d_{rn} g_{mk} - d_n gR_{mk})
     with d_{rn} = s_n d_n.
     """
     s = jet.s
-    bracket = s[None, :, None] * jet.dg.transpose(1, 0, 2) - jet.dgR.transpose(1, 0, 2)
+    bracket = s[:, None] * np.swapaxes(jet.dg, -3, -2) - np.swapaxes(jet.dgR, -3, -2)
     corr = 0.5 * _raise_last(jet.gRinv, bracket)
-    return float(np.max(np.abs(_reflect(s, jet.gamma) - (jet.gammaR + corr))))
+    return _largest(_reflect(s, jet.gamma) - (jet.gammaR + corr))
 
 
 def metric_compatibility_residual(metric: MetricField, use_gR: bool, x, h: float = 1e-3) -> float:
     """``_compatibility_residual`` of the jet at x."""
-    return _compatibility_residual(_jet(metric, x, h), use_gR)
+    return float(_compatibility_residual(_jet(metric, x, h), use_gR))
 
 
-def _compatibility_residual(jet: _Jet, use_gR: bool) -> float:
-    """max |d_n g_{mk} - Gamma^l_{nm} g_{lk} - Gamma^l_{nk} g_{ml}| (should be O(h^2))."""
+def _compatibility_residual(jet: _Jet, use_gR: bool):
+    """max |d_n g_{mk} - Gamma^l_{nm} g_{lk} - Gamma^l_{nk} g_{ml}| per point (should be O(h^2))."""
     g, dg, gamma = jet.side(use_gR)
     # Gamma^l_{nm} g_{lk} and Gamma^l_{nk} g_{ml} at [n, m, k]: one dot over l each
-    lowered = np.vecdot(gamma[..., None], g[:, None, None, :], axis=0)
-    lowered_other = np.vecdot(gamma[:, :, None, :], g.T[:, None, :, None], axis=0)
-    return float(np.max(np.abs(dg - lowered - lowered_other)))
+    lowered = np.vecdot(gamma[..., None], g[..., :, None, None, :], axis=-4)
+    lowered_other = np.vecdot(gamma[..., None, :], np.swapaxes(g, -1, -2)[..., :, None, :, None], axis=-4)
+    return _largest(dg - lowered - lowered_other)
 
 
 def reflection_isometry_residual(metric: MetricField, x) -> float:
@@ -318,7 +344,8 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     twist correction, in the frames (E, Einv) = ``_frames(jet.g)``.
 
     Returns arrays keyed "Gamma_b_mu_a", "GammaR_b_mu_a", "K_b_mu_a" and
-    "refl_frame_b_mu_a", each indexed [b, mu, a]:
+    "refl_frame_b_mu_a", each indexed [b, mu, a] (after the point axis of
+    a stacked jet):
 
       Gamma^b_{mu a}   = e^b_lam d_mu e_a^lam + e^b_lam Gamma^lam_{mu nu} e_a^nu
       refl frame       = e_a^nu Gamma^{r lam}_{mu r nu} e^b_lam - e_a^nu d_mu e^b_nu
@@ -331,20 +358,20 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     de, dei = _vielbein_derivatives(jet)
     s, gamma = jet.s, jet.gamma  # diagonal alignment: frame sign a = r sign a
     # the frames are diagonal, so every sum below has at most one nonzero term
-    d_frame = np.einsum("bl,mal->bma", einv, de)
+    d_frame = np.einsum("...bl,...mal->...bma", einv, de)
 
     def to_frame(g_coord):
-        return d_frame + np.einsum("bmn,an->bma", np.einsum("bl,lmn->bmn", einv, g_coord), e)
+        return d_frame + np.einsum("...bmn,...an->...bma", np.einsum("...bl,...lmn->...bmn", einv, g_coord), e)
 
-    refl = np.einsum("aml,bl->bma", np.einsum("an,lmn->aml", e, _reflect(s, gamma)), einv)
-    d_ra_g = s[:, None, None] * np.einsum("an,nmk->amk", e, jet.dg)
-    d_a_gr = np.einsum("an,nmk->amk", e, jet.dgR)
-    k_term = 0.5 * np.einsum("bk,amk->bma", einv @ jet.ginv, d_ra_g - d_a_gr)
+    refl = np.einsum("...aml,...bl->...bma", np.einsum("...an,...lmn->...aml", e, _reflect(s, gamma)), einv)
+    d_ra_g = s[:, None, None] * np.einsum("...an,...nmk->...amk", e, jet.dg)
+    d_a_gr = np.einsum("...an,...nmk->...amk", e, jet.dgR)
+    k_term = 0.5 * np.einsum("...bk,...amk->...bma", einv @ jet.ginv, d_ra_g - d_a_gr)
     return {
         "Gamma_b_mu_a": to_frame(gamma),
         "GammaR_b_mu_a": to_frame(jet.gammaR),
         "K_b_mu_a": s[:, None, None] * k_term,
-        "refl_frame_b_mu_a": refl - np.einsum("an,mbn->bma", e, dei),
+        "refl_frame_b_mu_a": refl - np.einsum("...an,...mbn->...bma", e, dei),
     }
 
 
@@ -413,16 +440,16 @@ def dirac_apply_pseudo(
     """
     jet = _jet(metric, x, h)
     frames = _frames(jet.g)
-    return _pseudo_dirac(rep, psi, jet, frames[0], _connection(jet, frames))
+    return _pseudo_dirac(rep, psi, jet, frames[0], _connection(jet, frames)["Gamma_b_mu_a"])
 
 
-def _pseudo_dirac(rep: CliffordRep, psi: SpinorField, jet: _Jet, e, coeffs: dict) -> np.ndarray:
-    """``dirac_apply_pseudo`` at the jet's point, in the frame E with the
-    connection coefficients of ``_connection``."""
+def _pseudo_dirac(rep: CliffordRep, psi: SpinorField, jet: _Jet, e, conn) -> np.ndarray:
+    """``dirac_apply_pseudo`` at a point jet's point, in the frame E with the
+    g connection coefficients ``conn`` of ``_connection``."""
     if len(jet.x) != rep.n_gen:
         raise ValueError("representation dimension does not match the chart")
     lowered = [s * g for s, g in zip(jet.s, rep.gammas)]
-    return _dirac_assembly(psi, jet.x, jet.h, e, coeffs["Gamma_b_mu_a"], rep.gammas, lowered, 1j)
+    return _dirac_assembly(psi, jet.x, jet.h, e, conn, rep.gammas, lowered, 1j)
 
 
 def dirac_decomposition_check(
@@ -440,18 +467,25 @@ def dirac_decomposition_check(
     sign between the two conventions is measured and returned; the caller
     asserts it stays constant across points.
     """
-    jet = _jet(metric, x, h)
+    return _dirac_decompositions(metric, rep, ops, psi, [x], h)[0]
+
+
+def _dirac_decompositions(metric: MetricField, rep: CliffordRep, ops, psi: SpinorField,
+                          points, h: float) -> list[tuple[float, int]]:
+    """``dirac_decomposition_check`` at each of ``points``, from one stacked
+    jet and connection; the spinor is assembled point by point."""
+    jet = _stacked_jet(metric, points, h)
     frames = _frames(jet.g)
     coeffs = _connection(jet, frames)
-    lhs = ops.K @ _pseudo_dirac(rep, psi, jet, frames[0], coeffs)
+    reflected = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
     gt = [ops.K @ g for g in rep.gammas]
-    conn = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
-    rhs = _dirac_assembly(psi, jet.x, h, frames[0], conn, gt, gt, -1j)
-    r_plus = float(np.linalg.norm(lhs - rhs))
-    r_minus = float(np.linalg.norm(lhs + rhs))
-    if r_minus <= r_plus:
-        return r_minus, -1
-    return r_plus, +1
+    out = []
+    for i, e in enumerate(frames[0]):
+        lhs = ops.K @ _pseudo_dirac(rep, psi, jet.at(i), e, coeffs["Gamma_b_mu_a"][i])
+        rhs = _dirac_assembly(psi, jet.x[i], h, e, reflected[i], gt, gt, -1j)
+        r_plus, r_minus = float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs + rhs))
+        out.append((r_minus, -1) if r_minus <= r_plus else (r_plus, +1))
+    return out
 
 
 def fd_convergence_ratio(metric: MetricField, x, h: float = 1e-3) -> float:

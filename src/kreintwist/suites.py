@@ -27,8 +27,8 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_residual,
-                     residual_norm)
+from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_norm,
+                     max_residual, residual_norm)
 from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
 
@@ -530,9 +530,9 @@ def _family_points(metric: geo.MetricField, count: int, rng: np.random.Generator
 class _FamilyContext:
     """One curved metric family, its sample points and the FD step.
 
-    ``jets`` and ``connection`` are built inside the first check that reads
+    ``jet`` and ``connection`` are built inside the first check that reads
     them, so a construction error fails that check; every later row reads
-    the same read-only jets."""
+    the same read-only arrays and reduces over their point axis."""
 
     def __init__(self, metric: geo.MetricField, pts: list, h: float):
         self.metric = metric
@@ -540,47 +540,44 @@ class _FamilyContext:
         self.h = h
 
     @cached_property
-    def jets(self) -> list:
-        """The metric jet at every sample point, built once."""
-        return [geo._jet(self.metric, x, self.h) for x in self.pts]
+    def jet(self) -> geo._Jet:
+        """The metric jet over the sample points, built once."""
+        return geo._stacked_jet(self.metric, self.pts, self.h)
 
     @cached_property
-    def connection(self) -> list[dict]:
-        """The frame connection coefficients at every sample point, computed once."""
-        return [geo._connection(jet, geo._frames(jet.g)) for jet in self.jets]
+    def connection(self) -> dict:
+        """The frame connection coefficients over the sample points, computed once."""
+        return geo._connection(self.jet, geo._frames(self.jet.g))
 
 
 def _vielbein_orthonormality(f: _FamilyContext) -> float:
+    """The frames at the points make g and g_R orthonormal: the largest gap,
+    from one ``max_norm`` over the gaps that are not exactly zero."""
     m = f.metric
-    flat, eye = np.diag(m.r_signs), np.eye(m.dim)
-
-    def gaps(x):
-        e, einv = geo.vielbein(m, x)
-        return (residual_norm(e @ m.g_at(x) @ e.T, flat),
-                residual_norm(e @ m.gR_at(x) @ e.T, eye), residual_norm(e @ einv.T, eye))
-
-    return _worst(gap for x in f.pts for gap in gaps(x))
+    e, einv = (np.array(frames) for frames in zip(*(geo.vielbein(m, x) for x in f.pts)))
+    g, gR = (np.array([read(x) for x in f.pts]) for read in (m.g_at, m.gR_at))
+    et, eye = np.swapaxes(e, -1, -2), np.eye(m.dim)
+    gaps = np.concatenate((e @ g @ et - np.diag(m.r_signs), e @ gR @ et - eye,
+                           e @ np.swapaxes(einv, -1, -2) - eye))
+    return max_norm(gaps[gaps.any(axis=(-2, -1))])
 
 
 def _rewrit_tgamma(f: _FamilyContext) -> float:
-    s = f.metric.r_signs
-    gaps = (c["refl_frame_b_mu_a"] - s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]
-            for c in f.connection)
-    return _worst(float(np.max(np.abs(gap))) for gap in gaps)
+    s, c = f.metric.r_signs, f.connection
+    return np.max(np.abs(c["refl_frame_b_mu_a"] - s[:, None, None] * c["Gamma_b_mu_a"] * s[None, None, :]))
 
 
 def _frame_connection_relation(f: _FamilyContext) -> float:
-    gaps = (c["refl_frame_b_mu_a"] - (c["GammaR_b_mu_a"] + c["K_b_mu_a"]) for c in f.connection)
-    return _worst(float(np.max(np.abs(gap))) for gap in gaps)
+    c = f.connection
+    return np.max(np.abs(c["refl_frame_b_mu_a"] - (c["GammaR_b_mu_a"] + c["K_b_mu_a"])))
 
 
 FAMILY = (
     Check("christoffel_symmetry", "Sec3:LeviCivita", "fd",
-          lambda f: _worst(float(np.max(np.abs(j.gamma - np.swapaxes(j.gamma, 1, 2)))) for j in f.jets)),
-    Check("relat_christos", "RelatChristos", "fd",
-          lambda f: _worst(geo._relation_residual(j) for j in f.jets)),
+          lambda f: np.max(np.abs(f.jet.gamma - np.swapaxes(f.jet.gamma, -1, -2)))),
+    Check("relat_christos", "RelatChristos", "fd", lambda f: np.max(geo._relation_residual(f.jet))),
     Check("metric_compatibility", "Sec3:metric-compatibility", "fd",
-          lambda f: _worst(geo._compatibility_residual(j, use_gR) for j in f.jets for use_gR in (False, True))),
+          lambda f: _worst(np.max(geo._compatibility_residual(f.jet, use_gR)) for use_gR in (False, True))),
     Check("reflection_isometry", "EqReflect", "build",
           lambda f: _worst(geo.reflection_isometry_residual(f.metric, x) for x in f.pts)),
     Check("vielbein_orthonormality", "Sec3:vielbein", "sampled", _vielbein_orthonormality),
@@ -640,8 +637,8 @@ def _dirac_decomposition(name: str, sig: tuple, count: int, constant_sign: bool,
     ``constant_sign`` the measured unit sign must agree between the points."""
     metric, ctx = geo.metric_family(name), o.contexts[sig]
     spinor = geo.trig_spinor(ctx.rep.dim, metric.dim, rng)
-    checks = [geo.dirac_decomposition_check(metric, ctx.rep, ctx.ops, spinor, x, o.h)
-              for x in _family_points(metric, count, rng, o.h)]
+    pts = _family_points(metric, count, rng, o.h)
+    checks = geo._dirac_decompositions(metric, ctx.rep, ctx.ops, spinor, pts, o.h)
     if constant_sign and len({sgn for _, sgn in checks}) != 1:
         return float("inf")
     return _worst(res for res, _ in checks)

@@ -22,6 +22,7 @@ import kreintwist
 # suite rows call (ROADMAP item 4).
 PERFBENCH_BOUND = {
     "clifford.metric_pairing",  # item 4: the tracer counts krein's unused import of it
+    "geometry.dirac_decomposition_check",  # item 4: the tracer spans it, rows read a stacked jet
     "geometry.metric_compatibility_residual",  # item 4: the tracer spans it, rows read the jet
     "geometry.spin_connection_coeffs",  # item 4: the tracer spans it, rows read the jet
     "krein._draw_unit_vector",  # item 4: the tracer counts its draws

@@ -4,7 +4,9 @@ The references below are the index loops the kernels were first written
 as: one scalar (or vector) operation per tensor entry, in loop order.  The
 kernels contract whole arrays instead, and must give exactly the same
 floating-point results, at several points and two steps of every metric
-family, plus non-diagonal metrics for the kernels that accept them.
+family, plus non-diagonal metrics for the kernels that accept them.  A
+stacked jet over several points, and the connection and Dirac decomposition
+over it, must equal the references point by point too.
 """
 
 import numpy as np
@@ -14,8 +16,13 @@ from kreintwist.clifford import Signature, build_gammas, build_structural
 from kreintwist.geometry import (
     FAMILY_PARAMS,
     MetricField,
+    _compatibility_residual,
+    _connection,
+    _dirac_decompositions,
+    _frames,
     _jet,
     _relation_residual,
+    _stacked_jet,
     christoffel,
     dirac_apply_pseudo,
     dirac_decomposition_check,
@@ -254,3 +261,50 @@ def test_spin_connection_and_dirac_match_loops(name, h):
         res, sign = dirac_decomposition_check(metric, rep, ops, psi, x, h)
         want_value, want_sign = ref_decomposition(metric, rep, ops, psi, x, h)
         assert (bits(res), sign) == (bits(want_value), want_sign)
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_a_stacked_jet_matches_the_loops_point_by_point(name, h):
+    metric = metric_family(name)
+    pts = _points(metric, 5)
+    jet = _stacked_jet(metric, pts, h)
+    relation = _relation_residual(jet)
+    compatibility = {use_gR: _compatibility_residual(jet, use_gR) for use_gR in (False, True)}
+    connection = _connection(jet, _frames(jet.g))
+    for i, x in enumerate(pts):
+        assert bits(jet.gamma[i]) == bits(ref_christoffel(metric, False, x, h))
+        assert bits(jet.gammaR[i]) == bits(ref_christoffel(metric, True, x, h))
+        assert bits(relation[i]) == bits(ref_relation(metric, x, h))
+        for use_gR, values in compatibility.items():
+            assert bits(values[i]) == bits(ref_compatibility(metric, use_gR, x, h))
+        want = ref_spin_connection(metric, x, h)
+        assert sorted(connection) == sorted(want)
+        for key in want:
+            assert bits(connection[key][i]) == bits(want[key]), key
+        # a one-point stack holds the jet of the point alone, and so does the stack
+        one, alone = _stacked_jet(metric, [x], h), _jet(metric, x, h)
+        assert one.x.shape == (1, metric.dim)
+        for field in jet._fields:
+            want = bits(getattr(alone, field))
+            if field in ("h", "s"):
+                assert bits(getattr(one, field)) == bits(getattr(jet, field)) == want, field
+            else:
+                assert bits(getattr(one, field)[0]) == bits(getattr(jet, field)[i]) == want, field
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_a_stacked_decomposition_matches_the_point_checks(name, h):
+    metric = metric_family(name)
+    rep = build_gammas(Signature(1, metric.dim - 1))
+    ops = build_structural(rep)
+    psi = trig_spinor(rep.dim, metric.dim, np.random.default_rng(5))
+    pts = _points(metric, 5)
+    got = [(bits(res), sign) for res, sign in _dirac_decompositions(metric, rep, ops, psi, pts, h)]
+    for (res, sign), x in zip(got, pts):
+        want_value, want_sign = dirac_decomposition_check(metric, rep, ops, psi, x, h)
+        assert (res, sign) == (bits(want_value), want_sign)
+        want_value, want_sign = ref_decomposition(metric, rep, ops, psi, x, h)
+        assert (res, sign) == (bits(want_value), want_sign)
+    assert len(got) == len(pts)

@@ -10,10 +10,10 @@ takes the SVD only of the matrices of a row's stacks that can hold its
 largest norm; the count of matrices the SVD sees shows that.  Operands are
 coerced and checked for NaN and inf where they enter the constructors, not in
 every kernel; the ``as_cmat`` count of a default run shows that too.  A
-geometry family builds one metric jet per sample point and every family row
-reads it; the ``geometry._jet`` count of a geometry run shows that, and the
-``geometry._frames`` count that the Dirac kernels build the frames of g once
-per point.
+geometry sample set builds one stacked metric jet and every row over the set
+reads it; the ``geometry._stacked_jet`` builds of a geometry run and the
+points they hold show that, and the ``geometry._frames`` count that the
+frames of g and of the stencil points are built once per sample set.
 """
 
 import sys
@@ -73,11 +73,13 @@ def test_high_dimensional_runs_stay_within_the_entry_cap(monkeypatch):
 def test_default_run_skips_the_svd_of_zero_stacks(monkeypatch):
     calls = _count_svd_matrices(monkeypatch)
     assert run(SuiteConfig(seed=1234)).all_passed
-    # 180 when written; 294 while the gauge, product-fluctuation and
-    # derivation-splitting rows normed one sample at a time, 312 while every
-    # sampled row took the SVD of every matrix, 840 while threshold-only norms
-    # took an SVD, and 2,239 when every zero stack went through it
-    assert len(calls) <= 180
+    # 151 since the vielbein row norms its nonzero gaps in one ``max_norm``
+    # call, not one SVD each; 180 when written; 294 while the gauge,
+    # product-fluctuation and derivation-splitting rows normed one sample at a
+    # time, 312 while every sampled row took the SVD of every matrix, 840 while
+    # threshold-only norms took an SVD, and 2,239 when every zero stack went
+    # through it
+    assert len(calls) <= 151
     # 1,790 matrices when written, 1,782 since the gauge rows norm all their
     # gaps in one ``max_norm`` call (1,791 if its Gram bound were not squared
     # once more); 2,088 while those rows normed one sample at a time, 3,785
@@ -126,19 +128,24 @@ def test_default_run_checks_operands_only_where_they_enter(monkeypatch):
 
 
 def test_geometry_run_builds_one_jet_per_point(monkeypatch):
-    calls = []
-    _wrap_everywhere(monkeypatch, geometry._jet, lambda args, out: calls.append(1))
+    points = []
+    _wrap_everywhere(monkeypatch, geometry._stacked_jet, lambda args, out: points.append(len(out.x)))
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
-    # 4 families x 5 points, 5 jets for the oracles and 8 for the three Dirac
+    # 4 families x 5 points, 5 points for the oracles and 8 for the three Dirac
     # decompositions; 113 while each family row built its own jets
-    assert len(calls) <= 33
+    assert sum(points) <= 33
+    # one stacked jet per sample set: 4 families, 3 decompositions (3, 3 and 2
+    # points) and 5 one-point oracle jets; 33 builds while every point had its own
+    assert len(points) <= 12
 
 
 def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
     calls = []
     _wrap_everywhere(monkeypatch, geometry._frames, lambda args, out: calls.append(1))
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
-    # 107 when written: per point, the frames of g and of the stencil points
-    # up and down, and the family rows' vielbein; 124 while the Dirac kernels
-    # built the frames of g three times per point
-    assert len(calls) <= 107
+    # 44 since every sample set builds the frames of g and of the stencil points
+    # up and down once for its stacked jet: 21 for the 4 families and the 3
+    # decompositions, 3 for the plane-wave oracle, and 20 for the vielbein row,
+    # one per family point; 107 while the jets were built per point, 124 while
+    # the Dirac kernels built the frames of g three times per point
+    assert len(calls) <= 44

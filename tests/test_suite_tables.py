@@ -144,6 +144,29 @@ def test_a_bad_family_point_fails_exactly_the_rows_that_read_its_jet(monkeypatch
     assert all(got[check_id] == math.inf for check_id in changed)
 
 
+def test_a_bad_decomposition_point_fails_that_row_alone(monkeypatch):
+    # a Dirac decomposition row builds one stacked jet over its own points: a
+    # point that fails validation fails that row, and no other record moves
+    cfg = SuiteConfig(suites=("geometry",), seed=0)
+    family, row = "lorentz2d", "geometry.lorentz2d.dirac_decomposition"
+    metric = su.geo.metric_family(family)
+    rng = su._stream(cfg.seed, 3, 5)  # the row's stream: its spinor, then its three points
+    su.geo.trig_spinor(cl.build_gammas(Signature(1, 1)).dim, metric.dim, rng)
+    second = su._family_points(metric, 3, rng, cfg.fd_step)[1]
+    validate_at = su.geo.MetricField.validate_at
+
+    def raise_at_second(m, x):
+        if m.name == family and np.array_equal(x, second):
+            raise su.geo.SingularMetricError("injected at the second decomposition point")
+        return validate_at(m, x)
+
+    want = {rec.check_id: rec.residual for rec in run(cfg).records}
+    monkeypatch.setattr(su.geo.MetricField, "validate_at", raise_at_second)
+    got = {rec.check_id: rec.residual for rec in run(cfg).records}
+    assert {check_id for check_id in want if got[check_id] != want[check_id]} == {row}
+    assert got[row] == math.inf
+
+
 def test_inf_entries_in_a_kernel_fail_its_row_silently(monkeypatch, capfd):
     # kernels trust their operands: infs that arise inside one reach op_norms,
     # which norms them NaN without the SVD; LAPACK, given two infs in a matrix,
