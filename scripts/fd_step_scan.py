@@ -28,7 +28,7 @@ def relat_christos_independent(metric, x, h):
     """Reflected side at step h against the g_R side rebuilt at step h/2."""
     lhs = _reflect(metric.r_signs, _jet(metric, x, h).gamma)
     gr = christoffel(metric, True, x, h / 2)
-    grinv = np.linalg.inv(metric.gR_at(x))
+    grinv = np.linalg.inv(metric.g_at(x) * metric.r_signs)
     s = metric.r_signs
     dim = metric.dim
     dg = np.zeros((dim, dim, dim))
@@ -37,7 +37,7 @@ def relat_christos_independent(metric, x, h):
         e = np.zeros(dim)
         e[k] = h / 2
         dg[k] = (metric.g_at(x + e) - metric.g_at(x - e)) / h
-        dgr[k] = (metric.gR_at(x + e) - metric.gR_at(x - e)) / h
+        dgr[k] = (metric.g_at(x + e) * s - metric.g_at(x - e) * s) / h
     corr = np.zeros_like(lhs)
     for l in range(dim):
         for m in range(dim):

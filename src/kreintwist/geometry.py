@@ -9,10 +9,13 @@ step 1e-3), from which the g_R sweep follows exactly, and the Levi-Civita
 coefficients of both.  Its arrays are read-only, so a suite's family
 context builds one jet over its sample points and every row shares it;
 the public ``(metric, x, h)`` kernels read the jet of a one-point stack
-(``_jet``).  Christoffel symbols, frame connection coefficients and the
-first-order Dirac operator are array contractions over the jet, with or
-without the point axis, so every identity check inherits an O(h^2) error
-floor.
+(``_jet``).  Christoffel symbols and frame connection coefficients are
+array contractions over the jet, with or without the point axis.  The
+spinor is read point by point into its own jet (``_spinor_jet``: its values
+and central differences over the same points), and ``_dirac_sum`` assembles
+the first-order Dirac operator over the point axis, once per side of the
+``D -> KD`` decomposition; a one-point stack serves the public kernels.
+Every identity check inherits an O(h^2) error floor.
 
 Index conventions (0-based):
     christoffel()[l, m, n]      Gamma^l_{mn}
@@ -45,7 +48,6 @@ __all__ = [
     "christoffel",
     "metric_compatibility_residual",
     "reflection_isometry_residual",
-    "vielbein",
     "spin_connection_coeffs",
     "dirac_apply_pseudo",
     "dirac_decomposition_check",
@@ -90,9 +92,6 @@ class MetricField:
         if m.shape != (self.dim, self.dim):
             raise ValueError("metric component function returned a wrong shape")
         return m
-
-    def gR_at(self, x) -> np.ndarray:
-        return self.g_at(x) * self.r_signs[None, :]
 
     def check_point(self, x, h: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -232,7 +231,7 @@ def _stacked_jet(metric: MetricField, points, h: float) -> _Jet:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - validate_at guards
         raise SingularMetricError(str(exc)) from exc
     dg = (up - down) / (2.0 * h)
-    dgR = (up * s - down * s) / (2.0 * h)  # differences of gR_at readings, signed zeros too
+    dgR = (up * s - down * s) / (2.0 * h)  # differences of g_R = g r readings, signed zeros too
     x, s, *arrays = map(_read_only, (x, s, g, gR, ginv, gRinv, up, down, dg, dgR,
                                      _levi_civita(ginv, dg), _levi_civita(gRinv, dgR)))
     return _Jet(x, h, s, *arrays)
@@ -298,13 +297,20 @@ def _compatibility_residual(jet: _Jet, use_gR: bool):
 
 
 def reflection_isometry_residual(metric: MetricField, x) -> float:
-    """r g r = g and r gR r = gR (exact for diagonal families)."""
+    """r g r = g and r gR r = gR (exact for diagonal families) at the point x,
+    or at every point of a stack x: g is read once per point, gR = g r."""
+    g = np.array([metric.g_at(p) for p in np.atleast_2d(x)])
     r = np.diag(metric.r_signs)
-    return _worst(float(np.max(np.abs(r @ m @ r - m))) for m in (metric.g_at(x), metric.gR_at(x)))
+    return _worst(float(np.max(np.abs(r @ m @ r - m))) for m in (g, g * metric.r_signs))
 
 
 def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Einv) of a diagonal metric, or of each metric of a stack."""
+    """(E, Einv) of a diagonal metric, or of each metric of a stack, with
+    E[a, mu] = e_a^mu = delta / sqrt|g_mumu| and Einv[a, mu] = e^a_mu.
+
+    The same frame makes g orthonormal with flat signs and g_R orthonormal
+    with the Kronecker delta.
+    """
     if not np.isfinite(g).all():
         raise SingularMetricError("metric components not finite")
     d = np.diagonal(g, axis1=-2, axis2=-1)
@@ -316,15 +322,6 @@ def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.min(d) < 1e-12:
         raise SingularMetricError("vanishing diagonal metric component")
     return (1.0 / np.sqrt(d))[..., None] * eye, np.sqrt(d)[..., None] * eye
-
-
-def vielbein(metric: MetricField, x) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Einv) with E[a, mu] = e_a^mu = delta / sqrt|g_mumu|, Einv[a, mu] = e^a_mu.
-
-    The same frame makes g orthonormal with flat signs and g_R orthonormal
-    with the Kronecker delta.
-    """
-    return _frames(metric.g_at(x))
 
 
 def _vielbein_derivatives(jet: _Jet) -> tuple[np.ndarray, np.ndarray]:
@@ -408,22 +405,50 @@ def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> Sp
     return SpinorField(f)
 
 
-def _dirac_assembly(psi: SpinorField, x, h: float, e, conn, left, right, unit) -> np.ndarray:
-    """sum_mu unit gamma^mu (d_mu + 1/4 conn^b_{mu a} left_a right_b) psi at x.
+def _spinor_jet(psi: SpinorField, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(psi_x, dpsi) over the stack of points x: psi_x[i] = psi(x_i) and the
+    central difference dpsi[i, mu] = (psi(x_i + h e_mu) - psi(x_i - h e_mu)) / 2h.
+    The field is read point by point, 1 + 2 dim times per point."""
+    steps = h * np.eye(x.shape[-1])
+    up = np.array([[psi(p + e) for e in steps] for p in x])
+    down = np.array([[psi(p - e) for e in steps] for p in x])
+    return np.array([psi(p) for p in x]), (up - down) / (2.0 * h)
 
-    gamma^mu = e_a^mu left_a and d_mu is the central difference of step h.
-    The connection terms are added in (a, b) order and zero coefficients
-    are skipped.
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_i v_i at each point i of the stack of vectors v (m one matrix or a
+    stack): one matrix-vector product per point, bit for bit ``m_i @ v_i``."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _dirac_sum(psi_x, dpsi, e, conn, left, right, unit) -> np.ndarray:
+    """sum_mu unit gamma^mu (d_mu + 1/4 conn^b_{mu a} left_a right_b) psi at
+    each point i of a stack.
+
+    ``psi_x`` and ``dpsi`` are ``_spinor_jet``'s; e[i, a, mu] = e_a^mu and
+    conn[i, b, mu, a] carry the point axis, and gamma^mu = e_a^mu left_a.
+    Every step is one array operation over the points with the bits of the
+    one-point sum: the connection terms are added in (a, b) order, a pair
+    skipped only where its coefficient is zero at every point and every mu.
     """
-    psix = psi(x)
-    out = np.zeros_like(psix)
-    for mu, step in enumerate(h * np.eye(len(x))):
-        nabla = (psi(x + step) - psi(x - step)) / (2.0 * h)
-        for a, b in zip(*np.nonzero(conn[:, mu, :].T)):
-            nabla = nabla + 0.25 * conn[b, mu, a] * (left[a] @ right[b] @ psix)
-        gamma_mu = sum(e[a, mu] * left[a] for a in range(len(x)))
-        out = out + unit * (gamma_mu @ nabla)
+    dim = e.shape[-1]
+    if len(left) != dim:
+        raise ValueError("representation dimension does not match the chart")
+    terms = [(a, b, _matvec(left[a] @ right[b], psi_x))
+             for a in range(dim) for b in range(dim) if conn[..., b, :, a].any()]
+    out = np.zeros_like(psi_x)
+    for mu in range(dim):
+        nabla = dpsi[:, mu]
+        for a, b, term in terms:
+            nabla = nabla + 0.25 * conn[:, b, mu, a, None] * term
+        gamma_mu = sum(e[:, a, mu, None, None] * left[a] for a in range(dim))
+        out = out + unit * _matvec(gamma_mu, nabla)
     return out
+
+
+def _lowered(rep: CliffordRep, s: np.ndarray) -> list:
+    """gamma_b = g_b gamma^b, the right factors of the pseudo side's connection terms."""
+    return [sign * g for sign, g in zip(s, rep.gammas)]
 
 
 def dirac_apply_pseudo(
@@ -436,20 +461,13 @@ def dirac_apply_pseudo(
     """(i gamma^mu nabla^Sp_mu psi)(x) with FD partials and FD spin connection.
 
     gamma^mu = e_a^mu gamma^a in chart indices; the connection term is
-    1/4 Gamma^b_{mu a} gamma^a gamma_b with gamma_b = g_b gamma^b.
+    1/4 Gamma^b_{mu a} gamma^a gamma_b with gamma_b = g_b gamma^b: the
+    stacked assembly of a one-point stack.
     """
-    jet = _jet(metric, x, h)
+    jet = _stacked_jet(metric, [x], h)
     frames = _frames(jet.g)
-    return _pseudo_dirac(rep, psi, jet, frames[0], _connection(jet, frames)["Gamma_b_mu_a"])
-
-
-def _pseudo_dirac(rep: CliffordRep, psi: SpinorField, jet: _Jet, e, conn) -> np.ndarray:
-    """``dirac_apply_pseudo`` at a point jet's point, in the frame E with the
-    g connection coefficients ``conn`` of ``_connection``."""
-    if len(jet.x) != rep.n_gen:
-        raise ValueError("representation dimension does not match the chart")
-    lowered = [s * g for s, g in zip(jet.s, rep.gammas)]
-    return _dirac_assembly(psi, jet.x, jet.h, e, conn, rep.gammas, lowered, 1j)
+    conn = _connection(jet, frames)["Gamma_b_mu_a"]
+    return _dirac_sum(*_spinor_jet(psi, jet.x, h), frames[0], conn, rep.gammas, _lowered(rep, jet.s), 1j)[0]
 
 
 def dirac_decomposition_check(
@@ -472,18 +490,18 @@ def dirac_decomposition_check(
 
 def _dirac_decompositions(metric: MetricField, rep: CliffordRep, ops, psi: SpinorField,
                           points, h: float) -> list[tuple[float, int]]:
-    """``dirac_decomposition_check`` at each of ``points``, from one stacked
-    jet and connection; the spinor is assembled point by point."""
+    """``dirac_decomposition_check`` at each of ``points``: one stacked jet,
+    connection and spinor jet, and one ``_dirac_sum`` over the points per side."""
     jet = _stacked_jet(metric, points, h)
     frames = _frames(jet.g)
     coeffs = _connection(jet, frames)
-    reflected = coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"]
+    spinor, e = _spinor_jet(psi, jet.x, h), frames[0]
     gt = [ops.K @ g for g in rep.gammas]
+    lhs = _matvec(ops.K, _dirac_sum(*spinor, e, coeffs["Gamma_b_mu_a"], rep.gammas, _lowered(rep, jet.s), 1j))
+    rhs = _dirac_sum(*spinor, e, coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"], gt, gt, -1j)
     out = []
-    for i, e in enumerate(frames[0]):
-        lhs = ops.K @ _pseudo_dirac(rep, psi, jet.at(i), e, coeffs["Gamma_b_mu_a"][i])
-        rhs = _dirac_assembly(psi, jet.x[i], h, e, reflected[i], gt, gt, -1j)
-        r_plus, r_minus = float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs + rhs))
+    for lhs_i, rhs_i in zip(lhs, rhs):
+        r_plus, r_minus = float(np.linalg.norm(lhs_i - rhs_i)), float(np.linalg.norm(lhs_i + rhs_i))
         out.append((r_minus, -1) if r_minus <= r_plus else (r_plus, +1))
     return out
 

@@ -501,8 +501,9 @@ def max_norm(*stacks) -> float:
     dwarfs the roundoff of F, L, U and the SVD (each below n^2 u for
     n <= ``MAX_NORM_PRUNE_DIM``), as ``norm_within``'s factor 2 does; and since
     squares of entries underflow only below 1e-154, no cut under
-    ``FROBENIUS_TOL_FLOOR`` leaves a matrix out.  A stack with no nonzero
-    entry left has norm +0.0 without the SVD.  A NaN or inf entry gives NaN
+    ``FROBENIUS_TOL_FLOOR`` leaves a matrix out.  A matrix with no nonzero
+    entry has norm +0.0 and is left out before the bounds, and a stack
+    copied only when it holds such a matrix.  A NaN or inf entry gives NaN
     without an SVD, as ``op_norms`` norms such a matrix NaN.
     """
     bounded, cut = [], 0.0
@@ -511,8 +512,12 @@ def max_norm(*stacks) -> float:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
         m = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
-        if not m.any():  # its norms are all +0.0: no bounds, no SVD
+        nonzero = m.any(axis=(-2, -1))
+        count = np.count_nonzero(nonzero)
+        if not count:  # a zero matrix's norm is +0.0: no bounds, no SVD
             continue
+        if count < len(m):
+            m = m[nonzero]
         fro = lo = None
         if m.size >= MAX_NORM_MIN_ENTRIES and m.shape[-1] <= MAX_NORM_PRUNE_DIM:
             m = np.ascontiguousarray(m)

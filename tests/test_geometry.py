@@ -7,6 +7,8 @@ from kreintwist.geometry import (
     NonDiagonalMetricError,
     OutOfDomainError,
     SpinorField,
+    _dirac_decompositions,
+    _frames,
     _jet,
     _reflect,
     _relation_residual,
@@ -20,7 +22,6 @@ from kreintwist.geometry import (
     reflection_isometry_residual,
     spin_connection_coeffs,
     trig_spinor,
-    vielbein,
 )
 
 H = 1e-3
@@ -114,7 +115,7 @@ def test_vielbein_rejects_a_non_finite_metric():
     # both frame guards are false for NaN, so without a finiteness check the
     # frames themselves would come back NaN
     with pytest.raises(SingularMetricError, match="not finite"):
-        vielbein(metric_family("lorentz4d", {"amp": float("nan")}), np.full(4, 0.1))
+        _frames(metric_family("lorentz4d", {"amp": float("nan")}).g_at(np.full(4, 0.1)))
 
 
 def test_jet_arrays_are_read_only():
@@ -162,7 +163,7 @@ def test_relat_christos_independent_pipelines():
             x = lo + (hi - lo) * rng.uniform(size=m.dim)
             lhs = _reflect(m.r_signs, _jet(m, x, H).gamma)
             gr = christoffel(m, True, x, H / 2)
-            grinv = np.linalg.inv(m.gR_at(x))
+            grinv = np.linalg.inv(m.g_at(x) * m.r_signs)
             s = m.r_signs
             dg = np.zeros((m.dim, m.dim, m.dim))
             dgr = np.zeros((m.dim, m.dim, m.dim))
@@ -170,7 +171,7 @@ def test_relat_christos_independent_pipelines():
                 e = np.zeros(m.dim)
                 e[k] = H / 2
                 dg[k] = (m.g_at(x + e) - m.g_at(x - e)) / H
-                dgr[k] = (m.gR_at(x + e) - m.gR_at(x - e)) / H
+                dgr[k] = (m.g_at(x + e) * s - m.g_at(x - e) * s) / H
             corr = np.zeros_like(lhs)
             for l in range(m.dim):
                 for mu in range(m.dim):
@@ -195,16 +196,26 @@ def test_reflection_isometry_exact():
         m = metric_family(name)
         x = np.zeros(m.dim)
         assert reflection_isometry_residual(m, x) == 0.0
+        assert reflection_isometry_residual(m, np.zeros((3, m.dim))) == 0.0
+
+
+def test_reflection_isometry_over_a_stack_is_its_worst_point():
+    # an off-diagonal entry between directions of opposite reflection sign
+    # breaks r g r = g by twice its size
+    m = MetricField(2, lambda x: np.array([[1.0, x[0]], [x[0], -1.0]]), np.array([1.0, -1.0]),
+                    np.array([[-1, 1], [-1, 1]]), "skew")
+    pts = np.array([[0.1, 0.0], [0.3, 0.0], [-0.2, 0.0]])
+    assert reflection_isometry_residual(m, pts) == max(reflection_isometry_residual(m, x) for x in pts) == 0.6
 
 
 def test_vielbein_examples():
     flat = MetricField(2, lambda x: np.eye(2), np.array([1.0, 1.0]), np.array([[-1, 1], [-1, 1]]),
                        "flat")
-    e, einv = vielbein(flat, np.zeros(2))
+    e, einv = _frames(flat.g_at(np.zeros(2)))
     assert np.array_equal(e, np.eye(2))
     m = MetricField(2, lambda x: np.diag([4.0, -9.0]), np.array([1.0, -1.0]),
                     np.array([[-1, 1], [-1, 1]]), "const")
-    e, einv = vielbein(m, np.zeros(2))
+    e, einv = _frames(m.g_at(np.zeros(2)))
     assert np.allclose(e, np.diag([0.5, 1.0 / 3.0]))
     assert np.allclose(einv, np.diag([2.0, 3.0]))
 
@@ -214,9 +225,9 @@ def test_vielbein_joint_orthonormality():
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = -0.4 + 0.8 * rng.uniform(size=4)
-        e, einv = vielbein(m, x)
+        e, einv = _frames(m.g_at(x))
         g = m.g_at(x)
-        gr = m.gR_at(x)
+        gr = g * m.r_signs
         assert np.max(np.abs(e @ g @ e.T - np.diag(m.r_signs))) <= 1e-10
         assert np.max(np.abs(e @ gr @ e.T - np.eye(4))) <= 1e-10
         assert np.max(np.abs(e @ einv.T - np.eye(4))) <= 1e-12
@@ -231,7 +242,7 @@ def test_vielbein_rejects_nondiagonal():
         "skew",
     )
     with pytest.raises(NonDiagonalMetricError):
-        vielbein(bad, np.zeros(2))
+        _frames(bad.g_at(np.zeros(2)))
 
 
 def test_spin_connection_flat_vanishes():
@@ -384,6 +395,19 @@ def test_dirac_decomposition_curved_lorentz():
         assert res <= 1e-4
         signs.add(sgn)
     assert signs == {-1}
+
+
+def test_a_nan_spinor_value_fails_only_its_point_of_a_stack():
+    m = metric_family("lorentz4d")
+    rep = build_gammas(Signature(1, 3))
+    ops = build_structural(rep)
+    trig = trig_spinor(4, 4, np.random.default_rng(5))
+    pts = np.array([[0.1, -0.2, 0.3, 0.15], [-0.3, 0.1, -0.1, 0.4], [0.25, 0.3, 0.2, -0.35]])
+    psi = SpinorField(lambda x: np.full(4, np.nan) if np.array_equal(x, pts[1]) else trig(x))
+    got = _dirac_decompositions(m, rep, ops, psi, pts, H)
+    assert np.isnan(got[1][0])
+    for i in (0, 2):
+        assert got[i] == dirac_decomposition_check(m, rep, ops, trig, pts[i], H)
 
 
 def test_fd_convergence_ratio_second_order():

@@ -5,9 +5,11 @@ as: one scalar (or vector) operation per tensor entry, in loop order.  The
 kernels contract whole arrays instead, and must give exactly the same
 floating-point results, at several points and two steps of every metric
 family, plus non-diagonal metrics for the kernels that accept them.  A
-stacked jet over several points, and the connection and Dirac decomposition
-over it, must equal the references point by point too.
+stacked jet over several points, and the connection, Dirac assembly and
+Dirac decomposition over it, must equal the references point by point too.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from kreintwist.geometry import (
     _compatibility_residual,
     _connection,
     _dirac_decompositions,
+    _dirac_sum,
     _frames,
     _jet,
     _relation_residual,
+    _spinor_jet,
     _stacked_jet,
     christoffel,
     dirac_apply_pseudo,
@@ -35,8 +39,13 @@ from kreintwist.geometry import (
 STEPS = (1e-3, 1e-2)
 
 
+def gR_at(metric, x):
+    """g_R = g r at x."""
+    return metric.g_at(x) * metric.r_signs[None, :]
+
+
 def ref_metric_derivatives(metric, x, h, use_gR):
-    read = metric.gR_at if use_gR else metric.g_at
+    read = partial(gR_at, metric) if use_gR else metric.g_at
     dim = metric.dim
     dg = np.zeros((dim, dim, dim))
     for k in range(dim):
@@ -47,7 +56,7 @@ def ref_metric_derivatives(metric, x, h, use_gR):
 
 
 def ref_christoffel(metric, use_gR, x, h):
-    g = metric.gR_at(x) if use_gR else metric.g_at(x)
+    g = gR_at(metric, x) if use_gR else metric.g_at(x)
     ginv = np.linalg.inv(g)
     dg = ref_metric_derivatives(metric, x, h, use_gR)
     dim = metric.dim
@@ -70,7 +79,7 @@ def ref_reflected(metric, x, h):
 def ref_relation(metric, x, h):
     lhs = ref_reflected(metric, x, h)
     gr = ref_christoffel(metric, True, x, h)
-    grinv = np.linalg.inv(metric.gR_at(x))
+    grinv = np.linalg.inv(gR_at(metric, x))
     dg = ref_metric_derivatives(metric, x, h, False)
     dgr = ref_metric_derivatives(metric, x, h, True)
     s = metric.r_signs
@@ -87,7 +96,7 @@ def ref_relation(metric, x, h):
 
 
 def ref_compatibility(metric, use_gR, x, h):
-    g = metric.gR_at(x) if use_gR else metric.g_at(x)
+    g = gR_at(metric, x) if use_gR else metric.g_at(x)
     gamma = ref_christoffel(metric, use_gR, x, h)
     dg = ref_metric_derivatives(metric, x, h, use_gR)
     dim = metric.dim
@@ -308,3 +317,25 @@ def test_a_stacked_decomposition_matches_the_point_checks(name, h):
         want_value, want_sign = ref_decomposition(metric, rep, ops, psi, x, h)
         assert (res, sign) == (bits(want_value), want_sign)
     assert len(got) == len(pts)
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_a_stacked_dirac_assembly_matches_the_loops_point_by_point(name, h):
+    metric = metric_family(name)
+    rep = build_gammas(Signature(1, metric.dim - 1))
+    ops = build_structural(rep)
+    psi = trig_spinor(rep.dim, metric.dim, np.random.default_rng(5))
+    pts = _points(metric, 5)
+    jet = _stacked_jet(metric, pts, h)
+    frames = _frames(jet.g)
+    coeffs, e = _connection(jet, frames), frames[0]
+    lowered = [metric.r_signs[b] * rep.gammas[b] for b in range(metric.dim)]
+    gt = [ops.K @ g for g in rep.gammas]
+    sides = ((coeffs["Gamma_b_mu_a"], rep.gammas, lowered, 1j),  # pseudo
+             (coeffs["GammaR_b_mu_a"] + coeffs["K_b_mu_a"], gt, gt, -1j))  # reflected
+    for conn, left, right, unit in sides:
+        got = _dirac_sum(*_spinor_jet(psi, jet.x, h), e, conn, left, right, unit)
+        assert got.shape == (len(pts), rep.dim)
+        for i, x in enumerate(pts):
+            assert bits(got[i]) == bits(ref_dirac_sum(psi, x, h, e[i], conn[i], left, right, unit))

@@ -13,7 +13,10 @@ every kernel; the ``as_cmat`` count of a default run shows that too.  A
 geometry sample set builds one stacked metric jet and every row over the set
 reads it; the ``geometry._stacked_jet`` builds of a geometry run and the
 points they hold show that, and the ``geometry._frames`` count that the
-frames of g and of the stencil points are built once per sample set.
+frames of g and of the stencil points are built once per sample set.  The
+family rows that read the metric itself read it once per point, as the
+count of ``MetricField.g_at`` calls shows, and each side of a Dirac
+decomposition is assembled once over its points (``geometry._dirac_sum``).
 """
 
 import sys
@@ -80,11 +83,12 @@ def test_default_run_skips_the_svd_of_zero_stacks(monkeypatch):
     # threshold-only norms took an SVD, and 2,239 when every zero stack went
     # through it
     assert len(calls) <= 151
-    # 1,790 matrices when written, 1,782 since the gauge rows norm all their
-    # gaps in one ``max_norm`` call (1,791 if its Gram bound were not squared
-    # once more); 2,088 while those rows normed one sample at a time, 3,785
-    # while every sampled row took the SVD of every matrix
-    assert sum(calls) <= 1790
+    # 1,642 matrices since ``max_norm`` leaves out every all-zero matrix; 1,790
+    # when written, 1,782 since the gauge rows norm all their gaps in one
+    # ``max_norm`` call (1,791 if its Gram bound were not squared once more);
+    # 2,088 while those rows normed one sample at a time, 3,785 while every
+    # sampled row took the SVD of every matrix
+    assert sum(calls) <= 1642
 
 
 def test_gauge_rows_take_the_svd_of_few_matrices(monkeypatch):
@@ -143,9 +147,38 @@ def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
     calls = []
     _wrap_everywhere(monkeypatch, geometry._frames, lambda args, out: calls.append(1))
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
-    # 44 since every sample set builds the frames of g and of the stencil points
+    # 28 since every sample set builds the frames of g and of the stencil points
     # up and down once for its stacked jet: 21 for the 4 families and the 3
-    # decompositions, 3 for the plane-wave oracle, and 20 for the vielbein row,
-    # one per family point; 107 while the jets were built per point, 124 while
-    # the Dirac kernels built the frames of g three times per point
-    assert len(calls) <= 44
+    # decompositions, 3 for the plane-wave oracle, and 4 for the vielbein row,
+    # one per family; 44 while that row built the frames point by point, 107
+    # while the jets were built per point, 124 while the Dirac kernels built
+    # the frames of g three times per point
+    assert len(calls) <= 28
+
+
+def test_geometry_run_reads_the_metric_once_per_family_row_point(monkeypatch):
+    calls = []
+    g_at = geometry.MetricField.g_at
+
+    def counted(metric, x):
+        calls.append(1)
+        return g_at(metric, x)
+
+    monkeypatch.setattr(geometry.MetricField, "g_at", counted)
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 241: 201 for the 12 jets over 33 points (each point and its 2 dim
+    # stencil points) and 40 for the 4 families' vielbein and reflection rows,
+    # one reading per row and point; 301 while those rows read g three times
+    # and twice per point
+    assert len(calls) <= 241
+
+
+def test_geometry_run_assembles_each_dirac_side_once_over_its_points(monkeypatch):
+    calls = []
+    _wrap_everywhere(monkeypatch, geometry._dirac_sum, lambda args, out: calls.append(len(out)))
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 7: both sides of the 3 decompositions over their 3, 3 and 2 points, and
+    # the plane-wave oracle's one point; 17 one-point assemblies while each
+    # decomposition point assembled both sides on its own
+    assert len(calls) <= 7
+    assert sum(calls) == 17

@@ -98,16 +98,20 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     (rec,) = r.records
     assert math.isnan(rec.residual) and not rec.passed
 
-    # a NaN at the second of a family's five points fails that family's row
-    calls = []
+    # a metric reading that is NaN at the second of a family's five points
+    # makes that family's reflection residual NaN, which fails its row
+    cfg = SuiteConfig(suites=("geometry",), seed=0)
+    second = {name: su._family_points(su.geo.metric_family(name), 5, su._stream(cfg.seed, 3, fi),
+                                      cfg.fd_step)[1]
+              for fi, name in enumerate(su.CHECKED_FAMILIES)}
+    g_at = su.geo.MetricField.g_at
 
     def nan_at_second_point(metric, x):
-        calls.append(metric.name)
-        return math.nan if calls.count(metric.name) == 2 else 0.0
+        g = g_at(metric, x)
+        return np.full_like(g, math.nan) if np.array_equal(x, second.get(metric.name)) else g
 
-    monkeypatch.setattr(su.geo, "reflection_isometry_residual", nan_at_second_point)
-    recs = [rec for rec in run(SuiteConfig(suites=("geometry",), seed=0)).records
-            if rec.check_id.endswith(".reflection_isometry")]
+    monkeypatch.setattr(su.geo.MetricField, "g_at", nan_at_second_point)
+    recs = [rec for rec in run(cfg).records if rec.check_id.endswith(".reflection_isometry")]
     assert len(recs) == 4
     assert all(math.isnan(rec.residual) and not rec.passed for rec in recs)
 
