@@ -2,20 +2,23 @@
 
 Metrics are diagonal component functions on an axis-aligned box, together
 with a constant diagonal spacelike reflection r making g_R = g(., r .)
-positive definite.  Every kernel reads one metric jet per sample set
-(``_stacked_jet``), each array with a leading point axis: g and g_R with
-their inverses, one second-order central-difference sweep of g (default
-step 1e-3), from which the g_R sweep follows exactly, and the Levi-Civita
-coefficients of both.  Its arrays are read-only, so a suite's family
-context builds one jet over its sample points and every row shares it;
-the public ``(metric, x, h)`` kernels read the jet of a one-point stack
-(``_jet``).  Christoffel symbols and frame connection coefficients are
-array contractions over the jet, with or without the point axis.  The
-spinor is read point by point into its own jet (``_spinor_jet``: its values
-and central differences over the same points), and ``_dirac_sum`` assembles
-the first-order Dirac operator over the point axis, once per side of the
-``D -> KD`` decomposition; a one-point stack serves the public kernels.
-Every identity check inherits an O(h^2) error floor.
+positive definite.  Both field callables, the metric components and the
+spinor, take a stack of points (..., dim) and return one value per point,
+so a sample set and its stencil points are read in one call; a single
+point is the stack without leading axes.  Every kernel reads one metric
+jet per sample set (``_stacked_jet``), each array with a leading point
+axis: g and g_R with their inverses, one second-order central-difference
+sweep of g (default step 1e-3), from which the g_R sweep follows exactly,
+and the Levi-Civita coefficients of both.  Its arrays are read-only, so a
+suite's family context builds one jet over its sample points and every row
+shares it; the public ``(metric, x, h)`` kernels read the jet of a
+one-point stack (``_jet``).  Christoffel symbols and frame connection
+coefficients are array contractions over the jet, with or without the
+point axis.  The spinor is read into its own jet (``_spinor_jet``: its
+values and central differences over the same points), and ``_dirac_sum``
+assembles the first-order Dirac operator over the point axis, once per
+side of the ``D -> KD`` decomposition; a one-point stack serves the public
+kernels.  Every identity check inherits an O(h^2) error floor.
 
 Index conventions (0-based):
     christoffel()[l, m, n]      Gamma^l_{mn}
@@ -71,7 +74,11 @@ class NonDiagonalMetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricField:
-    """Diagonal metric component field with a constant spacelike reflection."""
+    """Diagonal metric component field with a constant spacelike reflection.
+
+    ``g`` maps a point or a stack of points (..., dim) to the components
+    there (..., dim, dim), one matrix per point: it indexes ``x[..., k]``,
+    so one call reads a whole sample set."""
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
@@ -88,41 +95,59 @@ class MetricField:
             raise ValueError("reflection signs must be +-1")
 
     def g_at(self, x) -> np.ndarray:
-        m = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
-        if m.shape != (self.dim, self.dim):
+        """g at the point x, or at every point of a stack x (..., dim)."""
+        x = np.asarray(x, dtype=float)
+        m = np.asarray(self.g(x), dtype=float)
+        if m.shape != x.shape[:-1] + (self.dim, self.dim):
             raise ValueError("metric component function returned a wrong shape")
         return m
 
-    def check_point(self, x, h: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError("point has wrong dimension")
-        lo, hi = self.domain[:, 0], self.domain[:, 1]
-        if np.any(x - 2 * h < lo) or np.any(x + 2 * h > hi):
-            raise OutOfDomainError(f"point {x} violates the 2h margin of {self.domain.tolist()}")
-        return x
+    def validate(self, x: np.ndarray, readings: np.ndarray) -> None:
+        """Raise ``SingularMetricError`` for the first point of the stack x
+        whose readings fail a check, naming the first check it fails.
 
-    def validate_at(self, x) -> np.ndarray:
-        """g at x, once it is symmetric and invertible with g_R positive definite."""
-        g = self.g_at(x)
-        if not np.all(np.isfinite(g)):
-            raise SingularMetricError("metric components not finite at the point")
-        if not norm_within(g - g.T, 1e-12):
-            raise SingularMetricError("metric components not symmetric")
-        if abs(np.linalg.det(g)) < 1e-10:
-            raise SingularMetricError("metric not invertible at the point")
-        gr = g * self.r_signs[None, :]
-        if np.min(np.linalg.eigvalsh((gr + gr.T) / 2)) < 1e-8:
-            raise SingularMetricError("g_R not positive definite: r is not spacelike here")
-        return g
+        readings[i, 0] is g at x_i and readings[i, 1:] g at its stencil
+        points.  A point's checks run in order: g finite, symmetric,
+        invertible, g_R = g r positive definite, every stencil reading
+        finite.  Each check reads only the points before the first that
+        failed one so far, all of which passed every earlier check, so det
+        and eigvalsh see finite matrices alone."""
+        s = self.r_signs
+        checks = (
+            (lambda g, _: np.isfinite(g).all(axis=(-2, -1)), "metric components not finite at the point"),
+            (lambda g, _: norm_within(g - np.swapaxes(g, -1, -2), 1e-12), "metric components not symmetric"),
+            (lambda g, _: ~(np.abs(np.linalg.det(g)) < 1e-10), "metric not invertible at the point"),
+            (lambda g, _: ~(np.min(np.linalg.eigvalsh((g * s + np.swapaxes(g * s, -1, -2)) / 2), axis=-1) < 1e-8),
+             "g_R not positive definite: r is not spacelike here"),
+            (lambda _, sweep: np.isfinite(sweep).all(axis=(-3, -2, -1)),
+             "metric components not finite at a stencil point"),
+        )
+        stop, failed = len(x), None  # the first failing point so far, and its failed check
+        for passes, message in checks:
+            ok = passes(readings[:stop, 0], readings[:stop])
+            if not ok.all():
+                stop, failed = int(np.argmin(ok)), message
+                if not stop:
+                    break
+        if failed:
+            raise SingularMetricError(f"{failed} (sample point {stop}, {x[stop].tolist()})")
 
 
 def _box(dim: int, lo: float, hi: float) -> np.ndarray:
     return np.array([[lo, hi]] * dim, dtype=float)
 
 
+def _diagonal(*entries) -> np.ndarray:
+    """diag(entries) at each point: the entries broadcast over the point
+    axes, exact zeros off the diagonal."""
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, entries)) + (len(entries),) * 2)
+    for k, entry in enumerate(entries):
+        out[..., k, k] = entry
+    return out
+
+
 def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
-    """Named diagonal test families.
+    """Named diagonal test families, each evaluated over a stack of points.
 
     flat2d / flat4d   constant diag(1, -1, ..., -1)
     exp2d             diag(exp(2 x0), 1), closed-form Gamma^0_00 = 1
@@ -138,29 +163,30 @@ def metric_family(name: str, params: Optional[dict] = None) -> MetricField:
         dim = 2 if name == "flat2d" else 4
         signs = np.array((1.0,) + (-1.0,) * (dim - 1))
         const = np.diag(signs)
-        return MetricField(dim, lambda x: const.copy(), signs, _box(dim, -0.6, 0.6), name)
+        return MetricField(dim, lambda x: np.broadcast_to(const, x.shape[:-1] + const.shape).copy(),
+                           signs, _box(dim, -0.6, 0.6), name)
     if name == "exp2d":
         def g(x):
-            return np.diag([np.exp(2.0 * x[0]), 1.0])
+            return _diagonal(np.exp(2.0 * x[..., 0]), 1.0)
         return MetricField(2, g, np.array([1.0, 1.0]), _box(2, -0.6, 0.6), name)
     if name == "conformal2d":
         def g(x):
-            phi = amp * np.sin(x[0] + 2.0 * x[1])
-            return np.exp(2.0 * phi) * np.eye(2)
+            phi = amp * np.sin(x[..., 0] + 2.0 * x[..., 1])
+            return np.exp(2.0 * phi)[..., None, None] * np.eye(2)
         return MetricField(2, g, np.array([1.0, 1.0]), _box(2, -0.6, 0.6), name)
     if name == "lorentz2d":
         def g(x):
-            return np.diag([1.0 + amp * np.sin(x[0] + x[1]),
-                            -(1.0 + amp * np.cos(x[0] - x[1]))])
+            return _diagonal(1.0 + amp * np.sin(x[..., 0] + x[..., 1]),
+                             -(1.0 + amp * np.cos(x[..., 0] - x[..., 1])))
         return MetricField(2, g, np.array([1.0, -1.0]), _box(2, -0.6, 0.6), name)
     if name == "lorentz4d":
         def g(x):
-            return np.diag([
-                1.0 + amp * np.sin(x[0] + x[1]),
-                -(1.0 + amp * np.cos(x[1])),
+            return _diagonal(
+                1.0 + amp * np.sin(x[..., 0] + x[..., 1]),
+                -(1.0 + amp * np.cos(x[..., 1])),
                 -1.0,
-                -(1.0 + amp * x[3] ** 2),
-            ])
+                -(1.0 + amp * x[..., 3] ** 2),
+            )
         return MetricField(4, g, np.array([1.0, -1.0, -1.0, -1.0]), _box(4, -0.6, 0.6), name)
     raise KeyError(f"unknown metric family '{name}'")
 
@@ -172,7 +198,7 @@ FAMILY_PARAMS = {"flat2d": (), "flat4d": (), "exp2d": (),
 
 class _Jet(NamedTuple):
     """The jet of a sample set, every array but the reflection signs s with
-    a leading point axis i: the checked, validated points x, g and
+    a leading point axis i: the validated points x, g and
     g_R = g r there with their inverses, one central-difference sweep
     (up[i, k] and down[i, k] are g at x_i + h e_k and x_i - h e_k,
     dg[i, k, m, n] = d_k g_{mn}, dgR[i, k, m, n] = d_k gR_{mn}), and the
@@ -210,25 +236,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The stencil of each point of the stack x, shape (n, 1 + 2 dim, dim):
+    [x_i, x_i + h e_0, ..., x_i + h e_{dim-1}, x_i - h e_0, ..., x_i - h e_{dim-1}]."""
+    steps = h * np.eye(x.shape[-1])
+    return np.concatenate([x[:, None], x[:, None] + steps, x[:, None] - steps], axis=1)
+
+
 def _stacked_jet(metric: MetricField, points, h: float) -> _Jet:
-    """The jet over ``points``.  Each point is checked, validated and read at
-    its stencil in sample order, so the first bad point raises what its own
-    jet would; inverses, differences and coefficients are taken for the stack."""
-    steps = h * np.eye(metric.dim)
-    xs, gs, sweeps = [], [], []
-    for x in points:
-        x = metric.check_point(x, h)
-        gs.append(metric.validate_at(x))
-        sweep = np.array([[metric.g_at(x + e) for e in steps], [metric.g_at(x - e) for e in steps]])
-        if not np.isfinite(sweep).all():
-            raise SingularMetricError("metric components not finite at a stencil point")
-        xs.append(x)
-        sweeps.append(sweep)
-    x, g, sweep, s = np.array(xs), np.array(gs), np.array(sweeps), metric.r_signs
-    up, down, gR = sweep[:, 0], sweep[:, 1], g * s
+    """The jet over ``points``: one reading of g at every point and its
+    2 dim stencil points, validated as a stack (``MetricField.validate``);
+    inverses, differences and coefficients are taken for the stack.
+
+    g is read only inside the 2h margin.  If point j is the first outside
+    it, the points before j are read and validated first, so the first bad
+    point in sample order raises what its own jet would."""
+    x = np.array(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != metric.dim:
+        raise ValueError("point has wrong dimension")
+    lo, hi = metric.domain[:, 0], metric.domain[:, 1]
+    outside = np.any(x - 2 * h < lo, axis=1) | np.any(x + 2 * h > hi, axis=1)
+    if outside.any():
+        j = int(np.argmax(outside))
+        if j:
+            _stacked_jet(metric, x[:j], h)
+        raise OutOfDomainError(f"point {x[j]} violates the 2h margin of {metric.domain.tolist()}")
+    readings = metric.g_at(_stencil(x, h))
+    metric.validate(x, readings)
+    dim, s = metric.dim, metric.r_signs
+    g, up, down = readings[:, 0], readings[:, 1:dim + 1], readings[:, dim + 1:]
+    gR = g * s
     try:
         ginv, gRinv = np.linalg.inv(g), np.linalg.inv(gR)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - validate_at guards
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - validate guards
         raise SingularMetricError(str(exc)) from exc
     dg = (up - down) / (2.0 * h)
     dgR = (up * s - down * s) / (2.0 * h)  # differences of g_R = g r readings, signed zeros too
@@ -298,8 +338,8 @@ def _compatibility_residual(jet: _Jet, use_gR: bool):
 
 def reflection_isometry_residual(metric: MetricField, x) -> float:
     """r g r = g and r gR r = gR (exact for diagonal families) at the point x,
-    or at every point of a stack x: g is read once per point, gR = g r."""
-    g = np.array([metric.g_at(p) for p in np.atleast_2d(x)])
+    or at every point of a stack x: g is read in one call, gR = g r."""
+    g = metric.g_at(x)
     r = np.diag(metric.r_signs)
     return _worst(float(np.max(np.abs(r @ m @ r - m))) for m in (g, g * metric.r_signs))
 
@@ -336,6 +376,16 @@ def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     return _connection(jet, _frames(jet.g))
 
 
+def _to_frame(frames: tuple[np.ndarray, np.ndarray], de: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from coordinate coefficients c^lam_{mu nu} to frame ones in the
+    frames (E, Einv) with derivatives de[mu, a, lam] = d_mu e_a^lam:
+    e^b_lam d_mu e_a^lam + e^b_lam c^lam_{mu nu} e_a^nu, indexed [b, mu, a]."""
+    e, einv = frames
+    # the frames are diagonal, so every sum below has at most one nonzero term
+    d_frame = np.einsum("...bl,...mal->...bma", einv, de)
+    return lambda c: d_frame + np.einsum("...bmn,...an->...bma", np.einsum("...bl,...lmn->...bmn", einv, c), e)
+
+
 def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     """Frame connection coefficients for g, g_R, the reflected frame and the
     twist correction, in the frames (E, Einv) = ``_frames(jet.g)``.
@@ -354,12 +404,7 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     e, einv = frames
     de, dei = _vielbein_derivatives(jet)
     s, gamma = jet.s, jet.gamma  # diagonal alignment: frame sign a = r sign a
-    # the frames are diagonal, so every sum below has at most one nonzero term
-    d_frame = np.einsum("...bl,...mal->...bma", einv, de)
-
-    def to_frame(g_coord):
-        return d_frame + np.einsum("...bmn,...an->...bma", np.einsum("...bl,...lmn->...bmn", einv, g_coord), e)
-
+    to_frame = _to_frame(frames, de)
     refl = np.einsum("...aml,...bl->...bma", np.einsum("...an,...lmn->...aml", e, _reflect(s, gamma)), einv)
     d_ra_g = s[:, None, None] * np.einsum("...an,...nmk->...amk", e, jet.dg)
     d_a_gr = np.einsum("...an,...nmk->...amk", e, jet.dgR)
@@ -374,12 +419,23 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Sampled spinor field."""
+    """Sampled spinor field: ``func`` maps a point or a stack of points
+    (..., dim) to the spinor there (..., spinor_dim), one value per point."""
 
     func: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=np.complex128)
+        x = np.asarray(x, dtype=float)
+        psi = np.asarray(self.func(x), dtype=np.complex128)
+        if psi.shape[:-1] != x.shape[:-1]:
+            raise ValueError("spinor field returned a wrong shape")
+        return psi
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_i v_i at each point i of the stack of vectors v (m one matrix or a
+    stack): one matrix-vector product per point, bit for bit ``m_i @ v_i``."""
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 def plane_wave_spinor(k, psi0) -> SpinorField:
@@ -387,7 +443,8 @@ def plane_wave_spinor(k, psi0) -> SpinorField:
     psi0 = np.asarray(psi0, dtype=np.complex128)
 
     def f(x):
-        return np.exp(1j * float(np.dot(k, x))) * psi0
+        # vecdot takes each point's dot product as np.dot(k, x) does
+        return np.exp(1j * np.vecdot(x, k))[..., None] * psi0
 
     return SpinorField(f)
 
@@ -400,7 +457,7 @@ def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> Sp
     phase = rng.uniform(0, 2 * np.pi, size=dim_spinor)
 
     def f(x):
-        return a * np.cos(u @ x) + 1j * b * np.sin(w @ x + phase)
+        return a * np.cos(_matvec(u, x)) + 1j * b * np.sin(_matvec(w, x) + phase)
 
     return SpinorField(f)
 
@@ -408,17 +465,9 @@ def trig_spinor(dim_spinor: int, dim_chart: int, rng: np.random.Generator) -> Sp
 def _spinor_jet(psi: SpinorField, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(psi_x, dpsi) over the stack of points x: psi_x[i] = psi(x_i) and the
     central difference dpsi[i, mu] = (psi(x_i + h e_mu) - psi(x_i - h e_mu)) / 2h.
-    The field is read point by point, 1 + 2 dim times per point."""
-    steps = h * np.eye(x.shape[-1])
-    up = np.array([[psi(p + e) for e in steps] for p in x])
-    down = np.array([[psi(p - e) for e in steps] for p in x])
-    return np.array([psi(p) for p in x]), (up - down) / (2.0 * h)
-
-
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m_i v_i at each point i of the stack of vectors v (m one matrix or a
-    stack): one matrix-vector product per point, bit for bit ``m_i @ v_i``."""
-    return np.matmul(m, v[..., None])[..., 0]
+    The field is read in one call, at every point and its 2 dim stencil points."""
+    dim, values = x.shape[-1], psi(_stencil(x, h))
+    return values[:, 0], (values[:, 1:dim + 1] - values[:, dim + 1:]) / (2.0 * h)
 
 
 def _dirac_sum(psi_x, dpsi, e, conn, left, right, unit) -> np.ndarray:
@@ -461,12 +510,13 @@ def dirac_apply_pseudo(
     """(i gamma^mu nabla^Sp_mu psi)(x) with FD partials and FD spin connection.
 
     gamma^mu = e_a^mu gamma^a in chart indices; the connection term is
-    1/4 Gamma^b_{mu a} gamma^a gamma_b with gamma_b = g_b gamma^b: the
-    stacked assembly of a one-point stack.
+    1/4 Gamma^b_{mu a} gamma^a gamma_b with gamma_b = g_b gamma^b, the one
+    coefficient taken of the connection (``_to_frame``): the stacked
+    assembly of a one-point stack.
     """
     jet = _stacked_jet(metric, [x], h)
     frames = _frames(jet.g)
-    conn = _connection(jet, frames)["Gamma_b_mu_a"]
+    conn = _to_frame(frames, _vielbein_derivatives(jet)[0])(jet.gamma)
     return _dirac_sum(*_spinor_jet(psi, jet.x, h), frames[0], conn, rep.gammas, _lowered(rep, jet.s), 1j)[0]
 
 

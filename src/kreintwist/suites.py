@@ -552,9 +552,9 @@ class _FamilyContext:
 
 def _vielbein_orthonormality(f: _FamilyContext) -> float:
     """The frames at the points make g and g_R = g r orthonormal: the largest
-    gap, from one reading of g per point and one ``max_norm`` call."""
+    gap, from one reading of g over the points and one ``max_norm`` call."""
     m = f.metric
-    g = np.array([m.g_at(x) for x in f.pts])
+    g = m.g_at(f.pts)
     e, einv = geo._frames(g)
     et, eye = np.swapaxes(e, -1, -2), np.eye(m.dim)
     return max_norm(e @ g @ et - np.diag(m.r_signs), e @ (g * m.r_signs) @ et - eye,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,17 @@ from kreintwist.geometry import (
     MetricField,
     NonDiagonalMetricError,
     OutOfDomainError,
+    SingularMetricError,
     SpinorField,
+    _diagonal,
     _dirac_decompositions,
     _frames,
+    _matvec,
     _jet,
     _reflect,
     _relation_residual,
+    _stacked_jet,
+    _stencil,
     christoffel,
     dirac_apply_pseudo,
     dirac_decomposition_check,
@@ -25,6 +32,12 @@ from kreintwist.geometry import (
 )
 
 H = 1e-3
+
+
+def _constant(m):
+    """The field that is m at every point of a stack."""
+    m = np.asarray(m)
+    return lambda x: np.broadcast_to(m, x.shape[:-1] + m.shape)
 
 
 def test_flat_metric_christoffels_vanish():
@@ -68,17 +81,44 @@ def test_out_of_domain_and_margin():
 
 
 def test_singular_metric_rejected():
-    from kreintwist.geometry import SingularMetricError
-
-    m = MetricField(2, lambda x: np.diag([x[0], 1.0]), np.array([1.0, 1.0]),
+    m = MetricField(2, lambda x: _diagonal(x[..., 0], 1.0), np.array([1.0, 1.0]),
                     np.array([[-1, 1], [-1, 1]]), "degenerate")
     with pytest.raises(SingularMetricError):
         christoffel(m, False, np.array([0.0, 0.0]), H)
     # r that is not spacelike: g_R fails positivity
-    bad_r = MetricField(2, lambda x: np.diag([1.0, -1.0]), np.array([1.0, 1.0]),
+    bad_r = MetricField(2, _constant(np.diag([1.0, -1.0])), np.array([1.0, 1.0]),
                         np.array([[-1, 1], [-1, 1]]), "bad-reflection")
     with pytest.raises(SingularMetricError):
         christoffel(bad_r, False, np.array([0.0, 0.0]), H)
+
+
+def test_a_bad_point_before_one_outside_the_margin_raises_first(capfd):
+    # point 0 is singular, point 1 violates the 2h margin: point 0 comes first
+    m = MetricField(2, lambda x: _diagonal(x[..., 0], 1.0), np.array([1.0, 1.0]),
+                    np.array([[-1, 1], [-1, 1]]), "degenerate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetricError, match="not invertible"):
+            _stacked_jet(m, [[0.0, 0.0], [0.9995, 0.0]], H)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_point_outside_the_margin_raises_unread(capfd):
+    # point 0 is good, point 1 violates the 2h margin: only point 0's stencil is read
+    base, seen = metric_family("lorentz2d"), []
+
+    def recorded(x):
+        seen.append(np.array(x).reshape(-1, 2))
+        return base.g(x)
+
+    m = MetricField(2, recorded, base.r_signs, base.domain, "recorded")
+    pts = np.array([[0.1, -0.2], [0.5995, 0.0], [0.2, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError):
+            _stacked_jet(m, pts, H)
+    assert len(seen) == 1 and np.array_equal(seen[0], _stencil(pts[:1], H)[0])
+    assert capfd.readouterr() == ("", "")
 
 
 def _nan_beyond_x0(base: MetricField, cut: float) -> MetricField:
@@ -86,8 +126,7 @@ def _nan_beyond_x0(base: MetricField, cut: float) -> MetricField:
     cut, NaN at the stencil point one step above it."""
     def g(x):
         m = base.g(x)
-        if x[0] > cut:
-            m[0, 0] = np.nan
+        m[x[..., 0] > cut, 0, 0] = np.nan
         return m
 
     return MetricField(base.dim, g, base.r_signs, base.domain, "nan_beyond_x0")
@@ -100,8 +139,6 @@ def _nan_beyond_x0(base: MetricField, cut: float) -> MetricField:
     lambda m, x: spin_connection_coeffs(m, x, H),
 ], ids=["christoffel", "relation", "compatibility", "spin_connection"])
 def test_non_finite_metric_rejected(kernel):
-    from kreintwist.geometry import SingularMetricError
-
     # NaN at the point itself, and NaN only at its stencil point x + h e_0
     for metric in (metric_family("lorentz4d", {"amp": float("nan")}),
                    _nan_beyond_x0(metric_family("lorentz4d"), 0.1 + H / 2)):
@@ -109,9 +146,26 @@ def test_non_finite_metric_rejected(kernel):
             kernel(metric, np.full(4, 0.1))
 
 
-def test_vielbein_rejects_a_non_finite_metric():
-    from kreintwist.geometry import SingularMetricError
+def test_a_stack_raises_its_first_bad_point_with_that_point_s_first_failed_check():
+    # point 0 fails only the last check (a NaN stencil reading), point 1 the
+    # first (a NaN metric at the point): point 0 raises, naming its own check
+    metric = _nan_beyond_x0(metric_family("lorentz4d"), 0.1 + H / 2)
+    pts = np.array([[0.1, 0.1, 0.1, 0.1], [0.3, 0.1, 0.1, 0.1]])
+    with pytest.raises(SingularMetricError, match=r"finite at a stencil point \(sample point 0,"):
+        _stacked_jet(metric, pts, H)
+    with pytest.raises(SingularMetricError, match=r"finite at the point \(sample point 0,"):
+        _stacked_jet(metric, pts[::-1], H)
+    # point 1 fails the first check and point 2 a later one (g_R not positive
+    # definite): point 1 raises, and no later check reads its NaN matrix
+    mixed = MetricField(2, lambda x: _diagonal(np.where(x[..., 1] > 0.3, np.nan, 1.0), x[..., 0]),
+                        np.array([1.0, 1.0]), np.array([[-1, 1], [-1, 1]]), "mixed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetricError, match=r"finite at the point \(sample point 1,"):
+            _stacked_jet(mixed, [[0.5, 0.0], [0.5, 0.5], [-0.5, 0.0]], H)
 
+
+def test_vielbein_rejects_a_non_finite_metric():
     # both frame guards are false for NaN, so without a finiteness check the
     # frames themselves would come back NaN
     with pytest.raises(SingularMetricError, match="not finite"):
@@ -202,18 +256,22 @@ def test_reflection_isometry_exact():
 def test_reflection_isometry_over_a_stack_is_its_worst_point():
     # an off-diagonal entry between directions of opposite reflection sign
     # breaks r g r = g by twice its size
-    m = MetricField(2, lambda x: np.array([[1.0, x[0]], [x[0], -1.0]]), np.array([1.0, -1.0]),
-                    np.array([[-1, 1], [-1, 1]]), "skew")
+    def skew(x):
+        m = _diagonal(np.ones(x.shape[:-1]), -1.0)
+        m[..., 0, 1] = m[..., 1, 0] = x[..., 0]
+        return m
+
+    m = MetricField(2, skew, np.array([1.0, -1.0]), np.array([[-1, 1], [-1, 1]]), "skew")
     pts = np.array([[0.1, 0.0], [0.3, 0.0], [-0.2, 0.0]])
     assert reflection_isometry_residual(m, pts) == max(reflection_isometry_residual(m, x) for x in pts) == 0.6
 
 
 def test_vielbein_examples():
-    flat = MetricField(2, lambda x: np.eye(2), np.array([1.0, 1.0]), np.array([[-1, 1], [-1, 1]]),
+    flat = MetricField(2, _constant(np.eye(2)), np.array([1.0, 1.0]), np.array([[-1, 1], [-1, 1]]),
                        "flat")
     e, einv = _frames(flat.g_at(np.zeros(2)))
     assert np.array_equal(e, np.eye(2))
-    m = MetricField(2, lambda x: np.diag([4.0, -9.0]), np.array([1.0, -1.0]),
+    m = MetricField(2, _constant(np.diag([4.0, -9.0])), np.array([1.0, -1.0]),
                     np.array([[-1, 1], [-1, 1]]), "const")
     e, einv = _frames(m.g_at(np.zeros(2)))
     assert np.allclose(e, np.diag([0.5, 1.0 / 3.0]))
@@ -236,7 +294,7 @@ def test_vielbein_joint_orthonormality():
 def test_vielbein_rejects_nondiagonal():
     bad = MetricField(
         2,
-        lambda x: np.array([[1.0, 0.3], [0.3, 1.0]]),
+        _constant([[1.0, 0.3], [0.3, 1.0]]),
         np.array([1.0, 1.0]),
         np.array([[-1, 1], [-1, 1]]),
         "skew",
@@ -277,7 +335,7 @@ def test_dirac_flat_constant_spinor():
     m = metric_family("flat4d")
     rep = build_gammas(Signature(1, 3))
     psi0 = np.array([1.0, 2.0, -1j, 0.5])
-    psi = SpinorField(lambda x: psi0)
+    psi = SpinorField(_constant(psi0))
     out = dirac_apply_pseudo(m, rep, psi, np.zeros(4), H)
     assert np.linalg.norm(out) <= 1e-13
 
@@ -301,7 +359,7 @@ def _poly_spinor(dim_spinor, dim_chart, rng):
     w = rng.normal(size=(dim_spinor, dim_chart))
 
     def f(x):
-        return alpha + v @ x + 0.5j * (w @ x) ** 2
+        return alpha + _matvec(v, x) + 0.5j * _matvec(w, x) ** 2
 
     def g(x, mu):
         return v[:, mu] + 1j * (w @ x) * w[:, mu]
@@ -403,7 +461,7 @@ def test_a_nan_spinor_value_fails_only_its_point_of_a_stack():
     ops = build_structural(rep)
     trig = trig_spinor(4, 4, np.random.default_rng(5))
     pts = np.array([[0.1, -0.2, 0.3, 0.15], [-0.3, 0.1, -0.1, 0.4], [0.25, 0.3, 0.2, -0.35]])
-    psi = SpinorField(lambda x: np.full(4, np.nan) if np.array_equal(x, pts[1]) else trig(x))
+    psi = SpinorField(lambda x: np.where(np.all(x == pts[1], axis=-1)[..., None], np.nan, trig(x)))
     got = _dirac_decompositions(m, rep, ops, psi, pts, H)
     assert np.isnan(got[1][0])
     for i in (0, 2):

@@ -7,6 +7,8 @@ floating-point results, at several points and two steps of every metric
 family, plus non-diagonal metrics for the kernels that accept them.  A
 stacked jet over several points, and the connection, Dirac assembly and
 Dirac decomposition over it, must equal the references point by point too.
+The fields themselves read a stack of points with the bits of one reading
+per point.
 """
 
 from functools import partial
@@ -27,11 +29,13 @@ from kreintwist.geometry import (
     _relation_residual,
     _spinor_jet,
     _stacked_jet,
+    _stencil,
     christoffel,
     dirac_apply_pseudo,
     dirac_decomposition_check,
     metric_compatibility_residual,
     metric_family,
+    plane_wave_spinor,
     spin_connection_coeffs,
     trig_spinor,
 )
@@ -214,22 +218,30 @@ def _points(metric, count=10):
                                      for _ in range(count - 1)]
 
 
+def _matrix(rows) -> np.ndarray:
+    """The matrix with entries rows[m][n] at each point, the entries broadcast
+    over the point axes."""
+    flat = np.stack(np.broadcast_arrays(*(entry for row in rows for entry in row)), axis=-1)
+    return flat.reshape(flat.shape[:-1] + (len(rows), len(rows)))
+
+
 def _nondiagonal_metrics():
     """Symmetric non-diagonal fields on which every component moves with every
-    coordinate: Euclidean in 2d, Lorentzian in 4d with r g r = g."""
+    coordinate: Euclidean in 2d, Lorentzian in 4d with r g r = g.  Both read
+    a stack of points, like the families."""
     def g2(x):
-        u = 0.9 * x[0] - 0.6 * x[1]
+        u = 0.9 * x[..., 0] - 0.6 * x[..., 1]
         c = 0.3 * np.cos(u)
-        return np.array([[1.0 + 0.2 * np.sin(x[0] + x[1]), c], [c, 1.2 + 0.1 * u ** 2]])
+        return _matrix([[1.0 + 0.2 * np.sin(x[..., 0] + x[..., 1]), c], [c, 1.2 + 0.1 * u ** 2]])
 
     def g4(x):
-        u = x @ np.array([1.0, -0.7, 0.4, 0.9])
-        v = x @ np.array([0.3, 0.8, -0.6, 0.5])
+        u = np.vecdot(x, np.array([1.0, -0.7, 0.4, 0.9]))
+        v = np.vecdot(x, np.array([0.3, 0.8, -0.6, 0.5]))
         a, b, c = 0.2 * np.sin(u), 0.15 * np.cos(v), 0.1 * np.sin(u + v)
-        return np.array([[1.2 + 0.1 * np.sin(v), 0.0, 0.0, 0.0],
-                         [0.0, -(1.5 + 0.1 * np.cos(u)), a, b],
-                         [0.0, a, -(1.6 + 0.1 * np.sin(u - v)), c],
-                         [0.0, b, c, -(1.7 + 0.1 * u * v)]])
+        return _matrix([[1.2 + 0.1 * np.sin(v), 0.0, 0.0, 0.0],
+                        [0.0, -(1.5 + 0.1 * np.cos(u)), a, b],
+                        [0.0, a, -(1.6 + 0.1 * np.sin(u - v)), c],
+                        [0.0, b, c, -(1.7 + 0.1 * u * v)]])
 
     box2 = np.array([[-0.6, 0.6]] * 2)
     box4 = np.array([[-0.6, 0.6]] * 4)
@@ -339,3 +351,26 @@ def test_a_stacked_dirac_assembly_matches_the_loops_point_by_point(name, h):
         assert got.shape == (len(pts), rep.dim)
         for i, x in enumerate(pts):
             assert bits(got[i]) == bits(ref_dirac_sum(psi, x, h, e[i], conn[i], left, right, unit))
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+@pytest.mark.parametrize("h", STEPS)
+def test_a_metric_reads_a_stencil_stack_as_its_points(metric, h):
+    stack = _stencil(np.array(_points(metric, 5)), h)
+    assert stack.shape == (5, 1 + 2 * metric.dim, metric.dim)
+    got = metric.g_at(stack)
+    for i, j in np.ndindex(stack.shape[:2]):
+        assert bits(got[i, j]) == bits(metric.g_at(stack[i, j])), (i, j)
+
+
+@pytest.mark.parametrize("dim", (2, 4))
+@pytest.mark.parametrize("h", STEPS)
+def test_a_spinor_reads_a_stencil_stack_as_its_points(dim, h):
+    rng = np.random.default_rng(dim)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    stack = _stencil(np.array(_points(metric_family(f"flat{dim}d"), 5)), h)
+    assert stack.shape == (5, 1 + 2 * dim, dim)
+    for psi in (trig_spinor(dim, dim, rng), plane_wave_spinor(rng.normal(size=dim), psi0)):
+        got = psi(stack)
+        for i, j in np.ndindex(stack.shape[:2]):
+            assert bits(got[i, j]) == bits(psi(stack[i, j])), (i, j)

@@ -14,9 +14,10 @@ geometry sample set builds one stacked metric jet and every row over the set
 reads it; the ``geometry._stacked_jet`` builds of a geometry run and the
 points they hold show that, and the ``geometry._frames`` count that the
 frames of g and of the stencil points are built once per sample set.  The
-family rows that read the metric itself read it once per point, as the
-count of ``MetricField.g_at`` calls shows, and each side of a Dirac
-decomposition is assembled once over its points (``geometry._dirac_sum``).
+metric and the spinor are read in one call per sample set, each point once,
+as the counts of ``MetricField.g_at`` and ``SpinorField`` calls and the
+points they hold show, and each side of a Dirac decomposition is assembled
+once over its points (``geometry._dirac_sum``).
 """
 
 import sys
@@ -156,21 +157,44 @@ def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
     assert len(calls) <= 28
 
 
-def test_geometry_run_reads_the_metric_once_per_family_row_point(monkeypatch):
+def _count_points(monkeypatch, cls, name) -> list:
+    """One entry per call of the field reader ``cls.name``: the points it reads."""
     calls = []
-    g_at = geometry.MetricField.g_at
+    read = getattr(cls, name)
 
-    def counted(metric, x):
-        calls.append(1)
-        return g_at(metric, x)
+    def counted(field, x):
+        calls.append(int(np.prod(np.shape(x)[:-1])))
+        return read(field, x)
 
-    monkeypatch.setattr(geometry.MetricField, "g_at", counted)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_geometry_run_reads_the_metric_once_per_family_row_point(monkeypatch):
+    calls = _count_points(monkeypatch, geometry.MetricField, "g_at")
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
-    # 241: 201 for the 12 jets over 33 points (each point and its 2 dim
+    # 20 calls since the metric reads a stack: one per jet (12) and one per
+    # vielbein and reflection row of the 4 families (8); 241 calls, one per
+    # point, while it read one point at a time
+    assert len(calls) <= 20
+    # 241 points: 201 for the 12 jets over 33 points (each point and its 2 dim
     # stencil points) and 40 for the 4 families' vielbein and reflection rows,
     # one reading per row and point; 301 while those rows read g three times
     # and twice per point
-    assert len(calls) <= 241
+    assert sum(calls) <= 241
+
+
+def test_geometry_run_reads_each_spinor_stack_in_one_call(monkeypatch):
+    calls = _count_points(monkeypatch, geometry.SpinorField, "__call__")
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 5 calls since the spinor reads a stack: one per decomposition, one for
+    # the plane-wave oracle's spinor jet and one for its symbol side; 62 calls,
+    # one per point, while it read one point at a time
+    assert len(calls) <= 5
+    # 62 points: the 3, 3 and 2 decomposition points with their stencils in
+    # dimension 4, 2 and 2 (27 + 15 + 10), the oracle's point with its
+    # stencil (9) and its symbol side's point (1)
+    assert sum(calls) <= 62
 
 
 def test_geometry_run_assembles_each_dirac_side_once_over_its_points(monkeypatch):

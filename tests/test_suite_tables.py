@@ -106,9 +106,11 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
               for fi, name in enumerate(su.CHECKED_FAMILIES)}
     g_at = su.geo.MetricField.g_at
 
-    def nan_at_second_point(metric, x):
+    def nan_at_second_point(metric, x):  # the NaN goes to the second point's row of each stack
         g = g_at(metric, x)
-        return np.full_like(g, math.nan) if np.array_equal(x, second.get(metric.name)) else g
+        if metric.name not in second:
+            return g
+        return np.where(np.all(np.asarray(x) == second[metric.name], axis=-1)[..., None, None], math.nan, g)
 
     monkeypatch.setattr(su.geo.MetricField, "g_at", nan_at_second_point)
     recs = [rec for rec in run(cfg).records if rec.check_id.endswith(".reflection_isometry")]
@@ -131,15 +133,15 @@ def test_a_bad_family_point_fails_exactly_the_rows_that_read_its_jet(monkeypatch
     family = "lorentz2d"
     fi = su.CHECKED_FAMILIES.index(family)
     third = su._family_points(su.geo.metric_family(family), 5, su._stream(cfg.seed, 3, fi), cfg.fd_step)[2]
-    validate_at = su.geo.MetricField.validate_at
+    validate = su.geo.MetricField.validate
 
-    def raise_at_third(metric, x):
-        if metric.name == family and np.array_equal(x, third):
+    def raise_at_third(metric, x, readings):
+        if metric.name == family and np.all(x == third, axis=-1).any():
             raise su.geo.SingularMetricError("injected at the third sample point")
-        return validate_at(metric, x)
+        return validate(metric, x, readings)
 
     want = {rec.check_id: rec.residual for rec in run(cfg).records}
-    monkeypatch.setattr(su.geo.MetricField, "validate_at", raise_at_third)
+    monkeypatch.setattr(su.geo.MetricField, "validate", raise_at_third)
     got = {rec.check_id: rec.residual for rec in run(cfg).records}
     changed = {check_id for check_id in want if got[check_id] != want[check_id]}
     rows = ("christoffel_symmetry", "relat_christos", "metric_compatibility",
@@ -157,15 +159,15 @@ def test_a_bad_decomposition_point_fails_that_row_alone(monkeypatch):
     rng = su._stream(cfg.seed, 3, 5)  # the row's stream: its spinor, then its three points
     su.geo.trig_spinor(cl.build_gammas(Signature(1, 1)).dim, metric.dim, rng)
     second = su._family_points(metric, 3, rng, cfg.fd_step)[1]
-    validate_at = su.geo.MetricField.validate_at
+    validate = su.geo.MetricField.validate
 
-    def raise_at_second(m, x):
-        if m.name == family and np.array_equal(x, second):
+    def raise_at_second(m, x, readings):
+        if m.name == family and np.all(x == second, axis=-1).any():
             raise su.geo.SingularMetricError("injected at the second decomposition point")
-        return validate_at(m, x)
+        return validate(m, x, readings)
 
     want = {rec.check_id: rec.residual for rec in run(cfg).records}
-    monkeypatch.setattr(su.geo.MetricField, "validate_at", raise_at_second)
+    monkeypatch.setattr(su.geo.MetricField, "validate", raise_at_second)
     got = {rec.check_id: rec.residual for rec in run(cfg).records}
     assert {check_id for check_id in want if got[check_id] != want[check_id]} == {row}
     assert got[row] == math.inf
