@@ -171,6 +171,11 @@ def string_product(strings) -> PauliString:
     return reduce(operator.matmul, strings, PauliString(0, 0, 0))
 
 
+def _signature_strings(hats: list[PauliString], signs: np.ndarray) -> list[PauliString]:
+    """The signature gammas: the hat strings, times i on minus directions."""
+    return [h if s > 0 else PauliString(1, 0, 0) @ h for h, s in zip(hats, signs)]
+
+
 @dataclass(frozen=True)
 class CliffordRep:
     """Irreducible representation of the even Clifford algebra for ``sig``."""
@@ -224,21 +229,18 @@ def build_gammas(sig: Signature) -> CliffordRep:
 
     Plus directions reuse the Euclidean sigma strings; minus directions are
     their i-multiples, which makes gamma_a^dagger = g_a gamma_a automatic.
+    The relations are checked exactly on the strings: every pair anticommutes
+    (|x_a & z_b| + |z_a & x_b| is odd) and gamma_a^2 is the identity times g_a.
     """
-    hats = [h.matrix(sig.m) for h in sigma_strings(sig.m)]
-    signs = sig.signs
+    hat_strings, signs = sigma_strings(sig.m), sig.signs
+    strings = _signature_strings(hat_strings, signs)
+    if not (all(((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2
+                for a, b in itertools.combinations(strings, 2))
+            and all(g @ g == PauliString(0 if s > 0 else 2, 0, 0) for g, s in zip(strings, signs))):
+        raise ConstructionError("Clifford relations violated by the gamma strings")
+    hats = [h.matrix(sig.m) for h in hat_strings]
     gammas = [h if s > 0 else 1j * h for h, s in zip(hats, signs)]
-    rep = CliffordRep(
-        sig=sig,
-        m=sig.m,
-        gammas=tuple(gammas),
-        signs=signs,
-        hat_gammas=tuple(hats),
-    )
-    worst = _worst(rep.relation_residuals)
-    if not worst <= BUILD_TOL:
-        raise ConstructionError(f"Clifford relations violated, residual {worst:.3e}")
-    return rep
+    return CliffordRep(sig=sig, m=sig.m, gammas=tuple(gammas), signs=signs, hat_gammas=tuple(hats))
 
 
 def represent(rep: CliffordRep, v) -> np.ndarray:
@@ -351,7 +353,7 @@ def build_structural(rep: CliffordRep) -> StructuralOps:
     Each is a phase times a Pauli string, so each is classified as a
     ``linalg.SignedPermutation`` (C and Chat through J and Jhat)."""
     sig, hats = rep.sig, sigma_strings(rep.m)
-    gammas = [h if s > 0 else PauliString(1, 0, 0) @ h for h, s in zip(hats, sig.signs)]
+    gammas = _signature_strings(hats, sig.signs)
     twist = gammas[: sig.p] if sig.p % 2 == 1 else gammas[sig.p :]
     K, Gamma = (signed_permutation(string_product(g).normalized().matrix(rep.m))
                 for g in (twist, gammas))

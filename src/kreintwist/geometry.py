@@ -93,6 +93,9 @@ class MetricField:
             raise ValueError("one reflection sign per direction required")
         if not np.all(np.abs(self.r_signs) == 1.0):
             raise ValueError("reflection signs must be +-1")
+        d = self.domain
+        if d.shape != (self.dim, 2) or not (np.isfinite(d).all() and np.all(d[:, 0] < d[:, 1])):
+            raise ValueError("domain must hold one finite interval lo < hi per direction, shape (dim, 2)")
 
     def g_at(self, x) -> np.ndarray:
         """g at the point x, or at every point of a stack x (..., dim)."""
@@ -113,9 +116,16 @@ class MetricField:
         failed one so far, all of which passed every earlier check, so det
         and eigvalsh see finite matrices alone."""
         s = self.r_signs
+
+        def symmetric(g, _):  # exact equality decides; only the other points are normed
+            ok = (g == np.swapaxes(g, -1, -2)).all(axis=(-2, -1))
+            if not ok.all():
+                ok[~ok] = norm_within(g[~ok] - np.swapaxes(g[~ok], -1, -2), 1e-12)
+            return ok
+
         checks = (
             (lambda g, _: np.isfinite(g).all(axis=(-2, -1)), "metric components not finite at the point"),
-            (lambda g, _: norm_within(g - np.swapaxes(g, -1, -2), 1e-12), "metric components not symmetric"),
+            (symmetric, "metric components not symmetric"),
             (lambda g, _: ~(np.abs(np.linalg.det(g)) < 1e-10), "metric not invertible at the point"),
             (lambda g, _: ~(np.min(np.linalg.eigvalsh((g * s + np.swapaxes(g * s, -1, -2)) / 2), axis=-1) < 1e-8),
              "g_R not positive definite: r is not spacelike here"),
@@ -267,13 +277,13 @@ def _stacked_jet(metric: MetricField, points, h: float) -> _Jet:
     g, up, down = readings[:, 0], readings[:, 1:dim + 1], readings[:, dim + 1:]
     gR = g * s
     try:
-        ginv, gRinv = np.linalg.inv(g), np.linalg.inv(gR)
+        inverses = np.linalg.inv(np.stack((g, gR)))  # one matrix at a time: the bits of two calls
     except np.linalg.LinAlgError as exc:  # pragma: no cover - validate guards
         raise SingularMetricError(str(exc)) from exc
     dg = (up - down) / (2.0 * h)
     dgR = (up * s - down * s) / (2.0 * h)  # differences of g_R = g r readings, signed zeros too
-    x, s, *arrays = map(_read_only, (x, s, g, gR, ginv, gRinv, up, down, dg, dgR,
-                                     _levi_civita(ginv, dg), _levi_civita(gRinv, dgR)))
+    gamma, gammaR = _levi_civita(inverses, np.stack((dg, dgR)))
+    x, s, *arrays = map(_read_only, (x, s, g, gR, *inverses, up, down, dg, dgR, gamma, gammaR))
     return _Jet(x, h, s, *arrays)
 
 
@@ -364,31 +374,34 @@ def _frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 / np.sqrt(d))[..., None] * eye, np.sqrt(d)[..., None] * eye
 
 
-def _vielbein_derivatives(jet: _Jet) -> tuple[np.ndarray, np.ndarray]:
-    """dE[mu, a, lam] = d_mu e_a^lam and dEinv[mu, a, lam] = d_mu e^a_lam."""
-    (e_up, einv_up), (e_down, einv_down) = _frames(jet.up), _frames(jet.down)
-    return (e_up - e_down) / (2.0 * jet.h), (einv_up - einv_down) / (2.0 * jet.h)
+def _jet_frames(jet: _Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(E, Einv) of g and dE[mu, a, lam] = d_mu e_a^lam, dEinv[mu, a, lam] =
+    d_mu e^a_lam, from one ``_frames`` call over g and its stencil readings."""
+    dim = len(jet.s)
+    e, einv = _frames(np.concatenate((jet.g[..., None, :, :], jet.up, jet.down), axis=-3))
+    return (e[..., 0, :, :], einv[..., 0, :, :],
+            *((f[..., 1:dim + 1, :, :] - f[..., dim + 1:, :, :]) / (2.0 * jet.h) for f in (e, einv)))
 
 
 def spin_connection_coeffs(metric: MetricField, x, h: float = 1e-3) -> dict:
     """``_connection`` of the jet at x."""
     jet = _jet(metric, x, h)
-    return _connection(jet, _frames(jet.g))
+    return _connection(jet, _jet_frames(jet))
 
 
-def _to_frame(frames: tuple[np.ndarray, np.ndarray], de: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _to_frame(frames: tuple[np.ndarray, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """The map from coordinate coefficients c^lam_{mu nu} to frame ones in the
-    frames (E, Einv) with derivatives de[mu, a, lam] = d_mu e_a^lam:
+    frames (E, Einv, dE, ...) of ``_jet_frames``, dE[mu, a, lam] = d_mu e_a^lam:
     e^b_lam d_mu e_a^lam + e^b_lam c^lam_{mu nu} e_a^nu, indexed [b, mu, a]."""
-    e, einv = frames
+    e, einv, de = frames[:3]
     # the frames are diagonal, so every sum below has at most one nonzero term
     d_frame = np.einsum("...bl,...mal->...bma", einv, de)
     return lambda c: d_frame + np.einsum("...bmn,...an->...bma", np.einsum("...bl,...lmn->...bmn", einv, c), e)
 
 
-def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
+def _connection(jet: _Jet, frames: tuple[np.ndarray, ...]) -> dict:
     """Frame connection coefficients for g, g_R, the reflected frame and the
-    twist correction, in the frames (E, Einv) = ``_frames(jet.g)``.
+    twist correction, in the frames of g and their derivatives ``_jet_frames(jet)``.
 
     Returns arrays keyed "Gamma_b_mu_a", "GammaR_b_mu_a", "K_b_mu_a" and
     "refl_frame_b_mu_a", each indexed [b, mu, a] (after the point axis of
@@ -401,10 +414,9 @@ def _connection(jet: _Jet, frames: tuple[np.ndarray, np.ndarray]) -> dict:
     with d_a = e_a^nu d_nu, d_{ra} = g_a d_a, and d_mu g_a = 0 for the
     constant reflection, so that last term drops.
     """
-    e, einv = frames
-    de, dei = _vielbein_derivatives(jet)
+    e, einv, _, dei = frames
     s, gamma = jet.s, jet.gamma  # diagonal alignment: frame sign a = r sign a
-    to_frame = _to_frame(frames, de)
+    to_frame = _to_frame(frames)
     refl = np.einsum("...aml,...bl->...bma", np.einsum("...an,...lmn->...aml", e, _reflect(s, gamma)), einv)
     d_ra_g = s[:, None, None] * np.einsum("...an,...nmk->...amk", e, jet.dg)
     d_a_gr = np.einsum("...an,...nmk->...amk", e, jet.dgR)
@@ -515,8 +527,8 @@ def dirac_apply_pseudo(
     assembly of a one-point stack.
     """
     jet = _stacked_jet(metric, [x], h)
-    frames = _frames(jet.g)
-    conn = _to_frame(frames, _vielbein_derivatives(jet)[0])(jet.gamma)
+    frames = _jet_frames(jet)
+    conn = _to_frame(frames)(jet.gamma)
     return _dirac_sum(*_spinor_jet(psi, jet.x, h), frames[0], conn, rep.gammas, _lowered(rep, jet.s), 1j)[0]
 
 
@@ -543,7 +555,7 @@ def _dirac_decompositions(metric: MetricField, rep: CliffordRep, ops, psi: Spino
     """``dirac_decomposition_check`` at each of ``points``: one stacked jet,
     connection and spinor jet, and one ``_dirac_sum`` over the points per side."""
     jet = _stacked_jet(metric, points, h)
-    frames = _frames(jet.g)
+    frames = _jet_frames(jet)
     coeffs = _connection(jet, frames)
     spinor, e = _spinor_jet(psi, jet.x, h), frames[0]
     gt = [ops.K @ g for g in rep.gammas]

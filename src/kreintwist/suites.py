@@ -547,7 +547,7 @@ class _FamilyContext:
     @cached_property
     def connection(self) -> dict:
         """The frame connection coefficients over the sample points, computed once."""
-        return geo._connection(self.jet, geo._frames(self.jet.g))
+        return geo._connection(self.jet, geo._jet_frames(self.jet))
 
 
 def _vielbein_orthonormality(f: _FamilyContext) -> float:

@@ -80,6 +80,20 @@ def test_out_of_domain_and_margin():
         christoffel(m, False, np.array([0.5999, 0.0]), H)
 
 
+@pytest.mark.parametrize("domain", [
+    [[-1.0, 1.0]],  # one interval for two directions: it would broadcast
+    [[-1.0, 1.0]] * 3,  # one interval too many: it would fail at the first jet
+    [[-1.0, 1.0, 2.0]] * 2,
+    [[-1.0, 1.0], [0.5, 0.5]],  # empty
+    [[-1.0, 1.0], [0.5, -0.5]],  # reversed
+    [[-1.0, 1.0], [-np.inf, 1.0]],
+    [[-1.0, 1.0], [np.nan, 1.0]],
+], ids=["1x2", "3x2", "2x3", "empty", "reversed", "infinite", "nan"])
+def test_a_domain_must_hold_one_finite_interval_per_direction(domain):
+    with pytest.raises(ValueError, match="domain"):
+        MetricField(2, _constant(np.eye(2)), np.array([1.0, 1.0]), np.array(domain), "bad-domain")
+
+
 def test_singular_metric_rejected():
     m = MetricField(2, lambda x: _diagonal(x[..., 0], 1.0), np.array([1.0, 1.0]),
                     np.array([[-1, 1], [-1, 1]]), "degenerate")

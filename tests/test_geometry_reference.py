@@ -7,6 +7,9 @@ floating-point results, at several points and two steps of every metric
 family, plus non-diagonal metrics for the kernels that accept them.  A
 stacked jet over several points, and the connection, Dirac assembly and
 Dirac decomposition over it, must equal the references point by point too.
+The jet's stacked steps (one frames call over g and its stencil readings,
+one inverse and one Levi-Civita call over g and g_R) hold the bits of the
+separate calls they replace.
 The fields themselves read a stack of points with the bits of one reading
 per point.
 """
@@ -16,16 +19,20 @@ from functools import partial
 import numpy as np
 import pytest
 
+from kreintwist import geometry
 from kreintwist.clifford import Signature, build_gammas, build_structural
 from kreintwist.geometry import (
     FAMILY_PARAMS,
     MetricField,
+    SingularMetricError,
     _compatibility_residual,
     _connection,
     _dirac_decompositions,
     _dirac_sum,
     _frames,
     _jet,
+    _jet_frames,
+    _levi_civita,
     _relation_residual,
     _spinor_jet,
     _stacked_jet,
@@ -292,7 +299,7 @@ def test_a_stacked_jet_matches_the_loops_point_by_point(name, h):
     jet = _stacked_jet(metric, pts, h)
     relation = _relation_residual(jet)
     compatibility = {use_gR: _compatibility_residual(jet, use_gR) for use_gR in (False, True)}
-    connection = _connection(jet, _frames(jet.g))
+    connection = _connection(jet, _jet_frames(jet))
     for i, x in enumerate(pts):
         assert bits(jet.gamma[i]) == bits(ref_christoffel(metric, False, x, h))
         assert bits(jet.gammaR[i]) == bits(ref_christoffel(metric, True, x, h))
@@ -340,7 +347,7 @@ def test_a_stacked_dirac_assembly_matches_the_loops_point_by_point(name, h):
     psi = trig_spinor(rep.dim, metric.dim, np.random.default_rng(5))
     pts = _points(metric, 5)
     jet = _stacked_jet(metric, pts, h)
-    frames = _frames(jet.g)
+    frames = _jet_frames(jet)
     coeffs, e = _connection(jet, frames), frames[0]
     lowered = [metric.r_signs[b] * rep.gammas[b] for b in range(metric.dim)]
     gt = [ops.K @ g for g in rep.gammas]
@@ -374,3 +381,61 @@ def test_a_spinor_reads_a_stencil_stack_as_its_points(dim, h):
         got = psi(stack)
         for i, j in np.ndindex(stack.shape[:2]):
             assert bits(got[i, j]) == bits(psi(stack[i, j])), (i, j)
+
+
+def _one_point_and_stacked_jets(metric, h):
+    """The jets of one point and of five points of ``metric``."""
+    pts = _points(metric, 5)
+    return _jet(metric, pts[1], h), _stacked_jet(metric, pts, h)
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_one_frames_call_holds_the_bits_of_three(name, h, monkeypatch):
+    calls = []
+    frames = geometry._frames
+    monkeypatch.setattr(geometry, "_frames", lambda g: calls.append(g.shape) or frames(g))
+    for jet in _one_point_and_stacked_jets(metric_family(name), h):
+        (e, einv), up, down = frames(jet.g), frames(jet.up), frames(jet.down)
+        want = (e, einv, (up[0] - down[0]) / (2.0 * h), (up[1] - down[1]) / (2.0 * h))
+        got = _jet_frames(jet)
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
+    assert len(calls) == 2  # one per jet
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_the_stacked_inverse_and_levi_civita_hold_the_bits_of_two_calls(name, h):
+    for jet in _one_point_and_stacked_jets(metric_family(name), h):
+        ginv, gRinv = np.linalg.inv(jet.g), np.linalg.inv(jet.gR)
+        assert (bits(jet.ginv), bits(jet.gRinv)) == (bits(ginv), bits(gRinv))
+        assert bits(jet.gamma) == bits(_levi_civita(ginv, jet.dg))
+        assert bits(jet.gammaR) == bits(_levi_civita(gRinv, jet.dgR))
+
+
+def _skewed(metric, skew, where=None):
+    """``metric`` with ``skew`` added to g_01 alone, at every point or at the
+    point ``where`` only: g is no longer exactly symmetric there."""
+    def g(x):
+        m = metric.g(x)
+        m[..., 0, 1] += skew if where is None else np.where((x == where).all(axis=-1), skew, 0.0)
+        return m
+
+    return MetricField(metric.dim, g, metric.r_signs, metric.domain, f"skewed_{metric.name}")
+
+
+@pytest.mark.parametrize("name", tuple(FAMILY_PARAMS))
+@pytest.mark.parametrize("h", STEPS)
+def test_a_metric_symmetric_within_the_bound_passes_and_one_beyond_it_fails(name, h):
+    metric = metric_family(name)
+    pts = _points(metric, 5)
+    near = _skewed(metric, 4e-13)  # |g - g^T| = 4e-13: the norm decides, and passes
+    for jet in (_jet(near, pts[1], h), _stacked_jet(near, pts, h)):
+        assert not np.array_equal(jet.g, np.swapaxes(jet.g, -1, -2))
+    far = _skewed(metric, 1e-9, where=pts[2])
+    _stacked_jet(far, pts[:2], h)  # exact equality decides the points before
+    with pytest.raises(SingularMetricError, match=r"metric components not symmetric \(sample point 2, "):
+        _stacked_jet(far, pts, h)
+    with pytest.raises(SingularMetricError, match=r"metric components not symmetric \(sample point 0, "):
+        _jet(far, pts[2], h)

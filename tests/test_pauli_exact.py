@@ -16,6 +16,11 @@ bit prediction:
   common sign of its terms;
 * eps0, J^2 = C conj(C) = (X^x Z^z)^2: (-1)^|x_C & z_C|.
 
+The Clifford relations themselves are exact on the strings:
+omega(gamma_a, gamma_b) = 1 for a != b, and gamma_a gamma_a is the string
+of the sign g_a.  ``build_gammas`` checks them on the strings, so a pair
+of strings that commutes stops the construction.
+
 The strings' matrices are compared with the float route the package used
 before (kron loops, BLAS products, a numeric phase scan) on every signature
 of dimension 2-12, and the predictions with the measurements.
@@ -37,6 +42,8 @@ from kreintwist.clifford import (
     string_product,
 )
 from kreintwist.product import signature_emergence
+from kreintwist.report import SuiteConfig
+from kreintwist.suites import run
 
 from conftest import dense_product, kron_gammas, phase_scan
 
@@ -145,6 +152,30 @@ def test_measured_signs_equal_the_bit_predictions(built):
     assert cl.sign_table(rep, ops, d) == predicted
     assert predicted.eps1K == predicted.eps * predicted.eps1
     assert predicted.eps3 == predicted.eps_prime * predicted.eps3K
+
+
+def test_clifford_relations_are_exact(built):
+    sig, _, _ = built
+    g = gamma_strings(sig)
+    for a, b in itertools.combinations(range(sig.dim), 2):
+        assert omega(g[a], g[b]) == 1  # gamma_a gamma_b = -gamma_b gamma_a
+    for g_a, s in zip(g, sig.signs):
+        assert g_a @ g_a == (PauliString(0, 0, 0) if s > 0 else MINUS)
+
+
+def test_a_commuting_pair_of_strings_stops_the_construction(monkeypatch):
+    strings = sigma_strings
+
+    def commuting(m):
+        out = strings(m)
+        return [out[0], out[0], *out[2:]]  # gamma_0 and gamma_1 commute
+
+    monkeypatch.setattr(cl, "sigma_strings", commuting)
+    for sig in (Signature(2, 0), Signature(1, 3)):
+        with pytest.raises(cl.ConstructionError, match="Clifford relations"):
+            build_gammas(sig)
+    records = run(SuiteConfig(suites=("clifford",), signatures=((1, 3),))).records
+    assert records and all(r.residual == float("inf") and not r.passed for r in records)
 
 
 def test_grading_and_twist_relations_are_exact(built):

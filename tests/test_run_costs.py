@@ -13,7 +13,9 @@ every kernel; the ``as_cmat`` count of a default run shows that too.  A
 geometry sample set builds one stacked metric jet and every row over the set
 reads it; the ``geometry._stacked_jet`` builds of a geometry run and the
 points they hold show that, and the ``geometry._frames`` count that the
-frames of g and of the stencil points are built once per sample set.  The
+frames of g and of the stencil points are built in one call per sample set.
+The gammas are checked exactly on their Pauli strings when they are built,
+so only the clifford rows evaluate ``CliffordRep.relation_residuals``.  The
 metric and the spinor are read in one call per sample set, each point once,
 as the counts of ``MetricField.g_at`` and ``SpinorField`` calls and the
 points they hold show, and each side of a Dirac decomposition is assembled
@@ -21,6 +23,7 @@ once over its points (``geometry._dirac_sum``).
 """
 
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -148,13 +151,41 @@ def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
     calls = []
     _wrap_everywhere(monkeypatch, geometry._frames, lambda args, out: calls.append(1))
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
-    # 28 since every sample set builds the frames of g and of the stencil points
-    # up and down once for its stacked jet: 21 for the 4 families and the 3
-    # decompositions, 3 for the plane-wave oracle, and 4 for the vielbein row,
-    # one per family; 44 while that row built the frames point by point, 107
-    # while the jets were built per point, 124 while the Dirac kernels built
-    # the frames of g three times per point
-    assert len(calls) <= 28
+    # 12 since every sample set builds the frames of g and of its stencil
+    # points in one call over the jet's readings: 7 for the 4 families and the
+    # 3 decompositions, 1 for the plane-wave oracle, and 4 for the vielbein
+    # row, one per family; 28 while each jet built them in three calls (g, up
+    # and down), 44 while that row built the frames point by point, 107 while
+    # the jets were built per point, 124 while the Dirac kernels built the
+    # frames of g three times per point
+    assert len(calls) <= 12
+
+
+def _count_relation_residuals(monkeypatch) -> list:
+    """One entry per evaluation of ``CliffordRep.relation_residuals``: its signature."""
+    calls = []
+    tables = vars(clifford.CliffordRep)["relation_residuals"].func
+
+    def counted(rep):
+        calls.append(rep.sig)
+        return tables(rep)
+
+    prop = cached_property(counted)
+    prop.__set_name__(clifford.CliffordRep, "relation_residuals")
+    monkeypatch.setattr(clifford.CliffordRep, "relation_residuals", prop)
+    return calls
+
+
+def test_only_the_clifford_rows_evaluate_the_relation_tables(monkeypatch):
+    calls = _count_relation_residuals(monkeypatch)
+    assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
+    # 0 since ``build_gammas`` checks the relations exactly on the strings; 3,
+    # one per geometry context ((1,3), (1,1) and (2,0)), while it took the
+    # dense SVD tables as its guard
+    assert calls == []
+    sigs = ((1, 3), (2, 2), (4, 0), (3, 3))
+    assert run(SuiteConfig(suites=("clifford",), signatures=sigs, seed=1234)).all_passed
+    assert calls == [clifford.Signature(*sig) for sig in sigs]  # once per signature
 
 
 def _count_points(monkeypatch, cls, name) -> list:
