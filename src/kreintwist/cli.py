@@ -24,6 +24,7 @@ from .report import (
     SUITE_ORDER,
     emit,
     parse_config_file,
+    read_config_items,
 )
 from .suites import run
 
@@ -31,6 +32,8 @@ ENV_CONFIG = "KREINTWIST_CONFIG"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flag values stay text: ``config_from_args`` reads them with the config
+    file's grammar (``report.read_config_items``)."""
     p = argparse.ArgumentParser(
         prog="verify",
         description="Run residual verification suites for twisted Clifford / Krein operator identities.",
@@ -47,11 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="signatures",
         nargs=2,
-        type=int,
         metavar=("P", "Q"),
         help="metric signature as plus/minus counts; repeatable",
     )
-    p.add_argument("--metric", dest="metric", metavar="NAME", help="metric family name")
+    p.add_argument("--metric", metavar="NAME", help="metric family name")
     p.add_argument(
         "--param",
         action="append",
@@ -59,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K=V",
         help="metric family parameter; repeatable",
     )
-    p.add_argument("--fd-step", dest="fd_step", type=float, metavar="H")
-    p.add_argument("--seed", dest="seed", type=int, metavar="N")
+    p.add_argument("--fd-step", metavar="H")
+    p.add_argument("--seed", metavar="N")
     p.add_argument(
         "--tol",
         action="append",
@@ -68,58 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS=EPS",
         help="tolerance override per check class; repeatable",
     )
-    p.add_argument("--format", dest="fmt", choices=("text", "json"))
-    p.add_argument("--out", dest="out", metavar="PATH")
-    p.add_argument("--config", dest="config", metavar="PATH", help="flat key=value config file")
+    p.add_argument("--format", metavar="{text,json}")
+    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     return p
 
 
-def _parse_kv(items, caster, what: str) -> dict:
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"{what} must look like NAME=VALUE, got '{item}'")
-        k, v = item.split("=", 1)
-        try:
-            out[k.strip()] = caster(v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad {what} value '{item}': {exc}") from exc
-    return out
+def _flag_items(args) -> list:
+    """The given flags as (flag, config-file key, text) triples."""
+    items = [(f"--{key.replace('_', '-')}", key, getattr(args, key))
+             for key in ("metric", "fd_step", "seed", "format", "out") if getattr(args, key) is not None]
+    if args.suites:
+        items.append(("--suite", "suites", ",".join(args.suites)))
+    if args.signatures:
+        items.append(("--signature", "signatures", ";".join(",".join(pq) for pq in args.signatures)))
+    for flag, prefix, given in (("--param", "param.", args.params), ("--tol", "tol.", args.tols)):
+        for item in given or []:
+            name, _, text = item.partition("=")
+            items.append((f"{flag} {item}", prefix + name.strip(), text))
+    return items
 
 
 def config_from_args(argv) -> SuiteConfig:
     args = build_parser().parse_args(argv)
-    values: dict = {"metric_params": {}, "tolerances": {}}
-
     path = args.config or os.environ.get(ENV_CONFIG)
-    if path:
-        values.update(parse_config_file(path))
-
-    if args.suites:
-        values["suites"] = tuple(args.suites)
-    if args.signatures:
-        values["signatures"] = tuple((p, q) for p, q in args.signatures)
-    if args.metric:
-        values["metric_family"] = args.metric
-    if args.params:
-        values["metric_params"] = {
-            **values.get("metric_params", {}),
-            **_parse_kv(args.params, float, "--param"),
-        }
-    if args.fd_step is not None:
-        values["fd_step"] = args.fd_step
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.tols:
-        values["tolerances"] = {
-            **values.get("tolerances", {}),
-            **_parse_kv(args.tols, float, "--tol"),
-        }
-    if args.fmt:
-        values["output_format"] = args.fmt
-    if args.out:
-        values["output_path"] = args.out
-
+    values = read_config_items(_flag_items(args), parse_config_file(path) if path else {})
     cfg = SuiteConfig(**values)
     cfg.validate()
     return cfg

@@ -44,7 +44,6 @@ from .linalg import (
     BUILD_TOL,
     AntilinearOp,
     ShapeError,
-    SignedPermutation,
     adjoint,
     norm_within,
     residual_norm,
@@ -66,7 +65,6 @@ __all__ = [
     "build_gammas",
     "represent",
     "represent_stack",
-    "twisted_represent_stack",
     "metric_pairing",
     "metric_pairings",
     "twist_parity_gaps",
@@ -258,34 +256,10 @@ def represent_stack(rep: CliffordRep, vs) -> np.ndarray:
     sigma1 and sigma2 slots share their support): the result is independent
     of the summation order, bit for bit.
     """
-    return _combine(rep, vs, rep.gamma_stack)
-
-
-def twisted_represent_stack(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
-    """K c(v) for every row v of a (k, n_gen) coefficient stack, byte for byte
-    ``ops.K @ represent_stack(rep, vs)``.
-
-    When K is a ``SignedPermutation``, one matrix product of the stack with
-    the K-premultiplied gammas replaces the gather of every c(v): each
-    K gamma_a is again a monomial matrix with entries in {0, +-1, +-i}, and
-    the rounding of each entry's sum commutes with the unit phase, so the
-    entries equal the gather's; zero entries are made +0.0, as the gather
-    makes them.  A dense K (a small one) multiplies c(v) as before, whose
-    zero entries BLAS may sign either way.
-    """
-    if not isinstance(ops.K, SignedPermutation):
-        return ops.K @ represent_stack(rep, vs)
-    out = _combine(rep, vs, ops.K @ rep.gamma_stack)
-    out += 0.0  # -0.0 -> +0.0
-    return out
-
-
-def _combine(rep: CliffordRep, vs, stack: np.ndarray) -> np.ndarray:
-    """sum_a v^a stack[a] for every row v of a (k, n_gen) coefficient stack."""
     vs = np.asarray(vs, dtype=np.complex128)
     if vs.ndim != 2 or vs.shape[1] != rep.n_gen:
         raise ShapeError(f"coefficient vector must have length {rep.n_gen}, got shape {vs.shape[1:]}")
-    flat = vs @ stack.reshape(rep.n_gen, rep.dim * rep.dim)
+    flat = vs @ rep.gamma_stack.reshape(rep.n_gen, rep.dim * rep.dim)
     return flat.reshape(len(vs), rep.dim, rep.dim)
 
 
@@ -306,7 +280,7 @@ def metric_pairings(rep: CliffordRep, us, vs) -> np.ndarray:
 def twist_parity_gaps(rep: CliffordRep, ops: "StructuralOps", vs) -> np.ndarray:
     """K c(v) K - c(rv) for every row v of a coefficient stack."""
     vs = np.asarray(vs)
-    return twisted_represent_stack(rep, ops, vs) @ ops.K - represent_stack(rep, rep.signs * vs)
+    return ops.K @ represent_stack(rep, vs) @ ops.K - represent_stack(rep, rep.signs * vs)
 
 
 def trace_metric_residuals(rep: CliffordRep, us, vs) -> np.ndarray:
@@ -369,9 +343,8 @@ def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
     automorphism_commutation.  Each relation quantified over the generators
     is one stacked table (``CliffordRep.gamma_table_norm``).
     """
-    c_inv, chat_inv = np.linalg.inv(ops.C), np.linalg.inv(ops.Chat)
-
-    # the automorphisms rho, chi, kappa (K and Gamma are Hermitian involutions)
+    # the automorphisms rho, chi, kappa (K and Gamma are Hermitian involutions);
+    # J x J^-1 = C conj(x) C^-1, so C x C^-1 is J's sandwich of conj(x)
     def rho(x):
         return ops.K @ x @ ops.K
 
@@ -379,10 +352,10 @@ def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
         return ops.Gamma @ x @ ops.Gamma
 
     def kap(x):
-        return ops.C @ x @ c_inv
+        return ops.J.sandwich(np.conj(x))
 
     def kappa_gap(x):  # kappa = kappahat o rho
-        return kap(x) - ops.Chat @ rho(x) @ chat_inv
+        return kap(x) - ops.Jhat.sandwich(np.conj(rho(x)))
 
     table = rep.gamma_table_norm
     return {

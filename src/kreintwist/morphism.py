@@ -15,8 +15,8 @@ from .clifford import (
     CliffordRep,
     StructuralOps,
     metric_pairings,
+    represent_stack,
     trace_metric_residuals,
-    twisted_represent_stack,
 )
 from .krein import (
     KreinSpace,
@@ -176,8 +176,8 @@ def twisted_clifford_check(rep: CliffordRep, ops: StructuralOps, u, v) -> float:
 def twisted_clifford_gaps(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.ndarray:
     """Twisted Clifford gap for paired rows of two coefficient stacks."""
     vs = np.asarray(vs)
-    cu = twisted_represent_stack(rep, ops, us)
-    cv = twisted_represent_stack(rep, ops, vs)
+    cu = ops.K @ represent_stack(rep, us)
+    cv = ops.K @ represent_stack(rep, vs)
     lhs = ops.K @ (cu @ cv) @ ops.K + cv @ cu
     g = 2.0 * metric_pairings(rep, us, rep.signs * vs)
     return lhs - g[:, None, None] * np.eye(rep.dim)
@@ -206,8 +206,8 @@ def trace_metric_morph_check(
     n = rep.n_gen
 
     def residuals(us, vs):
-        cu = twisted_represent_stack(rep, ops, us)
-        cv = twisted_represent_stack(rep, ops, vs)
+        cu = ops.K @ represent_stack(rep, us)
+        cv = ops.K @ represent_stack(rep, vs)
         twisted = np.trace(cu @ cv, axis1=-2, axis2=-1) / rep.dim
         twisted_gap = np.abs(twisted - metric_pairings(rep, rep.signs * us, vs))
         return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
@@ -227,7 +227,7 @@ def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
     """
     ks = np.asarray(ks, dtype=float)
     chunks = np.split(ks, np.cumsum(chunk_sizes(len(ks), rep.dim))[:-1])
-    norm = np.concatenate([op_norms(twisted_represent_stack(rep, ops, k)) for k in chunks])
+    norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, k)) for k in chunks])
     g_r = np.real(metric_pairings(rep, ks, rep.signs * ks))
     g_r_norm = np.sqrt(np.maximum(g_r, 0.0))
     plus_weight = np.sum(np.abs(ks[:, rep.signs > 0]) ** 2, axis=1)

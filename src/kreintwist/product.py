@@ -452,8 +452,8 @@ def dirac_mass_shape_check(pt: ProductTripleData, rng: np.random.Generator) -> f
     the pure mass pairing <psi2, DF phi2>.
     """
     m = pt.manifold
-    eye_f = np.eye(pt.finite.dimF)
-    r = residual_norm(pt.Dp - kron(m.D, eye_f), kron(m.K, pt.finite.DF))
+    eye_f, mass = np.eye(pt.finite.dimF), kron(m.K, pt.finite.DF)
+    r = residual_norm(pt.Dp - kron(m.D, eye_f), mass)
     dim_m = m.D.shape[0]
     gaps = []
     for _ in range(10):
@@ -463,7 +463,7 @@ def dirac_mass_shape_check(pt: ProductTripleData, rng: np.random.Generator) -> f
         phi2 = rng.normal(size=pt.finite.dimF) + 1j * rng.normal(size=pt.finite.dimF)
         psi = np.kron(psi1, psi2)
         phi = np.kron(phi1, phi2)
-        mass_part = complex(np.vdot(psi, kron(m.K, pt.finite.DF) @ phi))
+        mass_part = complex(np.vdot(psi, mass @ phi))
         split = complex(np.vdot(psi1, m.K @ phi1)) * complex(
             np.vdot(psi2, pt.finite.DF @ phi2)
         )

@@ -26,6 +26,7 @@ __all__ = [
     "SuiteConfig",
     "CheckRecord",
     "Report",
+    "read_config_items",
     "parse_config_file",
     "emit",
 ]
@@ -218,26 +219,17 @@ class Report:
         }
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key = value config file.
+def read_config_items(items, values: dict) -> dict:
+    """Read (where, key, text) triples into ``values``, keyed by ``SuiteConfig``
+    field, and return it: the one value grammar of config files and flags.
 
-    Recognized keys: suites (comma list), signatures (semicolon list of
-    "p,q" pairs), metric, param.NAME, fd_step, seed, tol.CLASS, format, out.
-    Blank lines and '#' comments are skipped.
+    Keys: suites (comma list), signatures (semicolon list of "p,q" pairs),
+    metric, param.NAME, fd_step, seed, tol.CLASS, format, out; each text is
+    stripped.  A later triple overrides an earlier one, per NAME for param.
+    and tol. keys.  Errors name ``where``.
     """
-    values: dict = {"metric_params": {}, "tolerances": {}}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
+    for where, key, val in items:
+        val = val.strip()
         try:
             if key == "suites":
                 values["suites"] = tuple(s.strip() for s in val.split(",") if s.strip())
@@ -253,24 +245,44 @@ def parse_config_file(path: str) -> dict:
             elif key == "metric":
                 values["metric_family"] = val
             elif key.startswith("param."):
-                values["metric_params"][key[len("param."):]] = float(val)
+                values.setdefault("metric_params", {})[key[len("param."):]] = float(val)
             elif key == "fd_step":
                 values["fd_step"] = float(val)
             elif key == "seed":
                 values["seed"] = int(val)
             elif key.startswith("tol."):
-                values["tolerances"][key[len("tol."):]] = float(val)
+                values.setdefault("tolerances", {})[key[len("tol."):]] = float(val)
             elif key == "format":
                 values["output_format"] = val
             elif key == "out":
                 values["output_path"] = val
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+                raise ConfigError(f"{where}: unknown key '{key}'")
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
-            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
+            raise ConfigError(f"{where}: bad value for '{key}': {exc}") from exc
     return values
+
+
+def parse_config_file(path: str) -> dict:
+    """Flat key = value config file, read by ``read_config_items``.  Blank
+    lines and '#' comments are skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    items = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, val = line.split("=", 1)
+        items.append((f"{path}:{lineno}", key.strip(), val))
+    return read_config_items(items, {})
 
 
 def _text_lines(report: Report) -> list:

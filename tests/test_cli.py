@@ -165,6 +165,11 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     assert cfg.seed == 5
     assert cfg.tol("fd") == 2e-5
     assert cfg.metric_params == {"amp": 0.05}
+    # flags read with the file's grammar give the same config
+    flags = config_from_args(["--suite", "clifford", "--suite", "emergence", "--signature", "2", "0",
+                              "--signature", "1", "3", "--seed", "5", "--tol", "fd=2e-5",
+                              "--metric", "lorentz4d", "--param", "amp=0.05", "--format", "json"])
+    assert flags.echo() == cfg.echo()
     # CLI flags override file values
     cfg2 = config_from_args(["--config", str(cfg_file), "--seed", "11", "--suite", "krein"])
     assert cfg2.seed == 11
@@ -260,6 +265,11 @@ def test_malformed_api_config_is_a_config_error(values, tmp_path, monkeypatch):
     ["--tol", "build=-1"],
     ["--tol", "build=0"],
     ["--tol", "fd=inf"],
+    # argparse rejected these with a usage dump and SystemExit
+    ["--seed", "x"],
+    ["--fd-step", "abc"],
+    ["--signature", "1", "x"],
+    ["--format", "xml"],
 ])
 def test_bad_values_are_config_errors(extra, capsys):
     assert main(["--suite", "clifford", "--signature", "2", "0", *extra]) == 2
