@@ -22,7 +22,7 @@ from .linalg import (
     ShapeError,
     adjoint,
     as_cmat,
-    chunk_sizes,
+    chunks,
     diagonal_sandwich,
     max_norm,
     norm_within,
@@ -200,7 +200,7 @@ def sample_spin_plus(
     call for all of them; an element with an odd count flips the sign of its
     last factor.  The factors are then built with exactly those norms
     (``_unit_factors``), represented and multiplied as stacks: the elements,
-    longest product first, form chunks (``chunk_sizes``), and step t
+    longest product first, form chunks (``chunks``), and step t
     multiplies the chain of every element with more than t factors by its
     t-th factor, from the identity, left to right, as a per-element
     ``mat = mat @ represent(rep, v)`` loop would.
@@ -216,7 +216,7 @@ def sample_spin_plus(
 
     order = np.argsort(-lengths, kind="stable")
     mats = np.empty((count, rep.dim, rep.dim), dtype=np.complex128)
-    for chunk in np.split(order, np.cumsum(chunk_sizes(count, rep.dim))[:-1]):
+    for chunk in (order[s] for s in chunks(count, rep.dim)):
         chain = np.tile(np.eye(rep.dim, dtype=np.complex128), (len(chunk), 1, 1))
         for t in range(lengths[chunk[0]]):
             live = chunk[lengths[chunk] > t]  # a prefix: the chunk is sorted by length

@@ -15,12 +15,12 @@ its entries.
 
 Sampled checks evaluate stacks of samples, arrays of shape ``(k, n, n)``;
 ``adjoint``, ``kron``, ``op_norms`` and ``AntilinearOp.sandwich`` act on
-each matrix of a stack, and ``chunk_sizes`` caps how many samples one stack holds.
-Identities over generator tables are normed the same way (``table_norm``).
-A norm that only meets a threshold is decided by ``norm_within``, and a
-record that keeps only the largest norm of its stacks by ``max_norm``
-(``max_gap_norm`` over chunks); both take an SVD only of the matrices that
-cheap bounds on the norm cannot decide.
+each matrix of a stack.  Sampled operands are drawn whole (``gaussian_draws``);
+the reducers ``max_residual``, ``max_gap_norm`` and ``table_norm`` cut them
+into the capped slices of ``chunks``.  A norm that only meets a threshold
+is decided by ``norm_within``, and a record that keeps only the largest
+norm of its stacks by ``max_norm``; both take an SVD only of the matrices
+that cheap bounds on the norm cannot decide.
 
 Operands are validated where data enters: the constructors of the triple
 data and of ``AntilinearOp`` coerce them to finite complex128 matrices and
@@ -51,8 +51,8 @@ __all__ = [
     "norm_within",
     "FROBENIUS_TOL_FLOOR",
     "max_norm",
-    "chunk_sizes",
-    "gaussian_stacks",
+    "chunks",
+    "gaussian_draws",
     "max_residual",
     "max_gap_norm",
     "table_norm",
@@ -240,35 +240,34 @@ def diagonal_sandwich(p, x, q) -> np.ndarray:
     return np.asarray(x)[..., cols_p] * (phases_p * phases_q[cols_p])
 
 
-def chunk_sizes(count: int, dim: int) -> list[int]:
-    """Split ``count`` samples of dim x dim operands into stacks of at most
-    ``STACK_ENTRIES`` entries (at least one sample per stack)."""
-    step = max(1, STACK_ENTRIES // (dim * dim))
-    return [min(step, count - start) for start in range(0, count, step)]
+def chunks(count: int, dim: int, entries: int = STACK_ENTRIES) -> list[slice]:
+    """Slices cutting ``count`` samples of dim x dim operands into stacks of at
+    most ``entries`` entries (``STACK_ENTRIES`` or ``TABLE_ENTRIES``), at
+    least one sample per stack."""
+    step = max(1, entries // (dim * dim))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def gaussian_stacks(rng: np.random.Generator, count: int, dim: int, shapes, complex_: bool = False):
-    """Yield operand stacks of ``count`` Gaussian samples, one chunk at a time.
+def gaussian_draws(rng: np.random.Generator, count: int, shapes, complex_: bool = False) -> list:
+    """``count`` Gaussian samples of each operand shape: one array of shape
+    ``(count, *shape)`` per entry of ``shapes``.
 
-    Each chunk holds ``chunk_sizes(count, dim)`` samples and yields one
-    array of shape ``(k, *shape)`` per entry of ``shapes``.  A chunk is a
-    single ``rng.normal`` call whose rows are the samples and whose columns
+    One ``rng.normal`` call, whose rows are the samples and whose columns
     hold each operand whole, in order, the real part before the imaginary
     part when ``complex_``.  Generator streams are sequential, so the samples
     and the final generator state equal those of a loop drawing every operand
-    with its own ``rng.normal(size=shape)`` (``+ 1j * rng.normal(size=shape)``).
+    with its own ``rng.normal(size=shape)`` call (two when ``complex_``).
     """
-    sizes = [int(np.prod(shape, dtype=int)) * (2 if complex_ else 1) for shape in shapes]
-    for k in chunk_sizes(count, dim):
-        flat = rng.normal(size=(k, sum(sizes)))
-        stacks, start = [], 0
-        for shape, size in zip(shapes, sizes):
-            block = flat[:, start : start + size]
-            start += size
-            if complex_:
-                block = block[:, : size // 2] + 1j * block[:, size // 2 :]
-            stacks.append(block.reshape((k, *shape)))
-        yield stacks
+    sizes = [math.prod(shape) * (2 if complex_ else 1) for shape in shapes]
+    flat = rng.normal(size=(count, sum(sizes)))
+    draws, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        block = flat[:, start : start + size]
+        start += size
+        if complex_:
+            block = block[:, : size // 2] + 1j * block[:, size // 2 :]
+        draws.append(block.reshape((count, *shape)))
+    return draws
 
 
 def _worst(values, start: float = 0.0) -> float:
@@ -282,38 +281,39 @@ def _worst(values, start: float = 0.0) -> float:
     return worst
 
 
-def max_residual(stacks, residuals) -> float:
-    """Largest value of ``residuals(*operands)`` over an iterable of stacks (NaN if any is NaN)."""
-    return _worst(float(np.max(residuals(*operands))) for operands in stacks)
+def max_residual(residuals, operands, dim: int) -> float:
+    """Largest value of ``residuals(*stacks)`` over the ``chunks`` of the operand
+    arrays, samples along their first axis (NaN if any is NaN)."""
+    return _worst(float(np.max(residuals(*(x[s] for x in operands))))
+                  for s in chunks(len(operands[0]), dim))
 
 
-def max_gap_norm(stacks, gaps) -> float:
-    """Largest operator norm over the gap matrices of an iterable of stacks.
+def max_gap_norm(gaps, operands, dim: int, entries: int = STACK_ENTRIES) -> float:
+    """Largest operator norm over the dim x dim gap matrices of the operand
+    arrays, samples along their first axis.
 
-    ``gaps(*operands)`` returns a stack of matrices, or a tuple of stacks, for
-    each operand tuple; the gaps of every chunk go to one ``max_norm`` call,
-    whose cut is then the largest lower bound of them all.  The value equals
-    ``max_residual`` over the ``op_norms`` of the gaps bit for bit, NaN if one
-    chunk's is.
+    ``gaps(*stacks)`` returns a stack of matrices, or a tuple of stacks, for
+    each chunk of the operands (``chunks``); the gaps of every chunk go to
+    one ``max_norm`` call, whose cut is then the largest lower bound of them
+    all.  The value equals ``max_residual`` over the ``op_norms`` of the gaps
+    bit for bit, NaN if one chunk's is.
     """
-    chunks = []
-    for operands in stacks:
-        gap = gaps(*operands)
-        chunks.extend(gap if isinstance(gap, tuple) else (gap,))
-    return max_norm(*chunks)
+    parts = []
+    for s in chunks(len(operands[0]), dim, entries):
+        gap = gaps(*(x[s] for x in operands))
+        parts.extend(gap if isinstance(gap, tuple) else (gap,))
+    return max_norm(*parts)
 
 
 def table_norm(entries, shape: tuple, dim: int) -> float:
     """Largest operator norm over a table of dim x dim matrices of the given shape.
 
     ``entries(*idx)`` returns the entries at the index arrays ``idx`` (one per
-    axis) as one stack; chunks of at most ``TABLE_ENTRIES`` entries per
-    operand are each normed by one ``max_norm`` call (``max_gap_norm``).
+    axis) as one stack; they are read in chunks of at most ``TABLE_ENTRIES``
+    entries per operand (``max_gap_norm``).
     """
-    count, step = int(np.prod(shape)), max(1, TABLE_ENTRIES // (dim * dim))
-    indices = (np.unravel_index(np.arange(i, min(i + step, count)), shape)
-               for i in range(0, count, step))
-    return max_gap_norm(indices, entries)
+    return max_gap_norm(lambda i: entries(*np.unravel_index(i, shape)),
+                        [np.arange(math.prod(shape))], dim, TABLE_ENTRIES)
 
 
 def adjoint(a) -> np.ndarray:
@@ -331,6 +331,15 @@ def kron(a, b) -> np.ndarray:
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def _square_stack(a) -> np.ndarray:
+    """``a`` as a complex128 square matrix or stack of them (..., n, n);
+    raises ShapeError for any other shape."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
 
 
 def op_norm(a) -> float:
@@ -351,9 +360,7 @@ def op_norms(a) -> np.ndarray:
     an SVD: LAPACK raises on NaN and, given infs, may print an error line to
     a standard stream.  Only a stack with such an entry is checked per matrix.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
+    m = _square_stack(a)
     if not m.any():
         return np.zeros(m.shape[:-2])
     if np.isfinite(m).all():
@@ -382,9 +389,7 @@ def norm_within(a, tol: float):
     it does (NaN: never within); so do all matrices when tol is below
     ``FROBENIUS_TOL_FLOOR``.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
+    m = _square_stack(a)
     decides = tol >= FROBENIUS_TOL_FLOOR
     bound = 2.0 * tol * math.sqrt(m.shape[-1])
     if m.ndim == 2:
@@ -508,9 +513,7 @@ def max_norm(*stacks) -> float:
     """
     bounded, cut = [], 0.0
     for stack in stacks:
-        m = np.asarray(stack, dtype=np.complex128)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            raise ShapeError(f"op_norm needs a square matrix, got shape {m.shape}")
+        m = _square_stack(stack)
         m = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
         nonzero = m.any(axis=(-2, -1))
         count = np.count_nonzero(nonzero)

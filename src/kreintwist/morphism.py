@@ -32,9 +32,9 @@ from .linalg import (
     AntilinearOp,
     adjoint,
     as_cmat,
-    chunk_sizes,
+    chunks,
     commutator,
-    gaussian_stacks,
+    gaussian_draws,
     max_norm,
     max_residual,
     norm_within,
@@ -212,8 +212,7 @@ def trace_metric_morph_check(
         twisted_gap = np.abs(twisted - metric_pairings(rep, rep.signs * us, vs))
         return np.maximum(trace_metric_residuals(rep, us, vs), twisted_gap)
 
-    stacks = gaussian_stacks(rng, pairs, rep.dim, [(n,), (n,)])
-    return max_residual(stacks, residuals)
+    return max_residual(residuals, gaussian_draws(rng, pairs, [(n,), (n,)]), rep.dim)
 
 
 def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
@@ -226,8 +225,7 @@ def symbol_norm_probes(rep: CliffordRep, ops: StructuralOps, ks) -> dict:
     instead of asserting.
     """
     ks = np.asarray(ks, dtype=float)
-    chunks = np.split(ks, np.cumsum(chunk_sizes(len(ks), rep.dim))[:-1])
-    norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, k)) for k in chunks])
+    norm = np.concatenate([op_norms(ops.K @ represent_stack(rep, ks[s])) for s in chunks(len(ks), rep.dim)])
     g_r = np.real(metric_pairings(rep, ks, rep.signs * ks))
     g_r_norm = np.sqrt(np.maximum(g_r, 0.0))
     plus_weight = np.sum(np.abs(ks[:, rep.signs > 0]) ** 2, axis=1)

@@ -46,6 +46,7 @@ from .linalg import (
     adjoint,
     as_cmat,
     commutator,
+    gaussian_draws,
     kron,
     max_norm,
     norm_within,
@@ -452,15 +453,11 @@ def dirac_mass_shape_check(pt: ProductTripleData, rng: np.random.Generator) -> f
     the pure mass pairing <psi2, DF phi2>.
     """
     m = pt.manifold
-    eye_f, mass = np.eye(pt.finite.dimF), kron(m.K, pt.finite.DF)
-    r = residual_norm(pt.Dp - kron(m.D, eye_f), mass)
-    dim_m = m.D.shape[0]
+    dim_m, dim_f, mass = m.D.shape[0], pt.finite.dimF, kron(m.K, pt.finite.DF)
+    r = residual_norm(pt.Dp - kron(m.D, np.eye(dim_f)), mass)
+    draws = gaussian_draws(rng, 10, [(dim_m,), (dim_m,), (dim_f,), (dim_f,)], complex_=True)
     gaps = []
-    for _ in range(10):
-        psi1 = rng.normal(size=dim_m) + 1j * rng.normal(size=dim_m)
-        phi1 = rng.normal(size=dim_m) + 1j * rng.normal(size=dim_m)
-        psi2 = rng.normal(size=pt.finite.dimF) + 1j * rng.normal(size=pt.finite.dimF)
-        phi2 = rng.normal(size=pt.finite.dimF) + 1j * rng.normal(size=pt.finite.dimF)
+    for psi1, phi1, psi2, phi2 in zip(*draws):
         psi = np.kron(psi1, psi2)
         phi = np.kron(phi1, phi2)
         mass_part = complex(np.vdot(psi, mass @ phi))

@@ -154,8 +154,8 @@ class SuiteConfig:
                 raise ConfigError(f"tolerance '{cls}' must be a finite positive number, got {value!r}")
         if self.output_format not in ("text", "json"):
             raise ConfigError(f"unknown output format '{self.output_format}'")
-        if not (self.output_path is None or isinstance(self.output_path, str)):
-            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if not (self.output_path is None or (isinstance(self.output_path, str) and self.output_path)):
+            raise ConfigError(f"output_path must be a non-empty string, got {self.output_path!r}")
 
     def echo(self) -> dict:
         return {

@@ -27,8 +27,7 @@ from . import geometry as geo
 from . import krein as kr
 from . import morphism as mo
 from . import product as pr
-from .linalg import (adjoint, chunk_sizes, gaussian_stacks, kron, max_gap_norm, max_norm,
-                     max_residual, residual_norm)
+from .linalg import adjoint, gaussian_draws, kron, max_gap_norm, max_norm, max_residual, residual_norm
 from .linalg import _worst  # the one NaN-propagating maximum
 from .report import CHECKED_FAMILIES, CheckRecord, Report, SuiteConfig
 
@@ -153,12 +152,17 @@ class SignatureContext:
         return pr.assemble_product(self.triple, self.finite)
 
     @cached_property
-    def krein_spins(self) -> list:
-        return kr.sample_spin_plus(self.rep, 20, self.rng(1, 0))
+    def krein_spins(self) -> np.ndarray:
+        return _spin_stack(self.rep, 20, self.rng(1, 0))
 
     @cached_property
-    def morphism_spins(self) -> list:
-        return kr.sample_spin_plus(self.rep, 20, self.rng(2, 0))
+    def morphism_spins(self) -> np.ndarray:
+        return _spin_stack(self.rep, 20, self.rng(2, 0))
+
+
+def _spin_stack(rep: cl.CliffordRep, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrices of ``count`` spin elements (``krein.sample_spin_plus``) as one stack."""
+    return np.array([s.matrix for s in kr.sample_spin_plus(rep, count, rng)])
 
 
 # the finite KO-6 triple depends on neither signature nor seed: built on first use, then shared
@@ -180,33 +184,25 @@ class _Contexts(dict):
 
 # ---- sampled checks
 #
-# Each draws all of its samples from ``rng`` in capped stacks
-# (``linalg.gaussian_stacks``) and evaluates one residual per sample with
-# stacked kernels; the check value is the largest residual.  A check whose
-# residuals are operator norms passes its gap matrices to ``max_gap_norm``,
-# which takes an SVD only of the matrices that can hold the largest one.
-
-def _stacks(dim: int, *samples):
-    """Paired sequences of samples (spin-element matrices, gauge or algebra
-    elements) as tuples of stacks, chunked like ``gaussian_stacks`` for gap
-    matrices of size dim x dim."""
-    start = 0
-    for k in chunk_sizes(len(samples[0]), dim):
-        yield tuple(np.array(seq[start : start + k]) for seq in samples)
-        start += k
-
+# Each draws all of its operands from ``rng`` in one call
+# (``linalg.gaussian_draws``), or reads a context's spin stack, and
+# evaluates one residual per sample with stacked kernels; the check value is
+# the largest residual.  The reducers cut the operands into capped chunks.
+# A check whose residuals are operator norms passes its gap matrices to
+# ``max_gap_norm``, which takes an SVD only of the matrices that can hold
+# the largest one.
 
 def twist_parity(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """K c(v) K = c(rv) on Gaussian coefficient vectors v."""
-    stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(ctx.rep.n_gen,)])
-    return max_gap_norm(stacks, lambda v: cl.twist_parity_gaps(ctx.rep, ctx.ops, v))
+    return max_gap_norm(lambda v: cl.twist_parity_gaps(ctx.rep, ctx.ops, v),
+                        gaussian_draws(rng, 100, [(ctx.rep.n_gen,)]), ctx.rep.dim)
 
 
 def trace_metric(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """tr(c(u) c(v)) / dim = g(u, v) on Gaussian pairs."""
     n = ctx.rep.n_gen
-    stacks = gaussian_stacks(rng, 50, ctx.rep.dim, [(n,), (n,)])
-    return max_residual(stacks, lambda u, v: cl.trace_metric_residuals(ctx.rep, u, v))
+    return max_residual(lambda u, v: cl.trace_metric_residuals(ctx.rep, u, v),
+                        gaussian_draws(rng, 50, [(n,), (n,)]), ctx.rep.dim)
 
 
 def k_product_hermitian(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -217,7 +213,7 @@ def k_product_hermitian(ctx: SignatureContext, rng: np.random.Generator) -> floa
     def residuals(a, b):
         return np.abs(kr.k_products(space, a, b) - np.conj(kr.k_products(space, b, a)))
 
-    return max_residual(gaussian_stacks(rng, 50, d, [(d,), (d,)], complex_=True), residuals)
+    return max_residual(residuals, gaussian_draws(rng, 50, [(d,), (d,)], complex_=True), d)
 
 
 def adjoint_pairing(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -230,42 +226,37 @@ def adjoint_pairing(ctx: SignatureContext, rng: np.random.Generator) -> float:
         plus_psi = (kr.k_adjoint(space, o) @ psi[..., None])[..., 0]
         return np.abs(lhs - kr.k_products(space, plus_psi, phi))
 
-    stacks = gaussian_stacks(rng, 100, d, [(d,), (d,), (d, d)], complex_=True)
-    return max_residual(stacks, residuals)
+    return max_residual(residuals, gaussian_draws(rng, 100, [(d,), (d,), (d, d)], complex_=True), d)
 
 
-def spin_inverse_rule(ctx: SignatureContext, spins) -> float:
-    """x^-1 = K x^dagger K on spin elements."""
+def spin_inverse_rule(ctx: SignatureContext, spins: np.ndarray) -> float:
+    """x^-1 = K x^dagger K on a stack of spin elements."""
     K = ctx.ops.K
-    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
-                        lambda s: np.linalg.inv(s) - K @ adjoint(s) @ K)
+    return max_gap_norm(lambda s: np.linalg.inv(s) - K @ adjoint(s) @ K, [spins], ctx.rep.dim)
 
 
-def spin_k_unitarity(ctx: SignatureContext, spins) -> float:
+def spin_k_unitarity(ctx: SignatureContext, spins: np.ndarray) -> float:
     """Spin elements are K-unitary."""
     space = ctx.pair.pseudo.space
-    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
-                        lambda s: kr._unitarity_gaps(space, s))
+    return max_gap_norm(lambda s: kr._unitarity_gaps(space, s), [spins], ctx.rep.dim)
 
 
-def spin_product_invariance(ctx: SignatureContext, spins, rng: np.random.Generator) -> float:
+def spin_product_invariance(ctx: SignatureContext, spins: np.ndarray, rng: np.random.Generator) -> float:
     """<x psi, x phi>_K = <psi, phi>_K, one Gaussian pair per spin element."""
     space = ctx.pair.pseudo.space
     d = ctx.rep.dim
-    draws = gaussian_stacks(rng, len(spins), d, [(d,), (d,)], complex_=True)
 
     def residuals(s, psi, phi):
         moved = kr.k_products(space, (s @ psi[..., None])[..., 0], (s @ phi[..., None])[..., 0])
         return np.abs(moved - kr.k_products(space, psi, phi))
 
-    stacks = ((s, psi, phi) for (s,), (psi, phi) in zip(_stacks(d, [s.matrix for s in spins]), draws))
-    return max_residual(stacks, residuals)
+    return max_residual(residuals, [spins, *gaussian_draws(rng, len(spins), [(d,), (d,)], complex_=True)], d)
 
 
-def k_fixed_under_spin(ctx: SignatureContext, spins) -> float:
+def k_fixed_under_spin(ctx: SignatureContext, spins: np.ndarray) -> float:
     """x^dagger K x = K on spin elements."""
     K = ctx.ops.K
-    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]), lambda s: adjoint(s) @ K @ s - K)
+    return max_gap_norm(lambda s: adjoint(s) @ K @ s - K, [spins], ctx.rep.dim)
 
 
 def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -278,7 +269,7 @@ def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
         return lhs - (kr.twisted_commutator(t.D, a, t.K) @ b
                       + t.K @ a @ t.K @ kr.twisted_commutator(t.D, b, t.K))
 
-    return max_gap_norm(gaussian_stacks(rng, 20, d, [(d, d), (d, d)], complex_=True), gaps)
+    return max_gap_norm(gaps, gaussian_draws(rng, 20, [(d, d), (d, d)], complex_=True), d)
 
 
 def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -296,35 +287,33 @@ def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
             kr.twisted_commutator(t.D, b @ c, t.K) - rho(b) @ kr.twisted_commutator(t.D, c, t.K)
         )
 
-    stacks = gaussian_stacks(rng, 10, d, [(d, d)] * 3, complex_=True)
-    return max_gap_norm(stacks, gaps)
+    return max_gap_norm(gaps, gaussian_draws(rng, 10, [(d, d)] * 3, complex_=True), d)
 
 
 def commutator_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """K [D, a]_rho = [D^K, a] on complex Gaussian a."""
     d = ctx.rep.dim
-    stacks = gaussian_stacks(rng, 20, d, [(d, d)], complex_=True)
-    return max_gap_norm(stacks, lambda a: mo.commutator_correspondence_gaps(ctx.pair, a))
+    return max_gap_norm(lambda a: mo.commutator_correspondence_gaps(ctx.pair, a),
+                        gaussian_draws(rng, 20, [(d, d)], complex_=True), d)
 
 
 def first_order_correspondence(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """The first-order condition corresponds across D -> KD on complex Gaussian a, b."""
     d = ctx.rep.dim
-    stacks = gaussian_stacks(rng, 10, d, [(d, d), (d, d)], complex_=True)
-    return max_gap_norm(stacks, lambda a, b: mo.first_order_correspondence_gaps(ctx.pair, a, b))
+    return max_gap_norm(lambda a, b: mo.first_order_correspondence_gaps(ctx.pair, a, b),
+                        gaussian_draws(rng, 10, [(d, d), (d, d)], complex_=True), d)
 
 
-def fluctuation_correspondence(ctx: SignatureContext, spins) -> float:
+def fluctuation_correspondence(ctx: SignatureContext, spins: np.ndarray) -> float:
     """Fluctuations by spin elements correspond across D -> KD."""
-    return max_gap_norm(_stacks(ctx.rep.dim, [s.matrix for s in spins]),
-                        lambda s: mo.fluctuation_correspondence_gaps(ctx.pair, s))
+    return max_gap_norm(lambda s: mo.fluctuation_correspondence_gaps(ctx.pair, s), [spins], ctx.rep.dim)
 
 
 def twisted_clifford(ctx: SignatureContext, rng: np.random.Generator) -> float:
     """The twisted Clifford relation on Gaussian coefficient pairs."""
     n = ctx.rep.n_gen
-    stacks = gaussian_stacks(rng, 100, ctx.rep.dim, [(n,), (n,)])
-    return max_gap_norm(stacks, lambda u, v: mo.twisted_clifford_gaps(ctx.rep, ctx.ops, u, v))
+    return max_gap_norm(lambda u, v: mo.twisted_clifford_gaps(ctx.rep, ctx.ops, u, v),
+                        gaussian_draws(rng, 100, [(n,), (n,)]), ctx.rep.dim)
 
 
 def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> float:
@@ -343,10 +332,9 @@ def symbol_norm_pure_block(ctx: SignatureContext, rng: np.random.Generator) -> f
         else:
             k[:p] = rng.normal(size=p)
         ks.append(k[None])
+    # each basis vector and each draw lies in one definiteness block (``pure_block``)
     probes = mo.symbol_norm_probes(rep, ctx.ops, np.concatenate(ks))
-    counted = probes["pure_block"]
-    counted[: rep.n_gen] = True  # basis vectors count whatever their block
-    return _worst(np.abs(probes["norm"] - probes["gR_norm"])[counted])
+    return _worst(np.abs(probes["norm"] - probes["gR_norm"]))
 
 
 # ---- clifford, krein, morphism: one table each over the signature contexts
@@ -397,7 +385,7 @@ def _krein_sign_spectrum(c: SignatureContext) -> float:
 
 def _k_adjoint_involution(c: SignatureContext, rng: np.random.Generator) -> float:
     space = c.pair.pseudo.space
-    o = rng.normal(size=(c.rep.dim, c.rep.dim)) + 1j * rng.normal(size=(c.rep.dim, c.rep.dim))
+    o = gaussian_draws(rng, 1, [(c.rep.dim, c.rep.dim)], complex_=True)[0][0]
     return residual_norm(kr.k_adjoint(space, kr.k_adjoint(space, o)), o)
 
 
@@ -415,7 +403,7 @@ def _gauge_selfadjointness(c: SignatureContext) -> float:
         out = kr.gauge_transform(t.D, us, t.J, t.space)
         return out - adjoint(out)
 
-    return max_gap_norm(_stacks(c.rep.dim, [s.matrix for s in c.krein_spins[:5]]), gaps)
+    return max_gap_norm(gaps, [c.krein_spins[:5]], c.rep.dim)
 
 
 def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -423,8 +411,8 @@ def _gauge_vs_form(c: SignatureContext, rng: np.random.Generator) -> float:
     pt = c.product
     draws = rng.uniform(0, 2 * np.pi, size=(5, 3))
     u_ks = np.exp(1j * draws[:, 2:]) * np.ones(c.rep.dim)  # the diagonals of exp(i lam) 1
-    us = [np.diagonal(pr.finite_algebra_unitary(pt.finite, th1, th2)) for th1, th2, _ in draws]
-    return max_gap_norm(_stacks(pt.dim, u_ks, us), partial(pr.diagonal_gauge_vs_form_gaps, pt))
+    us = np.array([np.diagonal(pr.finite_algebra_unitary(pt.finite, th1, th2)) for th1, th2, _ in draws])
+    return max_gap_norm(partial(pr.diagonal_gauge_vs_form_gaps, pt), [u_ks, us], pt.dim)
 
 
 def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
@@ -435,10 +423,9 @@ def _gauge_equals_form(c: SignatureContext, rng: np.random.Generator) -> float:
         return _gauge_vs_form(c, rng)
     ft = c.finite
     space_f = kr.KreinSpace(ft.dimF, np.eye(ft.dimF))
-    us = [np.diagonal(pr.finite_algebra_unitary(ft, th1, th2))
-          for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))]
-    return max_gap_norm(_stacks(ft.dimF, us),
-                        lambda u: kr.diagonal_gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1))
+    us = np.array([np.diagonal(pr.finite_algebra_unitary(ft, th1, th2))
+                   for th1, th2 in rng.uniform(0, 2 * np.pi, size=(5, 2))])
+    return max_gap_norm(lambda u: kr.diagonal_gauge_form_gaps(ft.DF, u, ft.JF, space_f, +1), [us], ft.dimF)
 
 
 KREIN = (
@@ -684,9 +671,10 @@ def _o_constraint(c: SignatureContext, o: np.ndarray) -> float:
 def _derivation_splitting(c: SignatureContext, rng: np.random.Generator) -> float:
     d, eye_m = c.rep.dim, np.eye(c.rep.dim)
     scalars = [eye_m, (0.4 - 0.3j) * eye_m]
-    randoms = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-    pairs = [(a1, a2) for a1 in scalars + randoms for a2 in c.finite.algebra_gens]
-    return max_gap_norm(_stacks(c.product.dim, *zip(*pairs)), partial(pr.derivation_split_gaps, c.product))
+    randoms = gaussian_draws(rng, 3, [(d, d)], complex_=True)[0]
+    a1s, gens = np.array([*scalars, *randoms]), np.array(c.finite.algebra_gens)
+    pairs = [np.repeat(a1s, len(gens), axis=0), np.tile(gens, (len(a1s), 1, 1))]
+    return max_gap_norm(partial(pr.derivation_split_gaps, c.product), pairs, c.product.dim)
 
 
 def _product_first_order(c: SignatureContext) -> float:
@@ -699,21 +687,16 @@ def _product_first_order(c: SignatureContext) -> float:
 
 
 def _product_fluctuation(c: SignatureContext, rng: np.random.Generator) -> float:
-    spins = kr.sample_spin_plus(c.rep, 5, rng)
-    z = rng.normal(size=(5, 2, c.finite.dimF, c.finite.dimF))  # real, imaginary part of each draw
-    us, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    return max_gap_norm(_stacks(c.product.dim, [s.matrix for s in spins], us),
-                        partial(pr.product_fluctuation_gaps, c.product))
+    spins = _spin_stack(c.rep, 5, rng)
+    us, _ = np.linalg.qr(gaussian_draws(rng, 5, [(c.finite.dimF,) * 2], complex_=True)[0])
+    return max_gap_norm(partial(pr.product_fluctuation_gaps, c.product), [spins, us], c.product.dim)
 
 
 def _fermionic_action_split(c: SignatureContext, rng: np.random.Generator) -> float:
     dm, df = c.rep.dim, c.finite.dimF
-    draws = gaussian_stacks(rng, 50, dm, [(dm,), (dm,), (df,), (df,)], complex_=True)
-    return _worst(
-        pr.fermionic_action(c.product, psi1, psi2, phi1, phi2)["residual"]
-        for stacks in draws
-        for psi1, phi1, psi2, phi2 in zip(*stacks)
-    )
+    draws = gaussian_draws(rng, 50, [(dm,), (dm,), (df,), (df,)], complex_=True)
+    return _worst(pr.fermionic_action(c.product, psi1, psi2, phi1, phi2)["residual"]
+                  for psi1, phi1, psi2, phi2 in zip(*draws))
 
 
 PRODUCT = (

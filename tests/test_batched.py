@@ -13,12 +13,14 @@ import re
 import numpy as np
 import pytest
 
+from kreintwist import linalg
 from kreintwist import suites as su
 from kreintwist.clifford import (Signature, all_signatures, build_gammas, build_structural, represent,
                                  represent_stack)
 from kreintwist.krein import (NotKUnitaryError, gauge_form_gaps, gauge_transform, k_unitarity_residuals,
                               require_k_unitary, sample_spin_plus)
-from kreintwist.linalg import STACK_ENTRIES, AntilinearOp, adjoint, chunk_sizes, gaussian_stacks, kron
+from kreintwist.linalg import (STACK_ENTRIES, TABLE_ENTRIES, AntilinearOp, adjoint, chunks, gaussian_draws, kron,
+                               max_gap_norm, table_norm)
 from kreintwist.morphism import fluctuation_correspondence_gaps, trace_metric_morph_check
 from kreintwist.product import (ConstraintViolationError, finite_algebra_unitary, gauge_vs_form_gaps,
                                 product_fluctuation_gaps)
@@ -295,10 +297,11 @@ def test_sampled_check_matches_per_sample_loop(contexts, sig, check, ref, tol_cl
 def test_spin_checks_match_per_sample_loops(contexts, sig):
     ctx = contexts[sig]
     spins = _spins(ctx)
+    stack = np.array([s.matrix for s in spins])
     for check, ref, tol_class in SPIN_CHECKS:
-        assert _agree(check(ctx, spins), ref(ctx, spins), tol_class), check.__name__
+        assert _agree(check(ctx, stack), ref(ctx, spins), tol_class), check.__name__
     rng_batched, rng_loop = np.random.default_rng(3), np.random.default_rng(3)
-    got = su.spin_product_invariance(ctx, spins, rng_batched)
+    got = su.spin_product_invariance(ctx, stack, rng_batched)
     want = ref_spin_product_invariance(ctx, spins, rng_loop)
     assert _agree(got, want, "sampled")
     assert rng_batched.normal() == rng_loop.normal()
@@ -312,29 +315,109 @@ def test_trace_metric_morph_matches_per_sample_loop(contexts, sig):
     assert got == want
 
 
+def _sizes(count, dim, *entries):
+    return [len(range(count)[s]) for s in chunks(count, dim, *entries)]
+
+
 def test_stacks_are_chunked_at_the_entry_cap():
-    assert chunk_sizes(100, 8) == [100]
-    assert chunk_sizes(100, 16) == [64, 36]
-    assert chunk_sizes(100, 32) == [16] * 6 + [4]
-    assert chunk_sizes(3, 256) == [1, 1, 1]
-    assert chunk_sizes(0, 4) == []
+    assert _sizes(100, 8) == [100]
+    assert _sizes(100, 16) == [64, 36]
+    assert _sizes(100, 32) == [16] * 6 + [4]
+    assert _sizes(3, 256) == [1, 1, 1]
+    assert _sizes(0, 4) == []
     for d in (2, 8, 16, 32):
-        assert max(chunk_sizes(100, d)) * d * d <= STACK_ENTRIES
+        assert max(_sizes(100, d)) * d * d <= STACK_ENTRIES
+    assert _sizes(100, 16, TABLE_ENTRIES) == [16] * 6 + [4]
+    assert [s.start for s in chunks(100, 32)] == list(range(0, 100, 16))
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-def test_gaussian_stacks_reproduce_the_sequential_stream(complex_):
+def test_gaussian_draws_reproduce_the_sequential_stream(complex_):
     shapes = [(3,), (2, 2), (4,)]
     batched, loop = np.random.default_rng(11), np.random.default_rng(11)
-    stacks = list(gaussian_stacks(batched, 70, 32, shapes, complex_=complex_))
-    assert [len(s[0]) for s in stacks] == chunk_sizes(70, 32)
+    draws = gaussian_draws(batched, 70, shapes, complex_=complex_)
+    assert [d.shape for d in draws] == [(70, *shape) for shape in shapes]
     for j in range(70):
-        chunk, row = divmod(j, 16)
-        for shape, got in zip(shapes, stacks[chunk]):
+        for shape, got in zip(shapes, draws):
             want = loop.normal(size=shape)
             if complex_:
                 want = want + 1j * loop.normal(size=shape)
-            assert np.array_equal(got[row], want)
+            assert np.array_equal(got[j], want)
+    assert batched.normal() == loop.normal()
+
+
+def _recorded_chunks(monkeypatch):
+    """Sizes of the chunks ``max_gap_norm`` hands to ``gaps``, through ``linalg.max_norm``."""
+    sizes, max_norm = [], linalg.max_norm
+    monkeypatch.setattr(linalg, "max_norm", lambda *parts: sizes.extend(map(len, parts)) or max_norm(*parts))
+    return sizes
+
+
+def test_max_gap_norm_hands_gaps_capped_chunks(monkeypatch):
+    sizes, seen = _recorded_chunks(monkeypatch), []
+    a = np.arange(100.0)[:, None, None] * np.eye(32)
+
+    def gaps(x, i):
+        seen.append(len(i))
+        assert np.array_equal(x, a[i])
+        return x
+
+    assert max_gap_norm(gaps, [a, np.arange(100)], 32) == 99.0
+    assert seen == sizes == [16] * 6 + [4]
+
+
+def test_table_norm_reads_table_entries_chunks(monkeypatch):
+    sizes, seen = _recorded_chunks(monkeypatch), []
+    table = np.arange(100.0)[:, None, None] * np.eye(16)
+
+    def entries(i, j):
+        seen.append(len(i))
+        return table[10 * i + j]
+
+    assert table_norm(entries, (10, 10), 16) == 99.0
+    assert seen == sizes == [TABLE_ENTRIES // 256] * 6 + [4]  # STACK_ENTRIES would give [64, 36]
+
+
+def _old_k_adjoint_involution_draw(rng, d, dim_f):
+    return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))]
+
+
+def _old_derivation_splitting_draw(rng, d, dim_f):
+    return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+
+
+def _old_product_fluctuation_draw(rng, d, dim_f):
+    z = rng.normal(size=(5, 2, dim_f, dim_f))
+    return list(z[:, 0] + 1j * z[:, 1])
+
+
+def _old_dirac_mass_shape_draw(rng, d, dim_f):
+    out = []
+    for _ in range(10):
+        out.append([rng.normal(size=n) + 1j * rng.normal(size=n) for n in (d, d, dim_f, dim_f)])
+    return out
+
+
+# (old per-sample loop, count and shapes of the one ``gaussian_draws`` call replacing it)
+MOVED_DRAWS = [
+    pytest.param(_old_k_adjoint_involution_draw, 1, lambda d, f: [(d, d)], id="k_adjoint_involution"),
+    pytest.param(_old_derivation_splitting_draw, 3, lambda d, f: [(d, d)], id="derivation_splitting"),
+    pytest.param(_old_product_fluctuation_draw, 5, lambda d, f: [(f, f)], id="product_fluctuation"),
+    pytest.param(_old_dirac_mass_shape_draw, 10, lambda d, f: [(d,), (d,), (f,), (f,)], id="dirac_mass_shape"),
+]
+
+
+@pytest.mark.parametrize("old, count, shapes", MOVED_DRAWS)
+@pytest.mark.parametrize("d", [2, 4, 32])
+def test_moved_draws_equal_their_old_loops(old, count, shapes, d):
+    dim_f = 6
+    batched, loop = np.random.default_rng([5, d]), np.random.default_rng([5, d])
+    draws = gaussian_draws(batched, count, shapes(d, dim_f), complex_=True)
+    want = old(loop, d, dim_f)
+    assert len(want) == count
+    for j, sample in enumerate(want):
+        sample = sample if isinstance(sample, list) else [sample]
+        assert all(np.array_equal(got[j], w) for got, w in zip(draws, sample))
     assert batched.normal() == loop.normal()
 
 

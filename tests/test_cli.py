@@ -270,10 +270,20 @@ def test_malformed_api_config_is_a_config_error(values, tmp_path, monkeypatch):
     ["--fd-step", "abc"],
     ["--signature", "1", "x"],
     ["--format", "xml"],
+    ["--out", ""],
 ])
 def test_bad_values_are_config_errors(extra, capsys):
     assert main(["--suite", "clifford", "--signature", "2", "0", *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_empty_output_path_is_rejected_before_any_suite_runs(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(suites, "SUITE_BUILDERS", {name: ran.append for name in suites.SUITE_BUILDERS})
+    assert main(["--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ran == []
 
 
 def test_values_a_family_reads_are_accepted():
@@ -285,7 +295,7 @@ def test_values_a_family_reads_are_accepted():
 
 @pytest.mark.parametrize("line", [
     "seed = -3", "param.typo = 1", "param.amp = nan", "tol.build = 0", "tol.fd = -1e-5",
-    "metric = flat2d",
+    "metric = flat2d", "out =",
 ])
 def test_bad_values_in_config_file_are_config_errors(tmp_path, line, capsys):
     cfg_file = tmp_path / "run.cfg"

@@ -206,9 +206,10 @@ def test_sign_of_pair():
 
 
 def test_max_residual_keeps_nan():
-    assert np.isnan(max_residual([(np.array([1.0, np.nan]),)], lambda r: r))
-    assert np.isnan(max_residual([(np.array([np.nan]),), (np.array([1.0]),)], lambda r: r))
-    assert max_residual([(np.array([1.0, 2.0]),), (np.array([0.5]),)], lambda r: r) == 2.0
+    # one chunk at dimension 2, one sample per chunk at dimension 128
+    assert np.isnan(max_residual(lambda r: r, [np.array([1.0, np.nan])], 2))
+    assert np.isnan(max_residual(lambda r: r, [np.array([np.nan, 1.0])], 128))
+    assert max_residual(lambda r: r, [np.array([1.0, 2.0, 0.5])], 128) == 2.0
 
 
 def test_table_norm_of_an_inf_entry_is_nan():
@@ -548,7 +549,9 @@ def test_max_norm_of_a_nonfinite_entry_is_nan_without_the_svd(bad, k, monkeypatc
 
 def test_max_gap_norm_norms_every_chunk_in_one_call(monkeypatch):
     rng = np.random.default_rng(11)
-    stacks = [(s * (rng.normal(size=(12, 8, 8)) + 1j * rng.normal(size=(12, 8, 8))),) for s in (1e-3, 2.0, 0.5)]
+    # three chunks of 16 32 x 32 matrices
+    stack = np.concatenate([s * (rng.normal(size=(16, 32, 32)) + 1j * rng.normal(size=(16, 32, 32)))
+                            for s in (1e-3, 2.0, 0.5)])
     calls, max_norm = [], linalg.max_norm
 
     def recording(*chunks):
@@ -556,11 +559,11 @@ def test_max_gap_norm_norms_every_chunk_in_one_call(monkeypatch):
         return max_norm(*chunks)
 
     monkeypatch.setattr(linalg, "max_norm", recording)
-    got = linalg.max_gap_norm(stacks, lambda m: (m[:5], m[5:]))
+    got = linalg.max_gap_norm(lambda m: (m[:5], m[5:]), [stack], 32)
     assert calls == [6]
-    assert type(got) is float and got == float(np.max(op_norms(np.concatenate([m for m, in stacks]))))
-    stacks[1][0][3, 2, 1] = np.nan
-    assert np.isnan(linalg.max_gap_norm(stacks, lambda m: m)) and calls == [6, 3]
+    assert type(got) is float and got == float(np.max(op_norms(stack)))
+    stack[16 + 3, 2, 1] = np.nan
+    assert np.isnan(linalg.max_gap_norm(lambda m: m, [stack], 32)) and calls == [6, 3]
 
 
 @pytest.mark.parametrize("mat, singular", [
