@@ -19,7 +19,6 @@ from .clifford import (
     canonical_dirac_pair,
     represent,
     sign_table,
-    verify_structural,
 )
 from .krein import (
     KreinSpace,
@@ -67,7 +66,6 @@ __all__ = [
     "canonical_dirac_pair",
     "represent",
     "sign_table",
-    "verify_structural",
     "KreinSpace",
     "SpinElement",
     "TwistedTripleData",

@@ -72,7 +72,6 @@ __all__ = [
     "involution_residuals",
     "is_hermitian_involution",
     "build_structural",
-    "verify_structural",
     "measure_sign",
     "antilinear_sign",
     "sign_table",
@@ -206,20 +205,12 @@ class CliffordRep:
         return _worst(table_norm(lambda i: gap(self.gamma_stack[i], s[i]), (self.n_gen,), self.dim)
                       for gap in gaps)
 
-    @cached_property
-    def relation_residuals(self) -> tuple[float, float]:
-        """(max |{g_a, g_b} - 2 g_a delta_ab 1|, max |g_a g_a^dagger - 1|), the
-        first over the pairs a <= b: the (b, a) anticommutator is the same sum."""
-        eye, gam, s = np.eye(self.dim), self.gamma_stack, self.signs[:, None, None]
+    def pair_table_norm(self, gap) -> float:
+        """Largest |gap(a, b)| over the generator pairs a <= b, passed as index
+        arrays (``linalg.table_norm``): for the pair identities checked, the
+        (b, a) entry is the same sum or its exact negative, of the same norm."""
         pa, pb = np.triu_indices(self.n_gen)
-
-        def anticommutators(i):
-            a, b = pa[i], pb[i]
-            target = np.where((a == b)[:, None, None], 2.0 * s[a] * eye, 0.0)
-            return gam[a] @ gam[b] + gam[b] @ gam[a] - target
-
-        return (table_norm(anticommutators, pa.shape, self.dim),
-                self.gamma_table_norm(lambda g, s: g @ adjoint(g) - eye))
+        return table_norm(lambda i: gap(pa[i], pb[i]), pa.shape, self.dim)
 
 
 def build_gammas(sig: Signature) -> CliffordRep:
@@ -334,39 +325,6 @@ def build_structural(rep: CliffordRep) -> StructuralOps:
     Jhat = AntilinearOp(string_product(hats[rep.m % 2 :: 2]).matrix(rep.m))
     J = AntilinearOp(K @ Jhat.mat)
     return StructuralOps(K=K, Gamma=Gamma, C=J.mat, Chat=Jhat.mat, J=J, Jhat=Jhat)
-
-
-def verify_structural(rep: CliffordRep, ops: StructuralOps) -> dict:
-    """Residuals for every defining relation of the structural operators.
-
-    Keys: charge_conjugation, c_equals_k_chat, kappa_factorization,
-    automorphism_commutation.  Each relation quantified over the generators
-    is one stacked table (``CliffordRep.gamma_table_norm``).
-    """
-    # the automorphisms rho, chi, kappa (K and Gamma are Hermitian involutions);
-    # J x J^-1 = C conj(x) C^-1, so C x C^-1 is J's sandwich of conj(x)
-    def rho(x):
-        return ops.K @ x @ ops.K
-
-    def chi(x):
-        return ops.Gamma @ x @ ops.Gamma
-
-    def kap(x):
-        return ops.J.sandwich(np.conj(x))
-
-    def kappa_gap(x):  # kappa = kappahat o rho
-        return kap(x) - ops.Jhat.sandwich(np.conj(rho(x)))
-
-    table = rep.gamma_table_norm
-    return {
-        "charge_conjugation": table(lambda g, s: kap(g) + np.conj(g)),
-        "c_equals_k_chat": residual_norm(ops.C, ops.K @ ops.Chat),
-        "kappa_factorization": table(  # including the conjugated branch
-            lambda g, s: kappa_gap(g), lambda g, s: kappa_gap(np.conj(g))),
-        "automorphism_commutation": table(
-            lambda g, s: rho(chi(g)) - chi(rho(g)), lambda g, s: rho(kap(g)) - kap(rho(g)),
-            lambda g, s: kap(chi(g)) - chi(kap(g))),
-    }
 
 
 def antilinear_sign(op: np.ndarray, j: AntilinearOp) -> int:

@@ -40,7 +40,6 @@ from .linalg import (
     norm_within,
     op_norms,
     residual_norm,
-    table_norm,
 )
 from .linalg import _worst  # the one NaN-propagating maximum
 
@@ -185,17 +184,11 @@ def twisted_clifford_gaps(rep: CliffordRep, ops: StructuralOps, us, vs) -> np.nd
 
 def generalized_clifford_check(rep: CliffordRep, ops: StructuralOps) -> float:
     """gt^a gt^b + s_ab gt^b gt^a = 2 delta^ab with s_ab = g_a g_b, gt = K gamma,
-    as one table over the pairs a <= b: the (b, a) entry is the same sum when
-    s_ab = 1 and its exact negative, of the same norm, when s_ab = -1."""
+    as one table over the pairs a <= b (``CliffordRep.pair_table_norm``): the
+    (b, a) entry is the same sum when s_ab = 1 and its exact negative when s_ab = -1."""
     eye, gt, s = np.eye(rep.dim), ops.K @ rep.gamma_stack, rep.signs[:, None, None]
-    pa, pb = np.triu_indices(rep.n_gen)
-
-    def relations(i):
-        a, b = pa[i], pb[i]
-        target = np.where((a == b)[:, None, None], 2.0 * eye, 0.0)
-        return gt[a] @ gt[b] + s[a] * s[b] * gt[b] @ gt[a] - target
-
-    return table_norm(relations, pa.shape, rep.dim)
+    return rep.pair_table_norm(lambda a, b: gt[a] @ gt[b] + s[a] * s[b] * gt[b] @ gt[a]
+                               - np.where((a == b)[:, None, None], 2.0 * eye, 0.0))
 
 
 def trace_metric_morph_check(

@@ -160,11 +160,11 @@ class SuiteConfig:
     def echo(self) -> dict:
         return {
             "suites": list(self.resolved_suites()),
-            "signatures": [list(s) for s in self.signatures],
+            "signatures": [[int(p), int(q)] for p, q in self.signatures],
             "metric_family": self.metric_family,
-            "metric_params": dict(sorted(self.metric_params.items())),
-            "fd_step": self.fd_step,
-            "seed": self.seed,
+            "metric_params": {k: float(v) for k, v in sorted(self.metric_params.items())},
+            "fd_step": float(self.fd_step),
+            "seed": int(self.seed),
             "tolerances": {
                 k: self.tol(k) for k in sorted(DEFAULT_TOLERANCES)
             },

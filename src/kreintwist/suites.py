@@ -123,10 +123,6 @@ class SignatureContext:
         return cl.build_structural(self.rep)
 
     @cached_property
-    def structural(self) -> dict:
-        return cl.verify_structural(self.rep, self.ops)
-
-    @cached_property
     def dirac(self) -> tuple[np.ndarray, np.ndarray]:
         return cl.canonical_dirac_pair(self.rep, self.ops.K)
 
@@ -180,6 +176,26 @@ class _Contexts(dict):
     def __missing__(self, key: tuple) -> SignatureContext:
         ctx = self[key] = SignatureContext(cl.Signature(*key), self.seed, self.index.get(key))
         return ctx
+
+
+# ---- the automorphisms rho, chi and kappa = J conj(.) J^-1 of a signature
+# (K and Gamma are Hermitian involutions; kappa(x) = C x C^-1 is J's sandwich of conj(x))
+
+def _rho(c: SignatureContext, x) -> np.ndarray:
+    return c.ops.K @ x @ c.ops.K
+
+
+def _chi(c: SignatureContext, x) -> np.ndarray:
+    return c.ops.Gamma @ x @ c.ops.Gamma
+
+
+def _kappa(c: SignatureContext, x) -> np.ndarray:
+    return c.ops.J.sandwich(np.conj(x))
+
+
+def _kappa_gap(c: SignatureContext, x) -> np.ndarray:
+    """kappa(x) - kappahat(rho(x)): zero since kappa = kappahat o rho."""
+    return _kappa(c, x) - c.ops.Jhat.sandwich(np.conj(_rho(c, x)))
 
 
 # ---- sampled checks
@@ -267,7 +283,7 @@ def twisted_leibniz(ctx: SignatureContext, rng: np.random.Generator) -> float:
     def gaps(a, b):
         lhs = kr.twisted_commutator(t.D, a @ b, t.K)
         return lhs - (kr.twisted_commutator(t.D, a, t.K) @ b
-                      + t.K @ a @ t.K @ kr.twisted_commutator(t.D, b, t.K))
+                      + _rho(ctx, a) @ kr.twisted_commutator(t.D, b, t.K))
 
     return max_gap_norm(gaps, gaussian_draws(rng, 20, [(d, d), (d, d)], complex_=True), d)
 
@@ -278,13 +294,10 @@ def bimodule_action(ctx: SignatureContext, rng: np.random.Generator) -> float:
     t = ctx.triple
     d = ctx.rep.dim
 
-    def rho(x):
-        return t.K @ x @ t.K
-
     def gaps(a, b, c):
-        lhs = rho(a) @ kr.twisted_commutator(t.D, b, t.K) @ c
-        return lhs - rho(a) @ (
-            kr.twisted_commutator(t.D, b @ c, t.K) - rho(b) @ kr.twisted_commutator(t.D, c, t.K)
+        lhs = _rho(ctx, a) @ kr.twisted_commutator(t.D, b, t.K) @ c
+        return lhs - _rho(ctx, a) @ (
+            kr.twisted_commutator(t.D, b @ c, t.K) - _rho(ctx, b) @ kr.twisted_commutator(t.D, c, t.K)
         )
 
     return max_gap_norm(gaps, gaussian_draws(rng, 10, [(d, d)] * 3, complex_=True), d)
@@ -344,11 +357,17 @@ def _sign_cross_relations(c: SignatureContext) -> float:
     return abs(tab.eps1K - tab.eps * tab.eps1) + abs(tab.eps3 - tab.eps_prime * tab.eps3K)
 
 
+def _anticommutator_table(c: SignatureContext) -> float:
+    """{g_a, g_b} = 2 g_a delta_ab 1 over the pairs a <= b (the (b, a) sum is the same)."""
+    eye, gam, s = np.eye(c.rep.dim), c.rep.gamma_stack, c.rep.signs[:, None, None]
+    return c.rep.pair_table_norm(lambda a, b: gam[a] @ gam[b] + gam[b] @ gam[a]
+                                 - np.where((a == b)[:, None, None], 2.0 * s[a] * eye, 0.0))
+
+
 CLIFFORD = (
-    Check("anticommutator_table", "Sec2:CliffordRelation", "build",
-          lambda c: c.rep.relation_residuals[0]),
+    Check("anticommutator_table", "Sec2:CliffordRelation", "build", _anticommutator_table),
     Check("gamma_unitarity", "Sec2:CliffordRelation", "build",
-          lambda c: c.rep.relation_residuals[1]),
+          lambda c: c.rep.gamma_table_norm(lambda g, s: g @ adjoint(g) - np.eye(c.rep.dim))),
     Check("gamma_dagger_sign", "Sec2:rho(e_a)=g_a.e_a", "build",
           lambda c: c.rep.gamma_table_norm(lambda g, s: adjoint(g) - s * g)),
     Check("twist_parity", "Sec3:rho(c(v))=c(rv)", "build", twist_parity, stream=1),
@@ -356,16 +375,18 @@ CLIFFORD = (
           lambda c: _worst((*cl.involution_residuals(c.ops.K),
                             *cl.involution_residuals(c.ops.Gamma)))),
     Check("charge_conjugation", "Sec2:kappa(v)=-conj(v)", "build",
-          lambda c: c.structural["charge_conjugation"]),
+          lambda c: c.rep.gamma_table_norm(lambda g, s: _kappa(c, g) + np.conj(g))),
     Check("c_equals_k_chat", "Sec2:C=K.Chat", "build",
-          lambda c: c.structural["c_equals_k_chat"]),
-    Check("kappa_factorization", "Sec2:kappa=kappahat.rho", "build",
-          lambda c: c.structural["kappa_factorization"]),
+          lambda c: residual_norm(c.ops.C, c.ops.K @ c.ops.Chat)),
+    Check("kappa_factorization", "Sec2:kappa=kappahat.rho", "build",  # the conjugated branch too
+          lambda c: c.rep.gamma_table_norm(lambda g, s: _kappa_gap(c, g),
+                                           lambda g, s: _kappa_gap(c, np.conj(g)))),
     Check("automorphism_commutation", "Sec2:rho-chi-kappa-commute", "build",
-          lambda c: c.structural["automorphism_commutation"]),
+          lambda c: c.rep.gamma_table_norm(lambda g, s: _rho(c, _chi(c, g)) - _chi(c, _rho(c, g)),
+                                           lambda g, s: _rho(c, _kappa(c, g)) - _kappa(c, _rho(c, g)),
+                                           lambda g, s: _kappa(c, _chi(c, g)) - _chi(c, _kappa(c, g)))),
     Check("rho_involution", "Sec2:rho-involution", "build",
-          lambda c: c.rep.gamma_table_norm(
-              lambda g, s: c.ops.K @ (c.ops.K @ g @ c.ops.K) @ c.ops.K - g)),
+          lambda c: c.rep.gamma_table_norm(lambda g, s: _rho(c, _rho(c, g)) - g)),
     Check("trace_metric", "EqMetTrace", "build", trace_metric, stream=2),
     Check("sign_cross_relations", "Sec3:eps-relations", "build", _sign_cross_relations),
     Check("ko6_pseudo_row", "Sec4:KO6-signs", "build",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kreintwist import suites as su
 from kreintwist.clifford import (
     all_signatures,
     build_gammas,
@@ -49,6 +50,22 @@ def phase_scan(p) -> np.ndarray:
             d = d[np.abs(d) > 1e-12]
             return -cand if d.size and d[0] < 0 else cand
     raise AssertionError("no unit phase makes the product Hermitian")
+
+
+def clifford_rows(rep, ops, ids) -> dict:
+    """The ``suites.CLIFFORD`` rows named ``ids``, evaluated on a signature
+    context that holds ``rep`` and ``ops``."""
+    ctx = su.SignatureContext(rep.sig)
+    ctx.rep, ctx.ops = rep, ops
+    return {row.id: row.fn(ctx) for row in su.CLIFFORD if row.id in ids}
+
+
+STRUCTURAL_ROWS = ("charge_conjugation", "c_equals_k_chat", "kappa_factorization",
+                   "automorphism_commutation")
+
+# the clifford rows that evaluate a gamma or generator-pair table, in table order
+TABLE_ROWS = ("anticommutator_table", "gamma_unitarity", "gamma_dagger_sign", "charge_conjugation",
+              "kappa_factorization", "automorphism_commutation", "rho_involution")
 
 
 @pytest.fixture(scope="session")

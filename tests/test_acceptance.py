@@ -19,7 +19,6 @@ from kreintwist.clifford import (
     canonical_dirac_pair,
     represent,
     sign_table,
-    verify_structural,
     Signature,
 )
 from kreintwist.geometry import (
@@ -66,6 +65,8 @@ from kreintwist.product import (
     product_fluctuation_gaps,
     signature_emergence,
 )
+
+from conftest import clifford_rows
 
 H = 1e-3
 
@@ -118,7 +119,7 @@ def test_criterion_2_structural_suite():
                     represent(rep, rep.signs * v),
                 ),
             )
-        res = verify_structural(rep, ops)
+        res = clifford_rows(rep, ops, ("c_equals_k_chat", "kappa_factorization"))
         worst = max(worst, res["c_equals_k_chat"])
         worst = max(worst, res["kappa_factorization"])
     _report("2 structural operators", worst <= 1e-12, f"(residual {worst:.2e})")

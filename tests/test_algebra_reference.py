@@ -23,7 +23,6 @@ from kreintwist.clifford import (
     all_signatures,
     build_gammas,
     build_structural,
-    verify_structural,
 )
 from kreintwist.krein import twisted_first_order_residual
 from kreintwist.linalg import TABLE_ENTRIES, AntilinearOp, sign_of_pair
@@ -36,7 +35,7 @@ from kreintwist.product import (
     signature_emergence,
 )
 
-from conftest import dense_product, kron_gammas, phase_scan
+from conftest import STRUCTURAL_ROWS, TABLE_ROWS, clifford_rows, dense_product, kron_gammas, phase_scan
 
 SIGS = all_signatures((2, 4, 6, 8, 10))
 NOISE = 1e-3
@@ -195,24 +194,17 @@ def _operators(sig, perturbed, scale=NOISE):
 @pytest.mark.parametrize("sig", SIGS, ids=str)
 def test_generator_tables_match_loops(sig, perturbed):
     rep, ops = _operators(sig, perturbed)
-    assert bits(rep.relation_residuals) == bits(ref_relation_residuals(rep))
-
-    want = ref_verify_structural(rep, ops)
-    got = verify_structural(rep, ops)
+    want = dict(zip(("anticommutator_table", "gamma_unitarity"), ref_relation_residuals(rep)),
+                **ref_verify_structural(rep, ops), **ref_gamma_rows(rep, ops))
+    got = clifford_rows(rep, ops, want)
     assert sorted(got) == sorted(want)
     for key in want:
         assert bits(got[key]) == bits(want[key]), key
     if perturbed:
-        assert all(want[key] > 0 for key in want)
+        assert all(want[key] > 0 for key in STRUCTURAL_ROWS)
 
     got = generalized_clifford_check(rep, ops)
     assert bits(got) == bits(ref_generalized_clifford(rep, ops))
-
-    ctx = su.SignatureContext(sig)
-    ctx.rep, ctx.ops = rep, ops
-    rows = {row.id: row.fn for row in su.CLIFFORD}
-    for key, value in ref_gamma_rows(rep, ops).items():
-        assert bits(rows[key](ctx)) == bits(value), key
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=str)
@@ -280,6 +272,6 @@ def test_tables_stay_within_the_table_cap(sig, monkeypatch):
 
     monkeypatch.setattr(linalg, "op_norms", capped)
     rep, ops = _operators(sig, perturbed=False)
-    verify_structural(rep, ops)
+    clifford_rows(rep, ops, STRUCTURAL_ROWS + TABLE_ROWS)
     generalized_clifford_check(rep, ops)
     assert normed and max(normed) <= TABLE_ENTRIES

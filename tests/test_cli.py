@@ -98,6 +98,22 @@ def test_json_is_strict_when_a_kernel_fails(outcome, tmp_path, monkeypatch):
     assert failed[0]["residual"] == ("inf" if outcome == "raise" else "nan")
 
 
+# the config echo passed numpy scalars through, and emit raised TypeError
+@pytest.mark.parametrize("values, key, want", [
+    ({"seed": np.int64(5)}, "seed", 5),
+    ({"signatures": ((np.int64(1), np.int64(3)),)}, "signatures", [[1, 3]]),
+    ({"fd_step": np.float32(1e-3)}, "fd_step", float(np.float32(1e-3))),
+    ({"metric_params": {"amp": np.float32(0.1)}}, "metric_params", {"amp": float(np.float32(0.1))}),
+], ids=["seed", "signature", "fd step", "param"])
+def test_numpy_scalars_in_an_api_config_give_strict_json(values, key, want, tmp_path):
+    report = run(SuiteConfig(**{"suites": ("emergence",), **values}))
+    path = tmp_path / "r.json"
+    emit(report, "json", str(path))
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert doc["config"][key] == want
+    assert len(doc["records"]) == doc["summary"]["total"] > 0
+
+
 def test_a_failed_report_write_leaves_no_temp_file(tmp_path, capsys):
     taken = tmp_path / "report"
     taken.mkdir()  # a directory: the temp file is written, the replace fails

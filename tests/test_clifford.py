@@ -15,14 +15,13 @@ from kreintwist.clifford import (
     sigma_strings,
     sign_table,
     string_product,
-    verify_structural,
 )
 from kreintwist import linalg
 from kreintwist.krein import canonical_twisted_triple
 from kreintwist.linalg import ShapeError, SignedPermutation, adjoint, residual_norm
 from kreintwist.product import assemble_product, build_finite_triple_ko6
 
-from conftest import SIGMA1, SIGMA2, dense_product, phase_scan
+from conftest import SIGMA1, SIGMA2, STRUCTURAL_ROWS, clifford_rows, dense_product, phase_scan
 
 
 def test_signature_validation():
@@ -130,15 +129,16 @@ def test_grading_operator_11(rep11):
 
 def test_structural_residuals_all_signatures(reps):
     for (p, q), (rep, ops) in reps.items():
-        res = verify_structural(rep, ops)
+        res = clifford_rows(rep, ops, STRUCTURAL_ROWS)
+        assert sorted(res) == sorted(STRUCTURAL_ROWS)
         for name, r in res.items():
             assert r <= 1e-12, f"({p},{q}) {name}: {r}"
 
 
 def test_structural_exact_for_euclidean_2d(reps):
     rep, ops = reps[(2, 0)]
-    res = verify_structural(rep, ops)
-    assert all(r == 0.0 for r in res.values())
+    res = clifford_rows(rep, ops, STRUCTURAL_ROWS)
+    assert len(res) == 4 and all(r == 0.0 for r in res.values())
 
 
 def test_twist_parity_on_random_vectors(reps):

@@ -15,7 +15,9 @@ reads it; the ``geometry._stacked_jet`` builds of a geometry run and the
 points they hold show that, and the ``geometry._frames`` count that the
 frames of g and of the stencil points are built in one call per sample set.
 The gammas are checked exactly on their Pauli strings when they are built,
-so only the clifford rows evaluate ``CliffordRep.relation_residuals``.  The
+so only the clifford rows evaluate the gamma and generator-pair tables
+(``CliffordRep.gamma_table_norm`` and ``pair_table_norm``), each table row
+its own, once per signature.  The
 metric and the spinor are read in one call per sample set, each point once,
 as the counts of ``MetricField.g_at`` and ``SpinorField`` calls and the
 points they hold show, and each side of a Dirac decomposition is assembled
@@ -23,7 +25,6 @@ once over its points (``geometry._dirac_sum``).
 """
 
 import sys
-from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from kreintwist import clifford, geometry, linalg, suites
 from kreintwist.linalg import STACK_ENTRIES
 from kreintwist.report import SuiteConfig
 from kreintwist.suites import run
+
+from conftest import TABLE_ROWS
 
 
 def _wrap_everywhere(monkeypatch, original, record):
@@ -161,23 +164,31 @@ def test_geometry_run_builds_the_frames_of_g_once_per_point(monkeypatch):
     assert len(calls) <= 12
 
 
-def _count_relation_residuals(monkeypatch) -> list:
-    """One entry per evaluation of ``CliffordRep.relation_residuals``: its signature."""
-    calls = []
-    tables = vars(clifford.CliffordRep)["relation_residuals"].func
+def _count_gamma_tables(monkeypatch) -> list:
+    """One entry per evaluation of a gamma or generator-pair table: the id of
+    the row that evaluates it, None outside a row."""
+    calls, row = [], [None]
+    add = suites._Runner.add
 
-    def counted(rep):
-        calls.append(rep.sig)
-        return tables(rep)
+    def noting(runner, check_id, *args):
+        row[0] = check_id
+        try:
+            return add(runner, check_id, *args)
+        finally:
+            row[0] = None
 
-    prop = cached_property(counted)
-    prop.__set_name__(clifford.CliffordRep, "relation_residuals")
-    monkeypatch.setattr(clifford.CliffordRep, "relation_residuals", prop)
+    monkeypatch.setattr(suites._Runner, "add", noting)
+    for name in ("gamma_table_norm", "pair_table_norm"):
+        def counted(rep, *gaps, table=getattr(clifford.CliffordRep, name)):
+            calls.append(row[0])
+            return table(rep, *gaps)
+
+        monkeypatch.setattr(clifford.CliffordRep, name, counted)
     return calls
 
 
 def test_only_the_clifford_rows_evaluate_the_relation_tables(monkeypatch):
-    calls = _count_relation_residuals(monkeypatch)
+    calls = _count_gamma_tables(monkeypatch)
     assert run(SuiteConfig(suites=("geometry",), seed=1234)).all_passed
     # 0 since ``build_gammas`` checks the relations exactly on the strings; 3,
     # one per geometry context ((1,3), (1,1) and (2,0)), while it took the
@@ -185,7 +196,10 @@ def test_only_the_clifford_rows_evaluate_the_relation_tables(monkeypatch):
     assert calls == []
     sigs = ((1, 3), (2, 2), (4, 0), (3, 3))
     assert run(SuiteConfig(suites=("clifford",), signatures=sigs, seed=1234)).all_passed
-    assert calls == [clifford.Signature(*sig) for sig in sigs]  # once per signature
+    # each table row evaluates its own table, once per signature; the first
+    # structural row evaluated all four structural tables while one aggregate
+    # computed them
+    assert calls == [f"p{p}q{q}.{row}" for p, q in sigs for row in TABLE_ROWS]
 
 
 def _count_points(monkeypatch, cls, name) -> list:

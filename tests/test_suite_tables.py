@@ -235,6 +235,26 @@ def test_a_construction_error_on_1_3_gives_failed_records(builder, monkeypatch):
     assert all(_reads_13(rec.check_id) for rec in failed)
 
 
+def test_a_broken_jhat_fails_kappa_factorization_alone(monkeypatch):
+    # each structural row computes its own table: while one aggregate computed
+    # all four, a raising Jhat failed every structural row of the signature
+    class RaisingJhat(linalg.AntilinearOp):
+        def sandwich(self, a):
+            raise RuntimeError("broken Jhat")
+
+    original = cl.build_structural
+
+    def broken(rep):
+        ops = original(rep)
+        return dataclasses.replace(ops, Jhat=RaisingJhat(ops.Jhat.mat))
+
+    monkeypatch.setattr(cl, "build_structural", broken)
+    records = run(SuiteConfig(suites=("clifford",), signatures=((1, 3),), seed=0)).records
+    failed = [rec for rec in records if not rec.passed]
+    assert [rec.check_id for rec in failed] == ["clifford.p1q3.kappa_factorization"]
+    assert math.isinf(failed[0].residual)
+
+
 def _emergence_table():
     rep = cl.build_gammas(Signature(4, 0))
     return pr.signature_emergence(rep, cl.build_structural(rep))
